@@ -224,8 +224,7 @@ def _cmd_train(args) -> int:
 
 def _default_local_certificate(cfg: dict, sysdef: dyn.SystemDef):
     """Local certificate with Q = I and the largest bisected c."""
-    lin = dyn.linearize(sysdef)
-    sol = dyn.solve_lyapunov(lin.A, np.eye(sysdef.dim))
+    sol = dyn.solve_lyapunov(sysdef.linearization.A, np.eye(sysdef.dim))
     if not sol.pos_def:
         return None
     vr = cfg["verify"]
@@ -241,9 +240,8 @@ def _default_local_certificate(cfg: dict, sysdef: dyn.SystemDef):
 def _cmd_verify_local(args) -> int:
     cfg = _gather_config(args)
     sysdef = _system_from_config(cfg)
-    lin = dyn.linearize(sysdef)
     Q = np.eye(sysdef.dim)
-    sol = dyn.solve_lyapunov(lin.A, Q)
+    sol = dyn.solve_lyapunov(sysdef.linearization.A, Q)
     if not sol.pos_def:
         print("linearization is not verifiably stable (P not positive definite)",
               file=sys.stderr)

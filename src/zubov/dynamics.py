@@ -9,6 +9,7 @@ Dg = Df - A (which vanishes at the origin by construction).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,12 @@ class SystemDef:
 
     def f_many(self, X: np.ndarray) -> np.ndarray:
         return self.field.eval_many(X)
+
+    @cached_property
+    def linearization(self) -> "Linearization":
+        """`linearize(self)`, computed on first use and kept: the system
+        never changes, and each certificate check needs it."""
+        return linearize(self)
 
 
 def make_system(name: str, dim: int, components: list, domain: list,

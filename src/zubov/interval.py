@@ -4,12 +4,14 @@ Two layers live here:
 
 * Low-level kernels operating on parallel ``(lo, hi)`` float64 arrays.
   Every kernel returns an enclosure of the exact real-arithmetic image
-  and compensates for floating-point rounding by nudging results
-  outward with ``np.nextafter`` (one ulp for correctly-rounded ops,
-  a few ulps for libm transcendentals) plus an accumulated-error bound
-  for dot products.  Arrays let the branch-and-bound loop evaluate
-  whole chunks of boxes at once, which is what makes the verifier fast
-  enough in pure Python.
+  and compensates for floating-point rounding by widening results
+  outward in one relative-plus-absolute step (`_down` / `_up`) that is
+  proved to reach at least one ulp for correctly-rounded ops and a few
+  ulps for libm transcendentals, plus an accumulated-error bound for
+  dot products, which lets the matrix products run on BLAS in any
+  summation order.  Arrays let the branch-and-bound loop evaluate whole
+  chunks of boxes at once, which is what makes the verifier fast enough
+  in pure Python.
 
 * A public API: `Interval`, `Box`, natural interval extension of
   expression trees, interval propagation through tanh networks
@@ -38,8 +40,12 @@ __all__ = [
 ]
 
 _EPS = np.finfo(np.float64).eps  # 2^-52
-# nextafter steps: 1 covers correctly-rounded +-*/sqrt; libm tanh/exp/log
-# are not correctly rounded, 4 ulps is a comfortable cover for glibc/musl.
+_MAX = np.finfo(np.float64).max
+_TINY = math.ldexp(1.0, -1074)   # smallest subnormal, the float spacing near 0
+_REL = (1.0 + 2.0 ** -20) * _EPS   # relative step of `_down` / `_up` per ulp
+# ulps a computed bound is moved outward (`_down` / `_up`): 1 covers the
+# correctly-rounded +-*/sqrt; libm tanh/exp/log are not correctly rounded,
+# and 4 ulps covers glibc/musl (checked against mpmath in the tests).
 _ULPS_ARITH = 1
 _ULPS_LIBM = 4
 
@@ -53,15 +59,56 @@ class UnsupportedPrimitive(TypeError):
 # ---------------------------------------------------------------------------
 
 def _down(a: np.ndarray, ulps: int) -> np.ndarray:
-    for _ in range(ulps):
-        a = np.nextafter(a, -np.inf)
-    return a
+    """A lower bound at or below ``ulps`` passes of ``nextafter(a, -inf)``.
+
+    One step:  m - (|m| * k * c + k * 2^-1074)  with k = ulps,
+    c = (1 + 2^-20) * eps and m = min(a, MAX), MAX the largest finite
+    double, under the default IEEE environment (round to nearest, gradual
+    underflow).
+
+    Proof for finite a, with u = 2^-53 and a_k the k-th double below a:
+
+    * Two adjacent doubles differ by at most max(eps * m, 2^-1074), m the
+      smaller magnitude of the two (2^-1074 is the spacing of the
+      subnormals and of [2^-1022, 2^-1021)).  So each of the k steps from
+      a to a_k is at most max(eps |x|, 2^-1074) for the point x it leaves,
+      and |x| grows by a factor of at most 1 + eps per step wherever
+      eps |x| > 2^-1074, which gives
+      a - a_k <= D = k * max(eps * |a| * (1 + eps)^(k-1), 2^-1074).
+    * k*c and k*2^-1074 are exact.  Let t = fl(|a| k c) and
+      s = fl(t + k 2^-1074).  As t >= 0 and rounding is monotone,
+      s >= k 2^-1074.  If t is normal, s >= t >= |a| k c (1 - u).  If t is
+      subnormal, t >= |a| k c - 2^-1075 and t + k 2^-1074 is a multiple of
+      2^-1074 below 2^-1021, so s is that sum exactly and s >= |a| k c.
+      Since (1 + 2^-20)(1 - u) > (1 + eps)^(k-1) for k < 2^31, s >= D.
+    * So the exact a - s is <= a_k, and fl(a - s) <= a_k because a_k is a
+      double and rounding is monotone.  This covers a = 0 (the result is
+      -k 2^-1074, exactly a_k), the subnormals and a = -MAX: there a_k is
+      -inf, and s > eps * MAX > ulp(MAX) makes a - s round to -inf.
+
+    Non-finite a: +inf is first clamped to MAX, so the result lies below
+    a_k = nextafter^(k-1)(MAX); -inf stays -inf; NaN stays NaN, as with
+    nextafter.  These reach here from `_hc4_bwd` as arctanh(+-1) and
+    log(inf).  A lower bound of +inf (tanh(x) >= 1, exp(x) >= inf) thus
+    becomes a finite bound above any forward enclosure, and `_meet` marks
+    the row empty, which is right because no real x satisfies it; NaN rows
+    are marked empty too.
+    """
+    m = np.minimum(a, _MAX)
+    s = np.abs(m)
+    s *= ulps * _REL
+    s += ulps * _TINY
+    return m - s
 
 
 def _up(a: np.ndarray, ulps: int) -> np.ndarray:
-    for _ in range(ulps):
-        a = np.nextafter(a, np.inf)
-    return a
+    """An upper bound at or above ``ulps`` passes of ``nextafter(a, inf)``:
+    the mirror image of `_down`, whose proof applies to -a."""
+    m = np.maximum(a, -_MAX)
+    s = np.abs(m)
+    s *= ulps * _REL
+    s += ulps * _TINY
+    return m + s
 
 
 def _widen(lo, hi, ulps=_ULPS_ARITH):
@@ -140,14 +187,16 @@ def ksqrt(alo, ahi):
     return np.maximum(lo, 0.0), hi
 
 
-def kabs(alo, ahi):
-    lo = np.where((alo <= 0.0) & (ahi >= 0.0), 0.0, np.minimum(np.abs(alo), np.abs(ahi)))
-    hi = np.maximum(np.abs(alo), np.abs(ahi))
-    return lo, hi
-
-
 def _dot_err(absmax_sum: np.ndarray, k_terms: int) -> np.ndarray:
-    # forward-error bound for k rounded products plus their rounded sum
+    # forward-error bound for k rounded products plus their rounded sum:
+    # |fl(sum) - sum| <= gamma_k * sum |terms| with gamma_k ~ k u (Higham,
+    # "Accuracy and Stability of Numerical Algorithms", 3.1) holds for ANY
+    # order and grouping of the additions, and fused multiply-adds only
+    # drop roundings, so BLAS kernels with blocked or reordered sums are
+    # covered.  (2k + 4) eps = (4k + 8) u also absorbs the rounding of
+    # absmax_sum itself, the one extra addition joining the W+ and W-
+    # halves, and the final subtraction/addition of the error; 1e-300
+    # covers the absolute underflow error of every product.
     return (2 * k_terms + 4) * _EPS * absmax_sum + 1e-300
 
 
@@ -169,21 +218,17 @@ def kaffine(W: np.ndarray, b: Optional[np.ndarray], alo, ahi):
 
 
 def kmatmul_interval(W: np.ndarray, jlo, jhi):
-    """Point matrix W (out, mid) times interval matrix (K, mid, n)."""
+    """Point matrix W (out, mid) times interval matrix (K, mid, n).
+
+    Broadcast matmuls, so BLAS picks the summation order; `_dot_err`
+    holds for any order.
+    """
     Wp = np.maximum(W, 0.0)
     Wn = np.minimum(W, 0.0)
-    lo = np.einsum("om,kmn->kon", Wp, jlo) + np.einsum("om,kmn->kon", Wn, jhi)
-    hi = np.einsum("om,kmn->kon", Wp, jhi) + np.einsum("om,kmn->kon", Wn, jlo)
+    lo = Wp @ jlo + Wn @ jhi
+    hi = Wp @ jhi + Wn @ jlo
     absmax = np.maximum(np.abs(jlo), np.abs(jhi))
-    err = _dot_err(np.einsum("om,kmn->kon", np.abs(W), absmax), W.shape[1])
-    return lo - err, hi + err
-
-
-def ksum(alo, ahi, axis: int):
-    lo = np.sum(alo, axis=axis)
-    hi = np.sum(ahi, axis=axis)
-    absmax_sum = np.sum(np.maximum(np.abs(alo), np.abs(ahi)), axis=axis)
-    err = _dot_err(absmax_sum, alo.shape[axis])
+    err = _dot_err(np.abs(W) @ absmax, W.shape[1])
     return lo - err, hi + err
 
 
@@ -363,15 +408,17 @@ def net_interval_many(net, lo: np.ndarray, hi: np.ndarray, want_grad: bool = Fal
         mag = np.maximum(np.abs(glo), np.abs(ghi))
         spread = (mag * rad).sum(axis=1)
         spread = spread + _dot_err(spread, n_in)
-        vlo = np.maximum(vlo, fc_lo - spread)
-        vhi = np.minimum(vhi, fc_hi + spread)
-        # both enclosures are sound so the intersection is non-empty up
-        # to float ties; guard the order anyway
-        bad = vlo > vhi
+        mlo = _down(fc_lo - spread, _ULPS_ARITH)
+        mhi = _up(fc_hi + spread, _ULPS_ARITH)
+        ilo = np.maximum(vlo, mlo)
+        ihi = np.minimum(vhi, mhi)
+        # both enclosures are sound, so they meet; should rounding ever
+        # make them disjoint, their hull still encloses the value
+        bad = ilo > ihi
         if np.any(bad):
-            mid = 0.5 * (vlo[bad] + vhi[bad])
-            vlo[bad] = mid
-            vhi[bad] = mid
+            ilo[bad] = np.minimum(vlo[bad], mlo[bad])
+            ihi[bad] = np.maximum(vhi[bad], mhi[bad])
+        vlo, vhi = ilo, ihi
     return (vlo, vhi, glo, ghi) if want_grad else (vlo, vhi)
 
 
@@ -673,16 +720,21 @@ def bnb_verify(cond: Condition, X: Box, delta: float = 1e-3,
         raise ValueError("delta must be positive")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    stack = [(X.lo.copy(), X.hi.copy())]
+    # the stack is two (capacity, n) arrays whose first `top` rows are live,
+    # row top-1 being the top; a chunk pops its rows top first
+    slo = np.empty((max(2 * chunk, 64), X.dim))
+    shi = np.empty_like(slo)
+    slo[0], shi[0] = X.lo, X.hi
+    top = 1
     processed = 0
-    while stack:
-        take = min(chunk, len(stack))
-        batch = [stack.pop() for _ in range(take)]
+    while top:
+        take = min(chunk, top)
         if processed + take > budget:
-            raise BudgetExhausted(processed, len(stack) + take)
+            raise BudgetExhausted(processed, top)
         processed += take
-        blo = np.stack([b[0] for b in batch])
-        bhi = np.stack([b[1] for b in batch])
+        blo = slo[top - take:top][::-1].copy()
+        bhi = shi[top - take:top][::-1].copy()
+        top -= take
 
         feasible = np.ones(take, dtype=bool)
         for g in cond.antecedents:
@@ -707,18 +759,25 @@ def bnb_verify(cond: Condition, X: Box, delta: float = 1e-3,
                 j = int(np.argmax(viol))
                 return Falsified(witness=mids[j].copy(), margin=float(hv[j]),
                                  boxes_processed=processed)
-            widths = bhi[idx] - blo[idx]
+            lo_s, hi_s = blo[idx], bhi[idx]
+            widths = hi_s - lo_s
             small = np.all(widths <= delta, axis=1)
-            for k, i in enumerate(idx):
-                if small[k]:
-                    return Unknown(box=Box(blo[i], bhi[i]), delta=delta,
-                                   boxes_processed=processed)
-                axis = int(np.argmax(widths[k]))
-                mid = 0.5 * (blo[i, axis] + bhi[i, axis])
-                left_hi = bhi[i].copy()
-                left_hi[axis] = mid
-                right_lo = blo[i].copy()
-                right_lo[axis] = mid
-                stack.append((blo[i].copy(), left_hi))
-                stack.append((right_lo, bhi[i].copy()))
+            if np.any(small):
+                k = int(np.argmax(small))
+                return Unknown(box=Box(lo_s[k], hi_s[k]), delta=delta,
+                               boxes_processed=processed)
+            # bisect each box along its widest axis; in stack order box j
+            # pushes its left child (row 2j), then its right one (2j + 1)
+            m = len(idx)
+            if top + 2 * m > len(slo):   # m <= chunk <= len(slo) / 2
+                slo = np.concatenate([slo, np.empty_like(slo)])
+                shi = np.concatenate([shi, np.empty_like(shi)])
+            j = np.arange(m)
+            axis = np.argmax(widths, axis=1)
+            mid = 0.5 * (lo_s[j, axis] + hi_s[j, axis])
+            slo[top:top + 2 * m] = np.repeat(lo_s, 2, axis=0)
+            shi[top:top + 2 * m] = np.repeat(hi_s, 2, axis=0)
+            shi[top + 2 * j, axis] = mid
+            slo[top + 2 * j + 1, axis] = mid
+            top += 2 * m
     return Certified(boxes_processed=processed)

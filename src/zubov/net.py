@@ -132,7 +132,7 @@ def input_grad_batch(net: Mlp, X: np.ndarray) -> np.ndarray:
     last = len(net.weights) - 1
     for i, (W, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ W.T + b
-        J = np.einsum("om,kmn->kon", W, J)
+        J = W @ J
         if i < last:
             a = np.tanh(z)
             J = (1.0 - a * a)[:, :, None] * J

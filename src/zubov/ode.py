@@ -252,7 +252,7 @@ def _tail_quadratic(sys: dyn.SystemDef) -> Optional[np.ndarray]:
     cutting the cost integral at |x| = stop_radius.
     """
     try:
-        sol = dyn.solve_lyapunov(dyn.linearize(sys).A, np.eye(sys.dim))
+        sol = dyn.solve_lyapunov(sys.linearization.A, np.eye(sys.dim))
     except (dyn.SingularSystem, ValueError):
         return None
     return sol.P if sol.pos_def else None

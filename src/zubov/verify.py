@@ -185,8 +185,8 @@ class NetValueFn(iv.ScalarFn):
     def eval_boxes(self, lo, hi):
         vlo, vhi, _, _ = self.cache.boxes(lo, hi)
         if self.sign > 0:
-            return vlo - self.level, vhi - self.level
-        return self.level - vhi, self.level - vlo
+            return iv.ksub(vlo, vhi, self.level, self.level)
+        return iv.ksub(self.level, self.level, vlo, vhi)
 
     def to_expr(self):
         w = _net_to_expr(self.cache.net)
@@ -297,7 +297,7 @@ class SegmentNormFn(iv.ScalarFn):
         mlo, mhi = self._pdg_entries_interval(hull_lo, hull_hi)
         nlo, nhi = iv.ksqrt(*self._norm_sq_interval(mlo, mhi))
         hlo, hhi = iv.kscale(2.0, nlo, nhi)
-        return hlo - self.r, hhi - self.r
+        return iv.ksub(hlo, hhi, self.r, self.r)
 
     def eval_points(self, X):
         K, n = X.shape
@@ -380,10 +380,9 @@ def verify_local(sys: dyn.SystemDef, P: np.ndarray, Q: np.ndarray,
     lam = dyn.lambda_min(Q)
     if not r < lam:
         raise RNotBelowLambdaMin(f"need r < lambda_min(Q) = {lam}, got r = {r}")
-    lin = dyn.linearize(sys)
     cond = iv.Condition(
         antecedents=(QuadFormFn(P, c),),
-        consequent=SegmentNormFn(lin, P, r, sys.dim),
+        consequent=SegmentNormFn(sys.linearization, P, r, sys.dim),
         name=f"local-ellipsoid c={c:g}",
     )
     t0 = time.perf_counter()
