@@ -229,12 +229,10 @@ def _default_local_certificate(cfg: dict, sysdef: dyn.SystemDef):
         return None
     vr = cfg["verify"]
     try:
-        c = vf.find_max_local_c(sysdef, sol.P, np.eye(sysdef.dim), vr["r"],
-                                delta=vr["delta"], budget=vr["budget"])
-    except (vf.NoCertifiableC, iv.BudgetExhausted):
+        return vf.find_max_local_c(sysdef, sol.P, np.eye(sysdef.dim), vr["r"],
+                                   delta=vr["delta"], budget=vr["budget"])
+    except vf.NoCertifiableC:
         return None
-    return vf.verify_local(sysdef, sol.P, np.eye(sysdef.dim), vr["r"], c,
-                           delta=vr["delta"], budget=vr["budget"])
 
 
 def _cmd_verify_local(args) -> int:
@@ -251,10 +249,8 @@ def _cmd_verify_local(args) -> int:
         cert = vf.verify_local(sysdef, sol.P, Q, vr["r"], args.c,
                                delta=vr["delta"], budget=vr["budget"])
     else:
-        c = vf.find_max_local_c(sysdef, sol.P, Q, vr["r"],
-                                delta=vr["delta"], budget=vr["budget"])
-        cert = vf.verify_local(sysdef, sol.P, Q, vr["r"], c,
-                               delta=vr["delta"], budget=vr["budget"])
+        cert = vf.find_max_local_c(sysdef, sol.P, Q, vr["r"],
+                                   delta=vr["delta"], budget=vr["budget"])
     out_dir = Path(args.out_dir or cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = json.loads(vf.report_to_json(cert))
@@ -428,9 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--system", help="builtin system name")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--out-dir", help="artifact directory")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker cap (evaluation is vectorized; kept for "
-                             "compatibility)")
         if with_verify:
             sp.add_argument("--r", type=float)
             sp.add_argument("--epsilon", type=float)

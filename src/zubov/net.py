@@ -15,11 +15,15 @@ L_b pins the boundary behaviour (W -> 1 on points outside the basin,
 W(0) = O, and an optional hinge keeping W between two quadratic-rate
 envelopes near the origin), and L_d fits simulated value data.
 
-Gradients are computed by hand: one forward pass carries the directional
-derivative u = grad W_N . f as a tangent stream, and one reverse pass
-accumulates d/d theta of both the value and u.  No autodiff framework is
-involved, which keeps runs bit-reproducible for a fixed seed and lets
-the verifier reuse the exact same weights.
+Gradients are computed by hand.  Each mini-batch stacks its collocation,
+exterior, origin and data rows into one array; one forward pass over it
+carries the directional derivative u = grad W_N . f as a tangent stream
+(f on the collocation rows, 0 elsewhere), and one reverse pass with
+per-row cotangents accumulates d/d theta of both the value and u.  The
+hinge reads the collocation rows' values, so it needs no pass of its
+own.  No autodiff framework is involved, which keeps runs
+bit-reproducible for a fixed seed and lets the verifier reuse the exact
+same weights.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ class Mlp:
         return forward_batch(self, X)
 
     def grad_batch(self, X: np.ndarray) -> np.ndarray:
-        return input_grad_batch(self, X)
+        return input_grad_batch(self, X)[1]
 
     def clone(self) -> "Mlp":
         return Mlp(self.layer_sizes, [W.copy() for W in self.weights],
@@ -124,23 +128,27 @@ def forward(net: Mlp, x) -> float:
     return float(forward_batch(net, np.asarray(x, dtype=float)[None, :])[0])
 
 
-def input_grad_batch(net: Mlp, X: np.ndarray) -> np.ndarray:
-    """Exact gradient of W_N in x via the layer chain rule, (K, n)."""
+def input_grad_batch(net: Mlp, X: np.ndarray):
+    """W_N, (K,), and its exact gradient in x, (K, n), from one pass.
+
+    The values come from the same operations as ``forward_batch``, so
+    they are bit-equal to it; the gradient follows the layer chain rule.
+    """
     a = np.atleast_2d(np.asarray(X, dtype=float))
     K, n = a.shape
     J = np.broadcast_to(np.eye(n), (K, n, n)).copy()
     last = len(net.weights) - 1
     for i, (W, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ W.T + b
+        a = a @ W.T + b
         J = W @ J
         if i < last:
-            a = np.tanh(z)
+            a = np.tanh(a)
             J = (1.0 - a * a)[:, :, None] * J
-    return J[:, 0, :]
+    return a[:, 0], J[:, 0, :]
 
 
 def input_grad(net: Mlp, x) -> np.ndarray:
-    return input_grad_batch(net, np.asarray(x, dtype=float)[None, :])[0]
+    return input_grad_batch(net, np.asarray(x, dtype=float)[None, :])[1][0]
 
 
 class ExprCandidate:
@@ -308,48 +316,11 @@ class _GradAccum:
         self.dW = [np.zeros_like(W) for W in net.weights]
         self.db = [np.zeros_like(b) for b in net.biases]
 
-    def scaled(self, s: float) -> "_GradAccum":
-        for a in (self.dW, self.db):
-            for g in a:
-                g *= s
-        return self
-
-
-def _forward_states(net: Mlp, X: np.ndarray):
-    """Hidden activations a_l and derivatives s_l = 1 - a_l^2 per layer."""
-    acts, sigs = [X], []
-    a = X
-    last = len(net.weights) - 1
-    for i, (W, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ W.T + b
-        if i < last:
-            a = np.tanh(z)
-            acts.append(a)
-            sigs.append(1.0 - a * a)
-        else:
-            y = z[:, 0]
-    return acts, sigs, y
-
-
-def _value_vjp(net: Mlp, X: np.ndarray, ybar: np.ndarray, out: _GradAccum):
-    """Accumulate d/d theta of sum_i ybar_i * W_N(x_i)."""
-    acts, sigs, _ = _forward_states(net, X)
-    L = len(net.weights) - 1
-    abar = ybar[:, None] * net.weights[L]           # (B, h_L)
-    out.dW[L] += ybar[None, :] @ acts[L]
-    out.db[L] += np.array([ybar.sum()])
-    for l in range(L - 1, -1, -1):
-        zbar = abar * sigs[l]
-        out.dW[l] += zbar.T @ acts[l]
-        out.db[l] += zbar.sum(axis=0)
-        abar = zbar @ net.weights[l]
-    return out
-
 
 def _residual_forward(net: Mlp, X: np.ndarray, F: np.ndarray):
-    """Joint primal/tangent forward pass; tangent direction is f(x).
+    """Joint primal/tangent forward pass; row i's tangent direction is F_i.
 
-    Returns per-layer states and (y, u) with u = grad W_N . f.
+    Returns per-layer states and (y, u) with u_i = grad W_N(x_i) . F_i.
     """
     acts, taus, vs, sigs = [X], [F], [], []
     a, tau = X, F
@@ -370,9 +341,10 @@ def _residual_forward(net: Mlp, X: np.ndarray, F: np.ndarray):
     return acts, taus, vs, sigs, y, u
 
 
-def _residual_vjp(net: Mlp, states, ybar: np.ndarray, ubar: np.ndarray,
-                  out: _GradAccum):
-    """Accumulate d/d theta of sum_i (ybar_i y_i + ubar_i u_i)."""
+def _residual_vjp(net: Mlp, states, ybar: np.ndarray,
+                  ubar: np.ndarray) -> _GradAccum:
+    """d/d theta of sum_i (ybar_i y_i + ubar_i u_i)."""
+    out = _GradAccum(net)
     acts, taus, vs, sigs, _, _ = states
     L = len(net.weights) - 1
     Wo = net.weights[L]
@@ -408,63 +380,64 @@ def _loss_batch(net: Mlp, sys: dyn.SystemDef, cfg: TrainConfig,
                 Xp: np.ndarray, wp: np.ndarray,
                 want_grad: bool):
     """Loss parts on one mini-batch, optionally with the parameter gradient
-    of the weighted total."""
-    grad = _GradAccum(net) if want_grad else None
-    n = sys.dim
+    of the weighted total.
+
+    The rows [Xc; Xe; 0; Xp] go through one joint forward pass, with
+    tangent f(x) on the collocation rows and 0 elsewhere, so every loss
+    part reads the same outputs y (and u on the collocation rows).  The
+    gradient is one reverse pass whose per-row cotangents sum the parts
+    that read each row.
+    """
+    B, M, D = Xc.shape[0], Xe.shape[0], Xp.shape[0]
+    o = B + M                   # the origin row; exterior rows are B:o
+    X = np.concatenate([Xc, Xe, np.zeros((1, sys.dim)), Xp])
+    T = np.zeros_like(X)
+    T[:B] = sys.f_many(Xc)
+    states = _residual_forward(net, X, T)
+    y, u = states[4], states[5]
+    yc = y[:B]
+    ybar = np.zeros_like(y)
 
     # residual term
-    F = sys.f_many(Xc)
-    states = _residual_forward(net, Xc, F)
-    y, u = states[4], states[5]
     phi = np.sum(Xc * Xc, axis=1)
-    psi = _psi(cfg, phi, y)
-    r = u + psi * (1.0 - y)
+    r = u[:B] + _psi(cfg, phi, yc) * (1.0 - yc)
     L_r = float(np.mean(r * r))
-    B = Xc.shape[0]
-    if want_grad and cfg.lambda_r != 0.0:
-        rbar = (2.0 * cfg.lambda_r / B) * r
-        if cfg.psi_form == "exp":
-            ybar = rbar * (-cfg.alpha * phi)
-        else:
-            ybar = rbar * (-2.0 * cfg.alpha * phi * y)
-        _residual_vjp(net, states, ybar, rbar, grad)
+    rbar = (2.0 * cfg.lambda_r / B) * r
+    if cfg.psi_form == "exp":
+        ybar[:B] = rbar * (-cfg.alpha * phi)
+    else:
+        ybar[:B] = rbar * (-2.0 * cfg.alpha * phi * yc)
 
     # boundary term: exterior pull to 1, origin pin, local envelope hinge
     L_b = 0.0
-    if Xe.shape[0]:
-        we = forward_batch(net, Xe)
-        d = we - 1.0
+    if M:
+        d = y[B:o] - 1.0
         L_b += float(np.mean(d * d))
-        if want_grad and cfg.lambda_b != 0.0:
-            _value_vjp(net, Xe, (2.0 * cfg.lambda_b / Xe.shape[0]) * d, grad)
-    w0 = forward_batch(net, np.zeros((1, n)))
-    L_b += float(w0[0] ** 2)
-    if want_grad and cfg.lambda_b != 0.0:
-        _value_vjp(net, np.zeros((1, n)), 2.0 * cfg.lambda_b * w0, grad)
+        ybar[B:o] = (2.0 * cfg.lambda_b / M) * d
+    L_b += float(y[o] ** 2)
+    ybar[o] = 2.0 * cfg.lambda_b * y[o]
     if cfg.use_local_band and cfg.local_P is not None and cfg.c_local is not None:
         inside, lo_t, hi_t = _hinge_targets(cfg, Xc)
         if np.any(inside):
-            Xi = Xc[inside]
-            wi = y[inside]
+            wi = yc[inside]
             under = np.maximum(lo_t[inside] - wi, 0.0)
             over = np.maximum(wi - hi_t[inside], 0.0)
             L_b += float(np.mean(under ** 2 + over ** 2))
-            if want_grad and cfg.lambda_b != 0.0:
-                coeff = (2.0 * cfg.lambda_b / Xi.shape[0]) * (over - under)
-                _value_vjp(net, Xi, coeff, grad)
+            ybar[:B][inside] += (2.0 * cfg.lambda_b / wi.shape[0]) * (over - under)
 
     # data term
-    if Xp.shape[0]:
-        wn = forward_batch(net, Xp)
-        d = wn - wp
+    L_d = 0.0
+    if D:
+        d = y[o + 1:] - wp
         L_d = float(np.mean(d * d))
-        if want_grad and cfg.lambda_d != 0.0:
-            _value_vjp(net, Xp, (2.0 * cfg.lambda_d / Xp.shape[0]) * d, grad)
-    else:
-        L_d = 0.0
+        ybar[o + 1:] = (2.0 * cfg.lambda_d / D) * d
 
     parts = LossParts(residual=L_r, boundary=L_b, data=L_d)
-    return (parts, grad) if want_grad else parts
+    if not want_grad:
+        return parts
+    ubar = np.zeros_like(u)
+    ubar[:B] = rbar
+    return parts, _residual_vjp(net, states, ybar, ubar)
 
 
 def loss(net: Mlp, data: Dataset, sys: dyn.SystemDef, cfg: TrainConfig):

@@ -37,6 +37,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import expr as ex
 from . import interval as iv
+from . import net as nn
 from .ode import ValueSample
 
 __all__ = [
@@ -94,7 +95,7 @@ class _NetBoxCache:
 
     def points(self, X):
         if self._pt_key is not X:
-            self._pt_val = (self.net.value_batch(X), self.net.grad_batch(X))
+            self._pt_val = nn.input_grad_batch(self.net, X)
             self._pt_key = X
         return self._pt_val
 
@@ -392,37 +393,59 @@ def verify_local(sys: dyn.SystemDef, P: np.ndarray, Q: np.ndarray,
                             seconds=time.perf_counter() - t0)
 
 
+def _proved(prove, level: float):
+    """``prove(level)``'s report if it certifies; None if it does not or
+    the box budget runs out."""
+    try:
+        report = prove(level)
+    except iv.BudgetExhausted:
+        return None
+    return report if report.certified else None
+
+
+def _bisect(prove, good: float, bad: float, steps: int):
+    """Halve [good, bad] ``steps`` times, moving ``good`` up to each
+    midpoint that ``prove`` certifies.  Returns the last level that
+    certified and its report, or (None, None) when none did."""
+    best = (None, None)
+    for _ in range(steps):
+        mid = 0.5 * (good + bad)
+        report = _proved(prove, mid)
+        if report is None:
+            bad = mid
+        else:
+            good, best = mid, (mid, report)
+    return best
+
+
 def find_max_local_c(sys: dyn.SystemDef, P: np.ndarray, Q: np.ndarray,
                      r: float, delta: float = 1e-3, budget: int = 5_000_000,
-                     c_lo: Optional[float] = None, steps: int = 12) -> float:
-    """Largest certifiable c on a bisection grid in [c_lo, c_hi].
+                     c_lo: Optional[float] = None,
+                     steps: int = 12) -> LocalCertificate:
+    """Certificate of the largest certifiable c on a bisection grid in
+    [c_lo, c_hi].
 
     c_hi is the largest quadratic-form value over the domain corners (the
-    largest sublevel set that could matter inside the box).
+    largest sublevel set that could matter inside the box).  The search
+    returns the certificate it proved at the level it found, so callers
+    need not prove that level again.
     """
     corners = sys.domain.corners()
     c_hi = float(np.einsum("ki,ij,kj->k", corners, np.asarray(P, float), corners).max())
     if c_lo is None:
         c_lo = 1e-3 * c_hi
 
-    def ok(c: float) -> bool:
-        try:
-            return verify_local(sys, P, Q, r, c, delta=delta, budget=budget).certified
-        except iv.BudgetExhausted:
-            return False
+    def prove(c: float) -> LocalCertificate:
+        return verify_local(sys, P, Q, r, c, delta=delta, budget=budget)
 
-    if not ok(c_lo):
+    lowest = _proved(prove, c_lo)
+    if lowest is None:
         raise NoCertifiableC(f"not certifiable even at c = {c_lo:g}")
-    if ok(c_hi):
-        return c_hi
-    good, bad = c_lo, c_hi
-    for _ in range(steps):
-        mid = 0.5 * (good + bad)
-        if ok(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
+    highest = _proved(prove, c_hi)
+    if highest is not None:
+        return highest
+    _, cert = _bisect(prove, c_lo, c_hi, steps)
+    return lowest if cert is None else cert
 
 
 def _face_boxes(box: iv.Box):
@@ -434,6 +457,16 @@ def _face_boxes(box: iv.Box):
             lo[axis] = hi[axis] = val
             faces.append((f"x{axis + 1}={val:g}", iv.Box(lo, hi)))
     return faces
+
+
+def _inclusion_condition(cache: _NetBoxCache, local: LocalCertificate,
+                         c1: float, dim: int) -> iv.Condition:
+    """W_N <= c1  =>  x'Px <= c: the sublevel set sits in the ellipsoid."""
+    return iv.Condition(
+        antecedents=(NetValueFn(cache, c1, +1, dim),),
+        consequent=QuadFormFn(local.P, local.c),
+        name=f"sublevel {c1:g} inside ellipsoid",
+    )
 
 
 def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate,
@@ -454,11 +487,7 @@ def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate,
         consequent=NetLieFn(cache, sys, epsilon),
         name=f"decrease band [{c1:g}, {c2:g}]",
     )
-    inclusion = iv.Condition(
-        antecedents=(NetValueFn(cache, c1, +1, sys.dim),),
-        consequent=QuadFormFn(local.P, local.c),
-        name=f"sublevel {c1:g} inside ellipsoid",
-    )
+    inclusion = _inclusion_condition(cache, local, c1, sys.dim)
     decrease_rep = _timed_bnb("decrease", band, sys.domain, delta, budget)
     inclusion_rep = _timed_bnb("inclusion", inclusion, sys.domain, delta, budget)
     boundary_reps = []
@@ -488,46 +517,19 @@ def find_max_level(net, sys: dyn.SystemDef, local: LocalCertificate,
         raise ValueError("local certificate must be Certified first")
     cache = _NetBoxCache(net)
 
-    def wp_certifies(c1: float) -> bool:
-        cond = iv.Condition(
-            antecedents=(NetValueFn(cache, c1, +1, sys.dim),),
-            consequent=QuadFormFn(local.P, local.c),
-            name=f"sublevel {c1:g} inside ellipsoid",
-        )
-        try:
-            return isinstance(iv.bnb_verify(cond, sys.domain, delta=delta, budget=budget),
-                              iv.Certified)
-        except iv.BudgetExhausted:
-            return False
+    def prove_c1(c1: float) -> ConditionReport:
+        return _timed_bnb("inclusion", _inclusion_condition(cache, local, c1, sys.dim),
+                          sys.domain, delta, budget)
 
-    lo, hi = 0.0, 1.0
-    c1_best = None
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if wp_certifies(mid):
-            c1_best, lo = mid, mid
-        else:
-            hi = mid
+    c1_best, _ = _bisect(prove_c1, 0.0, 1.0, steps)
     if c1_best is None:
         raise NoCertifiableLevel("no c1 level set fits inside the local ellipsoid")
 
-    def roa_at(c2: float) -> RoaCertificate:
+    def prove_c2(c2: float) -> RoaCertificate:
         return verify_roa(net, sys, local, c1_best, c2, epsilon=epsilon,
                           delta=delta, budget=budget)
 
-    lo, hi = c1_best, 1.0
-    best_cert = None
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        try:
-            cert = roa_at(mid)
-        except iv.BudgetExhausted:
-            hi = mid
-            continue
-        if cert.certified:
-            best_cert, lo = cert, mid
-        else:
-            hi = mid
+    _, best_cert = _bisect(prove_c2, c1_best, 1.0, steps)
     if best_cert is None:
         raise NoCertifiableLevel(f"no c2 in ({c1_best:g}, 1) certifies the decrease "
                                  "and boundary conditions")

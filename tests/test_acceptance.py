@@ -91,8 +91,8 @@ def test_c3_lyapunov_solves():
 def test_c4a_local_certificate_vdp():
     t0 = time.perf_counter()
     P = dyn.solve_lyapunov(dyn.linearize(VDP).A, np.eye(2)).P
-    c = vf.find_max_local_c(VDP, P, np.eye(2), 0.9999, delta=1e-3)
-    cert = vf.verify_local(VDP, P, np.eye(2), 0.9999, c, delta=1e-3)
+    cert = vf.find_max_local_c(VDP, P, np.eye(2), 0.9999, delta=1e-3)
+    c = cert.c
     elapsed = time.perf_counter() - t0
     report("4a", cert.certified and c >= 0.2 and elapsed <= 120,
            f"reversed_vdp certified at c = {c:.4f} (>= 0.2), {elapsed:.0f}s (<= 120s)")
@@ -130,8 +130,8 @@ def test_c4b_local_certificate_poly2d():
     c_lo = 1e-3 * c_hi
     ceiling = math.sqrt(10) * r / 3
     floor = ceiling - (c_hi - c_lo) / 2 ** steps - 10 * delta
-    c = vf.find_max_local_c(POLY, P, np.eye(2), r, delta=delta, c_lo=c_lo, steps=steps)
-    cert = vf.verify_local(POLY, P, np.eye(2), r, c, delta=delta)
+    cert = vf.find_max_local_c(POLY, P, np.eye(2), r, delta=delta, c_lo=c_lo, steps=steps)
+    c = cert.c
     at_two = vf.verify_local(POLY, P, np.eye(2), r, 2.0, delta=delta).outcome
     elapsed = time.perf_counter() - t0
     genuine = False
@@ -167,8 +167,7 @@ def test_c5_value_data_fidelity():
 def vdp_run():
     t0 = time.perf_counter()
     P = dyn.solve_lyapunov(dyn.linearize(VDP).A, np.eye(2)).P
-    c_loc = vf.find_max_local_c(VDP, P, np.eye(2), 0.9999, delta=1e-3)
-    local = vf.verify_local(VDP, P, np.eye(2), 0.9999, c_loc, delta=1e-3)
+    local = vf.find_max_local_c(VDP, P, np.eye(2), 0.9999, delta=1e-3)
     t_data = time.perf_counter()
     samples = ode.gen_dataset(VDP, [150, 150], ode.IntegratorConfig(),
                               ode.BetaKind("tanh", 0.1))

@@ -163,15 +163,28 @@ class TestParameterGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(41)
         P = dyn.solve_lyapunov(dyn.linearize(VDP).A, np.eye(2)).P
-        for trial in range(3):
+        # (psi form, lambda_r, exterior rows, pair rows, collocation rows
+        # inside the hinge ellipsoid): the stacked pass puts each block of
+        # rows at its own offset, so empty blocks and a zero residual weight
+        # shift or silence them
+        cases = [("exp", 1.0, 3, 2, 0), ("tanh", 1.0, 3, 2, 0), ("exp", 1.0, 3, 2, 0),
+                 ("tanh", 1.0, 0, 2, 0), ("exp", 1.0, 3, 0, 0), ("tanh", 0.0, 3, 2, 0),
+                 ("exp", 1.0, 0, 0, 3), ("tanh", 1.0, 3, 2, 3)]
+        for psi_form, lambda_r, n_e, n_p, n_in in cases:
             net = nn.init_mlp([2, 5, 4, 1], rng)
-            cfg = nn.TrainConfig(alpha=0.1, psi_form="tanh" if trial % 2 else "exp",
-                                 lambda_r=1.0, lambda_b=0.8, lambda_d=1.2,
+            cfg = nn.TrainConfig(alpha=0.1, psi_form=psi_form,
+                                 lambda_r=lambda_r, lambda_b=0.8, lambda_d=1.2,
                                  local_P=P, c_local=0.28)
             Xc = rng.uniform(-2, 2, size=(6, 2))
-            Xe = rng.uniform(-2, 2, size=(3, 2))
-            Xp = rng.uniform(-2, 2, size=(2, 2))
-            wp = rng.uniform(0, 1, size=2)
+            Xe = rng.uniform(-2, 2, size=(n_e, 2))
+            Xp = rng.uniform(-2, 2, size=(n_p, 2))
+            wp = rng.uniform(0, 1, size=n_p)
+            if n_in:
+                # rows near the origin; the two such cases land under the
+                # lower and over the upper envelope
+                Xc[:n_in] = rng.uniform(-0.3, 0.3, size=(n_in, 2))
+                inside = nn._hinge_targets(cfg, Xc)[0]
+                assert 0 < np.count_nonzero(inside) < Xc.shape[0]
             parts, grad = nn._loss_batch(net, VDP, cfg, Xc, Xe, Xp, wp, want_grad=True)
 
             def total_now():

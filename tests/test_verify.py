@@ -62,12 +62,18 @@ class TestVerifyLocal:
 
 class TestFindMaxLocalC:
     def test_vdp_bracket(self):
-        c = vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999)
+        c = vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999).c
         assert 0.2 <= c <= 0.5
         assert vf.verify_local(VDP, lyap_P(VDP), np.eye(2), 0.9999, c).certified
 
+    def test_returns_the_certificate_proved_at_its_level(self):
+        found = vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999)
+        again = vf.verify_local(VDP, lyap_P(VDP), np.eye(2), 0.9999, found.c)
+        assert type(found.outcome) is type(again.outcome) is iv.Certified
+        assert found.outcome.boxes_processed == again.outcome.boxes_processed
+
     def test_monotone_halving(self):
-        c = vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999)
+        c = vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999).c
         assert vf.verify_local(VDP, lyap_P(VDP), np.eye(2), 0.9999, c / 2).certified
 
     def test_linear_reaches_corner_value(self):
@@ -75,8 +81,9 @@ class TestFindMaxLocalC:
         P = lyap_P(s)
         corners = s.domain.corners()
         c_hi = max(x @ P @ x for x in corners)
-        c = vf.find_max_local_c(s, P, np.eye(2), 0.9999)
-        assert c == pytest.approx(c_hi)
+        cert = vf.find_max_local_c(s, P, np.eye(2), 0.9999)
+        assert cert.certified
+        assert cert.c == pytest.approx(c_hi)
 
     def test_no_certifiable_c(self):
         # r tiny makes even minuscule levels fail for a nonlinear system
@@ -198,6 +205,19 @@ class TestSimulationValidation:
                                             n_points=200, rng=rng)
         assert out["failed"] == 0
         assert out["exited_sublevel"] == 0
+
+
+class TestNetBoxCache:
+    def test_points_are_bit_equal_to_the_value_and_gradient_passes(self):
+        rng = np.random.default_rng(17)
+        net = nn.init_mlp([2, 10, 10, 1], rng)
+        for b in net.biases:
+            b[:] = rng.normal(size=b.shape)
+        for K in (1, 3, 512):
+            X = rng.uniform(-3.0, 3.0, size=(K, 2))
+            w, g = vf._NetBoxCache(net).points(X)
+            assert np.array_equal(w, nn.forward_batch(net, X))
+            assert np.array_equal(g, net.grad_batch(X))
 
 
 class TestExportSmt2:
