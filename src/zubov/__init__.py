@@ -8,7 +8,7 @@ sound interval branch-and-bound engine.
 
 from .dynamics import SystemDef, builtin, linearize, solve_lyapunov, lambda_min
 from .expr import VectorField, parse
-from .interval import Box, Certified, Falsified, Interval, Unknown, bnb_verify
+from .interval import Box, Certified, Falsified, Unknown, bnb_verify
 from .net import Mlp, TrainConfig, init_mlp, train
 from .ode import BetaKind, IntegratorConfig, estimate_V, gen_dataset, integrate
 from .verify import (find_max_level, find_max_local_c, verify_local,

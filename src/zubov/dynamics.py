@@ -128,10 +128,13 @@ class Linearization:
     A: np.ndarray
     g: ex.VectorField
     dg: list = dc_field(repr=False, default_factory=list)  # dg[i][j] = d g_i / d x_j
+    # the dg entries compiled row-major: output i*n + j is dg[i][j]
+    dg_tape: ex.Tape = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.A)):
             raise ValueError("Jacobian at the origin is not finite")
+        object.__setattr__(self, "dg_tape", ex.compile([e for row in self.dg for e in row]))
 
 
 def linearize(sys: SystemDef) -> Linearization:

@@ -1,25 +1,30 @@
 """Scalar expression trees for vector fields and verification conditions.
 
-Expressions are immutable ASTs over variables x1..xn supporting point
-evaluation (scalar and batched), symbolic differentiation, and printing.
-The grammar is deliberately small: + - * / ^ (non-negative integer
-exponents only), unary minus, and the functions tanh/exp/ln.  Keeping
-the operator set this small means every node has a cheap interval
-extension and a closed-form derivative.
+Expressions are immutable ASTs over variables x1..xn supporting parsing,
+symbolic differentiation and printing.  For evaluation, `compile` flattens
+one or more trees into a `Tape`, a post-order list of slots in which
+structurally equal subtrees share one slot; point evaluation (here),
+interval evaluation and HC4 contraction (`zubov.interval`) and SMT-LIB
+export (`zubov.verify`) all loop over that list.  The grammar is
+deliberately small: + - * / ^ (non-negative integer exponents only),
+unary minus, and the functions tanh/exp/ln.  Keeping the operator set
+this small means every node has a cheap interval extension and a
+closed-form derivative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
 __all__ = [
     "Expr", "Constant", "Var", "Add", "Sub", "Mul", "Div", "Neg",
-    "IntPow", "Tanh", "Exp", "Ln", "VectorField",
+    "IntPow", "Tanh", "Exp", "Ln", "VectorField", "Tape",
     "ParseError", "DomainError",
-    "parse", "evaluate", "evaluate_many", "diff", "to_str",
+    "parse", "compile", "as_tape", "evaluate", "evaluate_many", "diff", "to_str",
 ]
 
 
@@ -104,19 +109,6 @@ class Ln:
 
 
 Expr = Union[Constant, Var, Add, Sub, Mul, Div, Neg, IntPow, Tanh, Exp, Ln]
-
-
-def max_var_index(e: Expr) -> int:
-    """Largest Var index in the tree, or -1 if there are no variables."""
-    if isinstance(e, Constant):
-        return -1
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return max(max_var_index(e.left), max_var_index(e.right))
-    if isinstance(e, IntPow):
-        return max_var_index(e.base)
-    return max_var_index(e.arg)  # Neg, Tanh, Exp, Ln
 
 
 # ---------------------------------------------------------------------------
@@ -272,73 +264,140 @@ def parse(text: str, dim: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Compiled tapes and point evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(e: Expr, x) -> float:
-    """Evaluate at a single point. Raises DomainError on ln(<=0) or x/0."""
-    if isinstance(e, Constant):
-        return e.value
-    if isinstance(e, Var):
-        return float(x[e.index])
-    if isinstance(e, Add):
-        return evaluate(e.left, x) + evaluate(e.right, x)
-    if isinstance(e, Sub):
-        return evaluate(e.left, x) - evaluate(e.right, x)
-    if isinstance(e, Mul):
-        return evaluate(e.left, x) * evaluate(e.right, x)
-    if isinstance(e, Div):
-        d = evaluate(e.right, x)
-        if d == 0.0:
-            raise DomainError("division by zero")
-        return evaluate(e.left, x) / d
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, x)
-    if isinstance(e, IntPow):
-        return evaluate(e.base, x) ** e.exponent
-    if isinstance(e, Tanh):
-        return float(np.tanh(evaluate(e.arg, x)))
-    if isinstance(e, Exp):
-        return float(np.exp(evaluate(e.arg, x)))
-    if isinstance(e, Ln):
-        a = evaluate(e.arg, x)
-        if a <= 0.0:
-            raise DomainError(f"ln of non-positive value {a}")
-        return float(np.log(a))
-    raise TypeError(f"not an Expr node: {e!r}")
+# op codes of a tape slot
+CONST, VAR, ADD, SUB, MUL, DIV, NEG, POW, TANH, EXP, LN = range(11)
+
+_OPS = {Add: ADD, Sub: SUB, Mul: MUL, Div: DIV, Neg: NEG, Tanh: TANH, Exp: EXP, Ln: LN}
 
 
-def evaluate_many(e: Expr, X: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation over points X of shape (K, n) -> (K,).
+@dataclass(frozen=True)
+class Tape:
+    """One or more expressions flattened into a post-order list of slots.
 
-    Unlike :func:`evaluate`, out-of-domain points silently produce
-    inf/nan so a batch is never aborted by a single bad sample.
+    Slot ``s`` is ``(op, args, k)``: an op code, the slots of its
+    arguments (all below ``s``), and the value of a CONST, the index of a
+    VAR or the exponent of a POW (None otherwise).  Structurally equal
+    subtrees share one slot.  ``outputs`` holds the slot of each root, in
+    the order given to `compile`.
     """
-    if isinstance(e, Constant):
-        return np.full(X.shape[0], e.value)
-    if isinstance(e, Var):
-        return X[:, e.index].astype(float, copy=True)
-    if isinstance(e, Add):
-        return evaluate_many(e.left, X) + evaluate_many(e.right, X)
-    if isinstance(e, Sub):
-        return evaluate_many(e.left, X) - evaluate_many(e.right, X)
-    if isinstance(e, Mul):
-        return evaluate_many(e.left, X) * evaluate_many(e.right, X)
-    if isinstance(e, Div):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return evaluate_many(e.left, X) / evaluate_many(e.right, X)
-    if isinstance(e, Neg):
-        return -evaluate_many(e.arg, X)
-    if isinstance(e, IntPow):
-        return evaluate_many(e.base, X) ** e.exponent
-    if isinstance(e, Tanh):
-        return np.tanh(evaluate_many(e.arg, X))
-    if isinstance(e, Exp):
-        return np.exp(evaluate_many(e.arg, X))
-    if isinstance(e, Ln):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(evaluate_many(e.arg, X))
-    raise TypeError(f"not an Expr node: {e!r}")
+
+    slots: tuple
+    outputs: tuple
+
+    @property
+    def max_var_index(self) -> int:
+        """Largest Var index on the tape, or -1 if there are no variables."""
+        return max((k for op, _, k in self.slots if op == VAR), default=-1)
+
+    def run(self, leaf, ops: dict) -> list:
+        """The value of every slot, in slot order: ``leaf(op, k)`` for a
+        CONST or VAR, ``ops[op](k, *args)`` from the arguments' values for
+        any other slot."""
+        v: list = []
+        for op, a, k in self.slots:
+            v.append(ops[op](k, v[a[0]], v[a[1]]) if len(a) == 2 else
+                     ops[op](k, v[a[0]]) if a else leaf(op, k))
+        return v
+
+
+def compile(exprs) -> Tape:
+    """Flatten the roots ``exprs`` into one `Tape`.
+
+    No constant is folded and no operation reordered, so every evaluator
+    over the tape computes bit for bit what a walk of the trees would.
+    Constants are keyed by their bit pattern: 0.0 and -0.0 stay apart.
+    """
+    slots: list = []
+    index: dict = {}    # slot key -> slot
+    seen: dict = {}     # id(node) -> slot, so a shared node is walked once
+
+    def visit(e) -> int:
+        s = seen.get(id(e))
+        if s is not None:
+            return s
+        if isinstance(e, Constant):
+            v = float(e.value)
+            slot, key = (CONST, (), v), (CONST, (), struct.pack("<d", v))
+        elif isinstance(e, Var):
+            slot = key = (VAR, (), e.index)
+        elif isinstance(e, IntPow):
+            slot = key = (POW, (visit(e.base),), e.exponent)
+        elif isinstance(e, (Add, Sub, Mul, Div)):
+            slot = key = (_OPS[type(e)], (visit(e.left), visit(e.right)), None)
+        elif isinstance(e, (Neg, Tanh, Exp, Ln)):
+            slot = key = (_OPS[type(e)], (visit(e.arg),), None)
+        else:
+            raise TypeError(f"not an Expr node: {e!r}")
+        s = index.get(key)
+        if s is None:
+            s = index[key] = len(slots)
+            slots.append(slot)
+        seen[id(e)] = s
+        return s
+
+    outputs = tuple(visit(e) for e in exprs)
+    return Tape(tuple(slots), outputs)
+
+
+def as_tape(e) -> Tape:
+    """``e`` itself if it is a Tape, else the one-root tape of the Expr ``e``."""
+    return e if isinstance(e, Tape) else compile([e])
+
+
+def _quiet(f, *args):
+    """``f(*args)`` without division-by-zero and invalid-value warnings."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return f(*args)
+
+
+_POINT_OPS = {
+    ADD: lambda k, a, b: a + b,
+    SUB: lambda k, a, b: a - b,
+    MUL: lambda k, a, b: a * b,
+    DIV: lambda k, a, b: _quiet(np.divide, a, b),
+    NEG: lambda k, a: -a,
+    POW: lambda k, a: a ** k,
+    TANH: lambda k, a: np.tanh(a),
+    EXP: lambda k, a: np.exp(a),
+    LN: lambda k, a: _quiet(np.log, a),
+}
+
+
+def _point_pass(tape: Tape, X: np.ndarray) -> list:
+    """The value of every slot over the points X of shape (K, n)."""
+    return tape.run(lambda op, k: np.full(X.shape[0], k) if op == CONST
+                    else X[:, k].astype(float, copy=True), _POINT_OPS)
+
+
+def evaluate_many(e, X: np.ndarray):
+    """Vectorized evaluation over points X of shape (K, n).
+
+    ``e`` is an Expr, giving a (K,) array, or a Tape, giving a list of
+    (K,) arrays, one per output.  Unlike :func:`evaluate`, out-of-domain
+    points silently produce inf/nan so a batch is never aborted by a
+    single bad sample.
+    """
+    tape = as_tape(e)
+    v = _point_pass(tape, X)
+    out = [v[s] for s in tape.outputs]
+    return out if tape is e else out[0]
+
+
+def evaluate(e, x):
+    """Evaluate at a single point: a float for an Expr, a list of floats
+    for a Tape.  Raises DomainError on ln(<=0) or x/0."""
+    tape = as_tape(e)
+    v = _point_pass(tape, np.asarray(x, dtype=float)[None, :])
+    for op, a, _ in tape.slots:
+        if op == DIV and v[a[1]][0] == 0.0:
+            raise DomainError("division by zero")
+        if op == LN and v[a[0]][0] <= 0.0:
+            raise DomainError(f"ln of non-positive value {v[a[0]][0]}")
+    out = [float(v[s][0]) for s in tape.outputs]
+    return out if tape is e else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +500,7 @@ class VectorField:
 
     dim: int
     components: tuple
+    tape: Tape = field(init=False, repr=False, compare=False)  # one output per component
 
     def __post_init__(self):
         if self.dim < 1:
@@ -449,17 +509,17 @@ class VectorField:
         object.__setattr__(self, "components", comps)
         if len(comps) != self.dim:
             raise ValueError(f"expected {self.dim} components, got {len(comps)}")
-        for i, c in enumerate(comps):
-            k = max_var_index(c)
-            if k >= self.dim:
-                raise IndexError(f"component {i} references x{k + 1} beyond dimension {self.dim}")
+        object.__setattr__(self, "tape", compile(comps))
+        k = self.tape.max_var_index
+        if k >= self.dim:
+            raise IndexError(f"the field references x{k + 1} beyond dimension {self.dim}")
 
     def __call__(self, x) -> np.ndarray:
-        return np.array([evaluate(c, x) for c in self.components])
+        return np.array(evaluate(self.tape, x))
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         """(K, n) points -> (K, n) field values."""
-        return np.stack([evaluate_many(c, X) for c in self.components], axis=1)
+        return np.stack(evaluate_many(self.tape, X), axis=1)
 
     def jacobian_exprs(self) -> list:
         """Row-major list of lists: entry [i][j] = d f_i / d x_j."""

@@ -13,8 +13,9 @@ Two layers live here:
   chunks of boxes at once, which is what makes the verifier fast enough
   in pure Python.
 
-* A public API: `Interval`, `Box`, natural interval extension of
-  expression trees, interval propagation through tanh networks
+* A public API: `Box`, enclosures of compiled expressions (`ex.Tape`)
+  from one forward loop over their slots, HC4 contraction by that loop
+  and a reverse sweep, interval propagation through tanh networks
   (values and input gradients), and `bnb_verify`, a depth-first
   splitter that decides universally quantified implications over a box
   up to a width threshold ``delta`` (the counterpart of a delta-sat
@@ -32,11 +33,10 @@ import numpy as np
 from . import expr as ex
 
 __all__ = [
-    "Interval", "Box", "Condition", "ScalarFn", "ExprFn",
+    "Box", "Condition", "ScalarFn", "ExprFn",
     "Certified", "Falsified", "Unknown", "VerifyOutcome",
     "BudgetExhausted", "UnsupportedPrimitive",
-    "eval_expr_interval", "eval_net_interval", "eval_net_grad_interval",
-    "bnb_verify",
+    "expr_interval_many", "net_interval_many", "hc4_contract", "bnb_verify",
 ]
 
 _EPS = np.finfo(np.float64).eps  # 2^-52
@@ -88,7 +88,7 @@ def _down(a: np.ndarray, ulps: int) -> np.ndarray:
 
     Non-finite a: +inf is first clamped to MAX, so the result lies below
     a_k = nextafter^(k-1)(MAX); -inf stays -inf; NaN stays NaN, as with
-    nextafter.  These reach here from `_hc4_bwd` as arctanh(+-1) and
+    nextafter.  These reach here from `hc4_contract` as arctanh(+-1) and
     log(inf).  A lower bound of +inf (tanh(x) >= 1, exp(x) >= inf) thus
     becomes a finite bound above any forward enclosure, and `_meet` marks
     the row empty, which is right because no real x satisfies it; NaN rows
@@ -236,25 +236,6 @@ def kmatmul_interval(W: np.ndarray, jlo, jhi):
 # Public value types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval bounds must be finite: [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-
 class Box:
     """An axis-aligned box: per-axis closed intervals, immutable."""
 
@@ -289,9 +270,6 @@ class Box:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
-    def interval(self, i: int) -> Interval:
-        return Interval(float(self.lo[i]), float(self.hi[i]))
-
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
@@ -311,41 +289,46 @@ class Box:
 
 
 # ---------------------------------------------------------------------------
-# Natural interval extension of expressions
+# Interval evaluation of compiled expressions
 # ---------------------------------------------------------------------------
 
-def expr_interval_many(e: ex.Expr, lo: np.ndarray, hi: np.ndarray):
-    """Enclosure of e over each of K boxes given as (K, n) bound arrays."""
-    if isinstance(e, ex.Constant):
-        v = np.full(lo.shape[0], e.value)
-        return v, v.copy()
-    if isinstance(e, ex.Var):
-        return lo[:, e.index].copy(), hi[:, e.index].copy()
-    if isinstance(e, ex.Add):
-        return kadd(*expr_interval_many(e.left, lo, hi), *expr_interval_many(e.right, lo, hi))
-    if isinstance(e, ex.Sub):
-        return ksub(*expr_interval_many(e.left, lo, hi), *expr_interval_many(e.right, lo, hi))
-    if isinstance(e, ex.Mul):
-        return kmul(*expr_interval_many(e.left, lo, hi), *expr_interval_many(e.right, lo, hi))
-    if isinstance(e, ex.Div):
-        return kdiv(*expr_interval_many(e.left, lo, hi), *expr_interval_many(e.right, lo, hi))
-    if isinstance(e, ex.Neg):
-        return kneg(*expr_interval_many(e.arg, lo, hi))
-    if isinstance(e, ex.IntPow):
-        return kpow(*expr_interval_many(e.base, lo, hi), e.exponent)
-    if isinstance(e, ex.Tanh):
-        return ktanh(*expr_interval_many(e.arg, lo, hi))
-    if isinstance(e, ex.Exp):
-        return kexp(*expr_interval_many(e.arg, lo, hi))
-    if isinstance(e, ex.Ln):
-        return kln(*expr_interval_many(e.arg, lo, hi))
-    raise TypeError(f"not an Expr node: {e!r}")
+# The kernels are looked up by their module-level names on each call, so
+# a wrapper set on one of those names sees every call.
+_KERNEL_OPS = {
+    ex.ADD: lambda k, a, b: kadd(*a, *b),
+    ex.SUB: lambda k, a, b: ksub(*a, *b),
+    ex.MUL: lambda k, a, b: kmul(*a, *b),
+    ex.DIV: lambda k, a, b: kdiv(*a, *b),
+    ex.NEG: lambda k, a: kneg(*a),
+    ex.POW: lambda k, a: kpow(*a, k),
+    ex.TANH: lambda k, a: ktanh(*a),
+    ex.EXP: lambda k, a: kexp(*a),
+    ex.LN: lambda k, a: kln(*a),
+}
 
 
-def eval_expr_interval(e: ex.Expr, box: Box) -> Interval:
-    """Natural interval extension with outward rounding over one box."""
-    lo, hi = expr_interval_many(e, box.lo[None, :], box.hi[None, :])
-    return Interval(float(lo[0]), float(hi[0]))
+def _forward(tape: ex.Tape, lo: np.ndarray, hi: np.ndarray) -> list:
+    """The enclosure (lo, hi) of every slot of ``tape`` over K boxes given
+    as (K, n) bound arrays: the natural interval extension."""
+    def leaf(op, k):
+        if op == ex.CONST:
+            v = np.full(lo.shape[0], k)
+            return v, v.copy()
+        return lo[:, k].copy(), hi[:, k].copy()
+
+    return tape.run(leaf, _KERNEL_OPS)
+
+
+def expr_interval_many(tape, lo: np.ndarray, hi: np.ndarray):
+    """Enclosures over K boxes given as (K, n) bound arrays.
+
+    ``tape`` is an Expr, giving one (lo, hi) pair of (K,) arrays, or an
+    `ex.Tape`, giving a list of such pairs, one per output.
+    """
+    t = ex.as_tape(tape)
+    st = _forward(t, lo, hi)
+    out = [st[s] for s in t.outputs]
+    return out if t is tape else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -422,50 +405,15 @@ def net_interval_many(net, lo: np.ndarray, hi: np.ndarray, want_grad: bool = Fal
     return (vlo, vhi, glo, ghi) if want_grad else (vlo, vhi)
 
 
-def eval_net_interval(net, box: Box) -> Interval:
-    vlo, vhi = net_interval_many(net, box.lo[None, :], box.hi[None, :])
-    return Interval(float(vlo[0]), float(vhi[0]))
-
-
-def eval_net_grad_interval(net, box: Box) -> list:
-    _, _, glo, ghi = net_interval_many(net, box.lo[None, :], box.hi[None, :], want_grad=True)
-    return [Interval(float(l), float(h)) for l, h in zip(glo[0], ghi[0])]
-
-
 # ---------------------------------------------------------------------------
 # HC4-revise: contract boxes against a constraint  rlo <= e(x) <= rhi.
-# One forward sweep stores every node's enclosure; one backward sweep pushes
+# One forward sweep stores every slot's enclosure; one backward sweep pushes
 # the restricted output range down through inverse operations.  All backward
 # computations round outward, so the contracted box is always a superset of
 # the true feasible region; an empty intersection proves infeasibility.
 # ---------------------------------------------------------------------------
 
 _INF = np.inf
-
-
-def _hc4_fwd(e: ex.Expr, lo, hi):
-    if isinstance(e, ex.Constant):
-        v = np.full(lo.shape[0], e.value)
-        return (v, v.copy())
-    if isinstance(e, ex.Var):
-        return (lo[:, e.index].copy(), hi[:, e.index].copy())
-    if isinstance(e, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
-        a = _hc4_fwd(e.left, lo, hi)
-        b = _hc4_fwd(e.right, lo, hi)
-        op = {ex.Add: kadd, ex.Sub: ksub, ex.Mul: kmul, ex.Div: kdiv}[type(e)]
-        return op(a[0], a[1], b[0], b[1]) + (a, b)
-    a = _hc4_fwd(e.arg if not isinstance(e, ex.IntPow) else e.base, lo, hi)
-    if isinstance(e, ex.Neg):
-        return kneg(a[0], a[1]) + (a,)
-    if isinstance(e, ex.IntPow):
-        return kpow(a[0], a[1], e.exponent) + (a,)
-    if isinstance(e, ex.Tanh):
-        return ktanh(a[0], a[1]) + (a,)
-    if isinstance(e, ex.Exp):
-        return kexp(a[0], a[1]) + (a,)
-    if isinstance(e, ex.Ln):
-        return kln(a[0], a[1]) + (a,)
-    raise TypeError(f"not an Expr node: {e!r}")
 
 
 def _meet(st, rlo, rhi, empty):
@@ -488,111 +436,90 @@ def _kdiv_loose(alo, ahi, blo, bhi):
     return np.where(spans, -_INF, qlo), np.where(spans, _INF, qhi)
 
 
-def _nthroot_up(v, n):
-    with np.errstate(invalid="ignore"):
-        r = np.sign(v) * np.abs(v) ** (1.0 / n)
-    return _up(r, _ULPS_LIBM)
+def _nthroot(v, n):
+    """Real n-th root, before outward rounding."""
+    return np.sign(v) * np.abs(v) ** (1.0 / n)
 
 
-def _nthroot_down(v, n):
-    with np.errstate(invalid="ignore"):
-        r = np.sign(v) * np.abs(v) ** (1.0 / n)
-    return _down(r, _ULPS_LIBM)
+def _narrow(rng: list, s: int, lo, hi):
+    """Intersect the backward range gathered for slot ``s`` with (lo, hi)."""
+    rng[s] = (lo, hi) if rng[s] is None else \
+        (np.maximum(rng[s][0], lo), np.minimum(rng[s][1], hi))
 
 
-def _hc4_bwd(e: ex.Expr, st, rlo, rhi, boxlo, boxhi, empty):
-    vlo, vhi = _meet(st, rlo, rhi, empty)
-    if isinstance(e, ex.Constant):
-        return
-    if isinstance(e, ex.Var):
-        boxlo[:, e.index] = np.maximum(boxlo[:, e.index], vlo)
-        boxhi[:, e.index] = np.minimum(boxhi[:, e.index], vhi)
-        return
-    with np.errstate(all="ignore"):
-        if isinstance(e, ex.Add):
-            a, b = st[2], st[3]
-            ra = ksub(vlo, vhi, b[0], b[1])
-            rb = ksub(vlo, vhi, a[0], a[1])
-            _hc4_bwd(e.left, a, ra[0], ra[1], boxlo, boxhi, empty)
-            _hc4_bwd(e.right, b, rb[0], rb[1], boxlo, boxhi, empty)
-            return
-        if isinstance(e, ex.Sub):
-            a, b = st[2], st[3]
-            ra = kadd(vlo, vhi, b[0], b[1])
-            rb = ksub(a[0], a[1], vlo, vhi)
-            _hc4_bwd(e.left, a, ra[0], ra[1], boxlo, boxhi, empty)
-            _hc4_bwd(e.right, b, rb[0], rb[1], boxlo, boxhi, empty)
-            return
-        if isinstance(e, ex.Mul):
-            a, b = st[2], st[3]
-            ra = _kdiv_loose(vlo, vhi, b[0], b[1])
-            rb = _kdiv_loose(vlo, vhi, a[0], a[1])
-            _hc4_bwd(e.left, a, ra[0], ra[1], boxlo, boxhi, empty)
-            _hc4_bwd(e.right, b, rb[0], rb[1], boxlo, boxhi, empty)
-            return
-        if isinstance(e, ex.Div):
-            a, b = st[2], st[3]
-            ra = kmul(vlo, vhi, b[0], b[1])
-            rb = _kdiv_loose(a[0], a[1], vlo, vhi)
-            _hc4_bwd(e.left, a, ra[0], ra[1], boxlo, boxhi, empty)
-            _hc4_bwd(e.right, b, rb[0], rb[1], boxlo, boxhi, empty)
-            return
-        if isinstance(e, ex.Neg):
-            a = st[2]
-            _hc4_bwd(e.arg, a, -vhi, -vlo, boxlo, boxhi, empty)
-            return
-        if isinstance(e, ex.IntPow):
-            a = st[2]
-            n = e.exponent
-            if n == 0:
-                empty |= (1.0 < vlo) | (1.0 > vhi)
-                return
-            if n == 1 or n % 2 == 1:
-                _hc4_bwd(e.base, a, _nthroot_down(vlo, n), _nthroot_up(vhi, n),
-                         boxlo, boxhi, empty)
-                return
-            # even power: |base| <= rhi^(1/n); keep the sign side the current
-            # enclosure already determines, otherwise the symmetric hull
-            r = _nthroot_up(np.maximum(vhi, 0.0), n)
-            s = np.where(vlo > 0.0, _nthroot_down(vlo, n), 0.0)
-            blo_ = np.where(a[0] >= 0.0, s, -r)
-            bhi_ = np.where(a[1] <= 0.0, -s, r)
-            _hc4_bwd(e.base, a, blo_, bhi_, boxlo, boxhi, empty)
-            return
-        if isinstance(e, ex.Tanh):
-            a = st[2]
-            lo_ = np.where(vlo > -1.0, _down(np.arctanh(np.minimum(vlo, 1.0)), _ULPS_LIBM), -_INF)
-            hi_ = np.where(vhi < 1.0, _up(np.arctanh(np.maximum(vhi, -1.0)), _ULPS_LIBM), _INF)
-            _hc4_bwd(e.arg, a, lo_, hi_, boxlo, boxhi, empty)
-            return
-        if isinstance(e, ex.Exp):
-            a = st[2]
-            empty |= vhi <= 0.0
-            lo_ = np.where(vlo > 0.0, _down(np.log(np.maximum(vlo, 1e-308)), _ULPS_LIBM), -_INF)
-            hi_ = np.where(vhi > 0.0, _up(np.log(np.maximum(vhi, 1e-308)), _ULPS_LIBM), _INF)
-            _hc4_bwd(e.arg, a, lo_, hi_, boxlo, boxhi, empty)
-            return
-        if isinstance(e, ex.Ln):
-            a = st[2]
-            lo_, hi_ = kexp(vlo, vhi)
-            _hc4_bwd(e.arg, a, lo_, hi_, boxlo, boxhi, empty)
-            return
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
-def hc4_contract(e: ex.Expr, lo: np.ndarray, hi: np.ndarray,
+def hc4_contract(tape, lo: np.ndarray, hi: np.ndarray,
                  rlo: float = -_INF, rhi: float = 0.0):
     """Contract boxes against ``rlo <= e(x) <= rhi``.
 
-    Returns (lo2, hi2, infeasible).  The contracted boxes enclose every
-    point of the originals satisfying the constraint; rows flagged
-    infeasible contain no such point at all.
+    ``tape`` is an Expr or a one-output `ex.Tape` holding e.  Returns
+    (lo2, hi2, infeasible).  The contracted boxes enclose every point of
+    the originals satisfying the constraint; rows flagged infeasible
+    contain no such point at all.
+
+    The backward sweep walks the slots in reverse.  A slot first meets
+    its forward enclosure with what all of its parents projected onto it,
+    then projects that range onto its arguments.  A slot that nothing
+    projects onto (the base of x^0) is left alone.
     """
-    st = _hc4_fwd(e, lo, hi)
-    empty = np.zeros(lo.shape[0], dtype=bool)
+    t = ex.as_tape(tape)
+    if len(t.outputs) != 1:
+        raise ValueError(f"hc4_contract takes one constraint, got {len(t.outputs)}")
+    st = _forward(t, lo, hi)
+    K = lo.shape[0]
+    empty = np.zeros(K, dtype=bool)
     lo2, hi2 = lo.copy(), hi.copy()
-    _hc4_bwd(e, st, np.full(lo.shape[0], rlo), np.full(lo.shape[0], rhi),
-             lo2, hi2, empty)
+    rng: list = [None] * len(st)
+    rng[t.outputs[0]] = (np.full(K, rlo), np.full(K, rhi))
+    with np.errstate(all="ignore"):
+        for s in range(len(st) - 1, -1, -1):
+            if rng[s] is None:
+                continue
+            vlo, vhi = _meet(st[s], *rng[s], empty)
+            op, a, k = t.slots[s]
+            if op == ex.VAR:
+                lo2[:, k] = np.maximum(lo2[:, k], vlo)
+                hi2[:, k] = np.minimum(hi2[:, k], vhi)
+            elif op == ex.ADD:
+                _narrow(rng, a[0], *ksub(vlo, vhi, *st[a[1]]))
+                _narrow(rng, a[1], *ksub(vlo, vhi, *st[a[0]]))
+            elif op == ex.SUB:
+                _narrow(rng, a[0], *kadd(vlo, vhi, *st[a[1]]))
+                _narrow(rng, a[1], *ksub(*st[a[0]], vlo, vhi))
+            elif op == ex.MUL:
+                _narrow(rng, a[0], *_kdiv_loose(vlo, vhi, *st[a[1]]))
+                _narrow(rng, a[1], *_kdiv_loose(vlo, vhi, *st[a[0]]))
+            elif op == ex.DIV:
+                _narrow(rng, a[0], *kmul(vlo, vhi, *st[a[1]]))
+                _narrow(rng, a[1], *_kdiv_loose(*st[a[0]], vlo, vhi))
+            elif op == ex.NEG:
+                _narrow(rng, a[0], -vhi, -vlo)
+            elif op == ex.POW and k == 0:
+                empty |= (1.0 < vlo) | (1.0 > vhi)
+            elif op == ex.POW and k % 2 == 1:
+                _narrow(rng, a[0], _down(_nthroot(vlo, k), _ULPS_LIBM),
+                        _up(_nthroot(vhi, k), _ULPS_LIBM))
+            elif op == ex.POW:
+                # even power: |base| <= rhi^(1/n); keep the sign side the current
+                # enclosure already determines, otherwise the symmetric hull
+                r = _up(_nthroot(np.maximum(vhi, 0.0), k), _ULPS_LIBM)
+                q = np.where(vlo > 0.0, _down(_nthroot(vlo, k), _ULPS_LIBM), 0.0)
+                _narrow(rng, a[0], np.where(st[a[0]][0] >= 0.0, q, -r),
+                        np.where(st[a[0]][1] <= 0.0, -q, r))
+            elif op == ex.TANH:
+                _narrow(rng, a[0],
+                        np.where(vlo > -1.0, _down(np.arctanh(np.minimum(vlo, 1.0)), _ULPS_LIBM),
+                                 -_INF),
+                        np.where(vhi < 1.0, _up(np.arctanh(np.maximum(vhi, -1.0)), _ULPS_LIBM),
+                                 _INF))
+            elif op == ex.EXP:
+                empty |= vhi <= 0.0
+                _narrow(rng, a[0],
+                        np.where(vlo > 0.0, _down(np.log(np.maximum(vlo, 1e-308)), _ULPS_LIBM),
+                                 -_INF),
+                        np.where(vhi > 0.0, _up(np.log(np.maximum(vhi, 1e-308)), _ULPS_LIBM),
+                                 _INF))
+            elif op == ex.LN:
+                _narrow(rng, a[0], *kexp(vlo, vhi))
     empty |= np.any(~(lo2 <= hi2), axis=1)
     lo2 = np.where(empty[:, None], lo, lo2)
     hi2 = np.where(empty[:, None], hi, hi2)
@@ -633,17 +560,18 @@ class ScalarFn:
 class ExprFn(ScalarFn):
     def __init__(self, e: ex.Expr, dim: int, name: str = ""):
         self.expr = e
+        self.tape = ex.compile([e])
         self.dim = dim
         self.name = name or ex.to_str(e)
 
     def eval_points(self, X):
-        return ex.evaluate_many(self.expr, X)
+        return ex.evaluate_many(self.tape, X)[0]
 
     def eval_boxes(self, lo, hi):
-        return expr_interval_many(self.expr, lo, hi)
+        return expr_interval_many(self.tape, lo, hi)[0]
 
     def contract_boxes(self, lo, hi):
-        return hc4_contract(self.expr, lo, hi, -_INF, 0.0)
+        return hc4_contract(self.tape, lo, hi, -_INF, 0.0)
 
     def to_expr(self):
         return self.expr

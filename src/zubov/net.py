@@ -158,14 +158,14 @@ class ExprCandidate:
     def __init__(self, e: ex.Expr, dim: int):
         self.expr = e
         self.dim = dim
-        self._grads = [ex.diff(e, i) for i in range(dim)]
+        self._value = ex.compile([e])
+        self._grads = ex.compile([ex.diff(e, i) for i in range(dim)])
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
-        return ex.evaluate_many(self.expr, np.atleast_2d(X))
+        return ex.evaluate_many(self._value, np.atleast_2d(X))[0]
 
     def grad_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        return np.stack([ex.evaluate_many(g, X) for g in self._grads], axis=1)
+        return np.stack(ex.evaluate_many(self._grads, np.atleast_2d(X)), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,7 @@ class QuadFormFn(iv.ScalarFn):
         self.P = np.asarray(P, dtype=float)
         self.c = float(c)
         self.dim = self.P.shape[0]
+        self._hc4 = ex.compile([self.to_expr()])
 
     def eval_points(self, X):
         return np.einsum("ki,ij,kj->k", X, self.P, X) - self.c
@@ -153,7 +154,7 @@ class QuadFormFn(iv.ScalarFn):
         return acc_lo, acc_hi
 
     def contract_boxes(self, lo, hi):
-        return iv.hc4_contract(self.to_expr(), lo, hi)
+        return iv.hc4_contract(self._hc4, lo, hi)
 
     def to_expr(self):
         acc: Optional[ex.Expr] = None
@@ -214,8 +215,7 @@ class NetLieFn(iv.ScalarFn):
         _, _, glo, ghi = self.cache.boxes(lo, hi)
         acc_lo = np.full(lo.shape[0], self.offset)
         acc_hi = acc_lo.copy()
-        for i, comp in enumerate(self.sys.field.components):
-            flo, fhi = iv.expr_interval_many(comp, lo, hi)
+        for i, (flo, fhi) in enumerate(iv.expr_interval_many(self.sys.field.tape, lo, hi)):
             plo, phi = iv.kmul(glo[:, i], ghi[:, i], flo, fhi)
             acc_lo, acc_hi = iv.kadd(acc_lo, acc_hi, plo, phi)
         return acc_lo, acc_hi
@@ -243,25 +243,21 @@ class SegmentNormFn(iv.ScalarFn):
 
     def __init__(self, lin: dyn.Linearization, P: np.ndarray, r: float, dim: int):
         self.P = np.asarray(P, dtype=float)
-        self.dg = lin.dg
+        self.dg_tape = lin.dg_tape
         self.r = float(r)
         self.dim = dim
 
     def _pdg_entries_interval(self, lo, hi):
         n = self.dim
-        dglo = np.empty((n, n, lo.shape[0]))
-        dghi = np.empty_like(dglo)
-        for i in range(n):
-            for j in range(n):
-                dglo[i, j], dghi[i, j] = iv.expr_interval_many(self.dg[i][j], lo, hi)
-        mlo = np.empty_like(dglo)
-        mhi = np.empty_like(dghi)
+        dg = iv.expr_interval_many(self.dg_tape, lo, hi)   # dg[k * n + j] = Dg_kj
+        mlo = np.empty((n, n, lo.shape[0]))
+        mhi = np.empty_like(mlo)
         for i in range(n):
             for j in range(n):
                 alo = np.zeros(lo.shape[0])
                 ahi = np.zeros(lo.shape[0])
                 for k in range(n):
-                    t = iv.kscale(self.P[i, k], dglo[k, j], dghi[k, j])
+                    t = iv.kscale(self.P[i, k], *dg[k * n + j])
                     alo, ahi = iv.kadd(alo, ahi, *t)
                 mlo[i, j], mhi[i, j] = alo, ahi
         return mlo, mhi
@@ -303,10 +299,7 @@ class SegmentNormFn(iv.ScalarFn):
     def eval_points(self, X):
         K, n = X.shape
         pts = (self._TGRID[:, None, None] * X[None, :, :]).reshape(-1, n)
-        dg = np.empty((pts.shape[0], n, n))
-        for i in range(n):
-            for j in range(n):
-                dg[:, i, j] = ex.evaluate_many(self.dg[i][j], pts)
+        dg = np.stack(ex.evaluate_many(self.dg_tape, pts), axis=1).reshape(-1, n, n)
         M = np.einsum("ik,pkj->pij", self.P, dg)
         if n == 2:
             p = M[:, 0, 0] ** 2 + M[:, 1, 0] ** 2
@@ -602,55 +595,19 @@ def _smt_number(v: float) -> str:
     return f"(- {body})" if neg else body
 
 
-def _smt_render(e: ex.Expr, names: dict) -> str:
-    key = id(e)
-    if key in names:
-        return names[key]
-    if isinstance(e, ex.Constant):
-        return _smt_number(e.value)
-    if isinstance(e, ex.Var):
-        return f"x{e.index + 1}"
-    if isinstance(e, ex.Add):
-        return f"(+ {_smt_render(e.left, names)} {_smt_render(e.right, names)})"
-    if isinstance(e, ex.Sub):
-        return f"(- {_smt_render(e.left, names)} {_smt_render(e.right, names)})"
-    if isinstance(e, ex.Mul):
-        return f"(* {_smt_render(e.left, names)} {_smt_render(e.right, names)})"
-    if isinstance(e, ex.Div):
-        return f"(/ {_smt_render(e.left, names)} {_smt_render(e.right, names)})"
-    if isinstance(e, ex.Neg):
-        return f"(- {_smt_render(e.arg, names)})"
-    if isinstance(e, ex.IntPow):
-        base = _smt_render(e.base, names)
-        if e.exponent == 0:
-            return "1"
-        return f"(* {' '.join([base] * e.exponent)})" if e.exponent > 1 else base
-    if isinstance(e, ex.Tanh):
-        return f"(tanh {_smt_render(e.arg, names)})"
-    if isinstance(e, ex.Exp):
-        return f"(exp {_smt_render(e.arg, names)})"
-    if isinstance(e, ex.Ln):
-        return f"(log {_smt_render(e.arg, names)})"
-    raise iv.UnsupportedPrimitive(f"cannot export node {type(e).__name__}")
+_SMT_OPS = {ex.ADD: "+", ex.SUB: "-", ex.MUL: "*", ex.DIV: "/", ex.NEG: "-",
+            ex.TANH: "tanh", ex.EXP: "exp", ex.LN: "log"}
 
 
-def _collect_tanh(e: ex.Expr, seen: dict, order: list):
-    """Structural duplicates of Tanh nodes, in deterministic DFS order."""
-    if isinstance(e, (ex.Constant, ex.Var)):
-        return
-    if isinstance(e, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
-        _collect_tanh(e.left, seen, order)
-        _collect_tanh(e.right, seen, order)
-        return
-    if isinstance(e, ex.IntPow):
-        _collect_tanh(e.base, seen, order)
-        return
-    _collect_tanh(e.arg, seen, order)
-    if isinstance(e, ex.Tanh):
-        if e not in seen:
-            seen[e] = []
-            order.append(e)
-        seen[e].append(e)
+def _smt_slot(op: int, args: list, k) -> str:
+    """SMT-LIB text of one tape slot, given the text of its arguments."""
+    if op == ex.CONST:
+        return _smt_number(k)
+    if op == ex.VAR:
+        return f"x{k + 1}"
+    if op == ex.POW:
+        return "1" if k == 0 else args[0] if k == 1 else f"(* {' '.join(args * k)})"
+    return f"({_SMT_OPS[op]} {' '.join(args)})"
 
 
 def export_smt2(cond: iv.Condition, X: iv.Box, tanh_mode: str = "native",
@@ -658,25 +615,24 @@ def export_smt2(cond: iv.Condition, X: iv.Box, tanh_mode: str = "native",
     """SMT-LIB 2 script asserting the negation of the condition over X.
 
     The script is satisfiable exactly when a counterexample exists, so an
-    external solver reporting unsat certifies the condition.  Repeated
-    tanh applications (each hidden unit appears in the value and in every
-    gradient component) are bound once with let.  ``tanh_mode`` is
-    "native" for solvers with a builtin tanh or "uninterpreted" to merely
-    declare it.
+    external solver reporting unsat certifies the condition.  The
+    condition's expressions are compiled into one tape, and every
+    compound subexpression that the text would repeat (each hidden unit
+    appears in the value and in every gradient component) is bound once
+    with define-fun.  ``tanh_mode`` is "native" for solvers with a
+    builtin tanh or "uninterpreted" to merely declare it.
     """
     if tanh_mode not in ("native", "uninterpreted"):
         raise ValueError("tanh_mode must be 'native' or 'uninterpreted'")
-    exprs = [g.to_expr() for g in cond.antecedents]
-    h = cond.consequent.to_expr()
-    seen: dict = {}
-    order: list = []
-    for e in exprs + [h]:
-        _collect_tanh(e, seen, order)
-    shared = [t for t in order if len(seen[t]) > 1]
-    names: dict = {}
+    tape = ex.compile([g.to_expr() for g in cond.antecedents] + [cond.consequent.to_expr()])
+    uses = [0] * len(tape.slots)
+    for op, args, k in tape.slots:
+        for s in args:
+            uses[s] += k if op == ex.POW else 1
+    for s in tape.outputs:
+        uses[s] += 1
     lines = [f"(set-logic {logic})"]
-    if tanh_mode == "uninterpreted" and any(
-            isinstance(t, ex.Tanh) for t in order):
+    if tanh_mode == "uninterpreted" and any(op == ex.TANH for op, _, _ in tape.slots):
         lines.append("(declare-fun tanh (Real) Real)")
     for i in range(X.dim):
         lines.append(f"(declare-const x{i + 1} Real)")
@@ -684,17 +640,19 @@ def export_smt2(cond: iv.Condition, X: iv.Box, tanh_mode: str = "native",
         lines.append(f"(assert (>= x{i + 1} {_smt_number(float(X.lo[i]))}))")
         lines.append(f"(assert (<= x{i + 1} {_smt_number(float(X.hi[i]))}))")
 
-    # bind each shared hidden-unit application once, in dependency order
-    for k, t in enumerate(shared):
-        nm = f"t{k + 1}"
-        body = f"(tanh {_smt_render(t.arg, names)})"
-        for node in seen[t]:
-            names[id(node)] = nm
-        lines.append(f"(define-fun {nm} () Real {body})")
+    text: list = []
+    for s, (op, args, k) in enumerate(tape.slots):
+        body = _smt_slot(op, [text[a] for a in args], k)
+        if args and uses[s] > 1:
+            name = f"s{s}"
+            lines.append(f"(define-fun {name} () Real {body})")
+            body = name
+        text.append(body)
 
-    for g in exprs:
-        lines.append(f"(assert (<= {_smt_render(g, names)} 0))")
-    lines.append(f"(assert (> {_smt_render(h, names)} 0))")
+    *ants, h = tape.outputs
+    for s in ants:
+        lines.append(f"(assert (<= {text[s]} 0))")
+    lines.append(f"(assert (> {text[h]} 0))")
     lines.append("(check-sat)")
     lines.append("(exit)")
     return "\n".join(lines) + "\n"

@@ -124,6 +124,22 @@ def random_expr(rng, dim, depth):
     return ex.Tanh(random_expr(rng, dim, depth - 1))
 
 
+def shared_expr(rng, dim, depth):
+    """Random tree that repeats interior subtrees, both as one object and
+    as equal copies, so that its tape shares interior slots."""
+    a = ex.Tanh(random_expr(rng, dim, depth - 1))
+    b = ex.Mul(random_expr(rng, dim, depth - 1), ex.Var(int(rng.integers(dim))))
+    parts = [a, b, ex.Mul(b.left, b.right), ex.Sub(a, b), ex.IntPow(a, 2)]
+
+    def grow(d):
+        if d == 0:
+            return parts[int(rng.integers(len(parts)))]
+        op = (ex.Add, ex.Sub, ex.Mul)[int(rng.integers(3))]
+        return op(grow(d - 1), grow(d - 1))
+
+    return grow(2)
+
+
 class TestProperties:
     def test_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(2024)

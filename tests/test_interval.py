@@ -5,18 +5,30 @@ from zubov import expr as ex
 from zubov import interval as iv
 from zubov import net as nn
 
-from test_expr import random_expr
+from test_expr import random_expr, shared_expr
+
+
+def _one_box(lo, hi):
+    """(1, n) bound arrays of a single box."""
+    return np.array([lo], dtype=float), np.array([hi], dtype=float)
+
+
+def _finite_pair(lo, hi):
+    """The floats of a one-box enclosure, which must be finite and ordered."""
+    lo, hi = float(lo[0]), float(hi[0])
+    assert np.isfinite(lo) and np.isfinite(hi) and lo <= hi
+    return lo, hi
+
+
+def _expr_encl(e, lo, hi):
+    return _finite_pair(*iv.expr_interval_many(e, *_one_box(lo, hi)))
+
+
+def _net_encl(net, lo, hi):
+    return _finite_pair(*iv.net_interval_many(net, *_one_box(lo, hi)))
 
 
 class TestIntervalBox:
-    def test_interval_invariants(self):
-        with pytest.raises(ValueError):
-            iv.Interval(1.0, 0.0)
-        with pytest.raises(ValueError):
-            iv.Interval(0.0, np.inf)
-        assert iv.Interval(0.0, 2.0).width == 2.0
-        assert iv.Interval(-1.0, 1.0).contains(0.5)
-
     def test_box_invariants(self):
         with pytest.raises(ValueError):
             iv.Box([0.0], [-1.0])
@@ -39,38 +51,38 @@ class TestIntervalBox:
 class TestExprInterval:
     def test_product_endpoints(self):
         e = ex.parse("x1*x2", 2)
-        out = iv.eval_expr_interval(e, iv.Box.from_bounds([[0, 1], [-1, 1]]))
-        assert out.lo == pytest.approx(-1.0, abs=1e-12)
-        assert out.hi == pytest.approx(1.0, abs=1e-12)
-        assert out.lo <= -1.0 <= 1.0 <= out.hi  # outward
+        lo, hi = _expr_encl(e, [0, -1], [1, 1])
+        assert lo == pytest.approx(-1.0, abs=1e-12)
+        assert hi == pytest.approx(1.0, abs=1e-12)
+        assert lo <= -1.0 <= 1.0 <= hi  # outward
 
     def test_natural_extension_overestimates(self):
         e = ex.parse("x1^2 - x1", 1)
-        out = iv.eval_expr_interval(e, iv.Box([0.0], [1.0]))
+        lo, hi = _expr_encl(e, [0.0], [1.0])
         # true range is [-0.25, 0]; the natural extension gives [-1, 1]
-        assert out.lo == pytest.approx(-1.0, abs=1e-12)
-        assert out.hi == pytest.approx(1.0, abs=1e-12)
+        assert lo == pytest.approx(-1.0, abs=1e-12)
+        assert hi == pytest.approx(1.0, abs=1e-12)
 
     def test_tanh_monotone_endpoints(self):
-        out = iv.eval_expr_interval(ex.parse("tanh(x1)", 1), iv.Box([0.0], [1.0]))
-        assert out.lo <= 0.0 <= out.hi
-        assert out.hi >= np.tanh(1.0)
-        assert out.hi == pytest.approx(np.tanh(1.0), abs=1e-12)
+        lo, hi = _expr_encl(ex.parse("tanh(x1)", 1), [0.0], [1.0])
+        assert lo <= 0.0 <= hi
+        assert hi >= np.tanh(1.0)
+        assert hi == pytest.approx(np.tanh(1.0), abs=1e-12)
 
     def test_division_by_zero_interval(self):
         with pytest.raises(ex.DomainError):
-            iv.eval_expr_interval(ex.parse("1/x1", 1), iv.Box([-1.0], [1.0]))
+            _expr_encl(ex.parse("1/x1", 1), [-1.0], [1.0])
 
     def test_ln_domain(self):
         with pytest.raises(ex.DomainError):
-            iv.eval_expr_interval(ex.parse("ln(x1)", 1), iv.Box([0.0], [1.0]))
+            _expr_encl(ex.parse("ln(x1)", 1), [0.0], [1.0])
 
     def test_point_box_tight(self):
         e = ex.parse("x1^3 - 2*x1 + tanh(x1)", 1)
-        out = iv.eval_expr_interval(e, iv.Box([0.7], [0.7]))
+        lo, hi = _expr_encl(e, [0.7], [0.7])
         v = ex.evaluate(e, [0.7])
-        assert out.lo <= v <= out.hi
-        assert out.width <= 1e-13
+        assert lo <= v <= hi
+        assert hi - lo <= 1e-13
 
     def test_randomized_soundness(self):
         rng = np.random.default_rng(77)
@@ -94,17 +106,17 @@ class TestNetInterval:
         for _ in range(10):
             net = nn.init_mlp([2, 8, 6, 1], rng)
             x = rng.uniform(-2, 2, size=2)
-            out = iv.eval_net_interval(net, iv.Box(x, x))
+            lo, hi = _net_encl(net, x, x)
             v = nn.forward(net, x)
-            assert out.lo <= v <= out.hi
-            assert out.width <= 1e-11 * max(1.0, abs(v))
+            assert lo <= v <= hi
+            assert hi - lo <= 1e-11 * max(1.0, abs(v))
 
     def test_zero_net_on_any_box(self):
         net = nn.init_mlp([2, 5, 1], 0)
         for W in net.weights:
             W[:] = 0.0
-        out = iv.eval_net_interval(net, iv.Box.from_bounds([[-3, 3], [-5, 5]]))
-        assert abs(out.lo) <= 1e-12 and abs(out.hi) <= 1e-12
+        lo, hi = _net_encl(net, [-3, -5], [3, 5])
+        assert abs(lo) <= 1e-12 and abs(hi) <= 1e-12
 
     def test_value_soundness_monte_carlo(self):
         rng = np.random.default_rng(6)
@@ -112,11 +124,10 @@ class TestNetInterval:
             net = nn.init_mlp([2, 7, 5, 1], rng)
             lo = rng.uniform(-2, 0, size=2)
             hi = lo + rng.uniform(0.01, 2, size=2)
-            box = iv.Box(lo, hi)
-            out = iv.eval_net_interval(net, box)
+            vlo, vhi = _net_encl(net, lo, hi)
             X = rng.uniform(lo, hi, size=(1000, 2))
             vals = net.value_batch(X)
-            assert vals.min() >= out.lo and vals.max() <= out.hi
+            assert vals.min() >= vlo and vals.max() <= vhi
 
     def test_gradient_soundness_monte_carlo(self):
         rng = np.random.default_rng(7)
@@ -124,12 +135,13 @@ class TestNetInterval:
             net = nn.init_mlp([2, 6, 4, 1], rng)
             lo = rng.uniform(-2, 0, size=2)
             hi = lo + rng.uniform(0.01, 1.5, size=2)
-            encl = iv.eval_net_grad_interval(net, iv.Box(lo, hi))
+            _, _, glo, ghi = iv.net_interval_many(net, *_one_box(lo, hi), want_grad=True)
             X = rng.uniform(lo, hi, size=(500, 2))
             G = net.grad_batch(X)
             for i in range(2):
-                assert G[:, i].min() >= encl[i].lo
-                assert G[:, i].max() <= encl[i].hi
+                gl, gh = _finite_pair(glo[:, i], ghi[:, i])
+                assert G[:, i].min() >= gl
+                assert G[:, i].max() <= gh
 
     def test_mean_value_tightens(self):
         rng = np.random.default_rng(8)
@@ -228,6 +240,24 @@ class TestBnb:
             assert np.all(feas >= lo2[0][None, :] - 1e-12), ex.to_str(e)
             assert np.all(feas <= hi2[0][None, :] + 1e-12), ex.to_str(e)
             trials += 1
+        # repeated interior subtrees: a shared slot meets the projections of
+        # all its parents before it projects onto its own arguments
+        trials = 0
+        while trials < 200:
+            e = shared_expr(rng, 2, depth=3)
+            lo = rng.uniform(-2, 1, size=(4, 2))
+            hi = lo + rng.uniform(0.01, 2, size=(4, 2))
+            lo2, hi2, empty = iv.hc4_contract(e, lo, hi)
+            for b in range(4):
+                X = rng.uniform(lo[b], hi[b], size=(300, 2))
+                vals = ex.evaluate_many(e, X)
+                feas = X[np.isfinite(vals) & (vals <= 0)]
+                if not len(feas):
+                    continue
+                assert not empty[b], ex.to_str(e)
+                assert np.all(feas >= lo2[b][None, :] - 1e-12), ex.to_str(e)
+                assert np.all(feas <= hi2[b][None, :] + 1e-12), ex.to_str(e)
+                trials += 1
 
     def test_net_condition(self):
         rng = np.random.default_rng(10)

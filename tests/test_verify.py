@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,16 @@ class TestExportSmt2:
             antecedents=(vf.NetValueFn(cache3, 0.2, -1, 2),),
             consequent=vf.NetLieFn(cache3, VDP, 1e-4))
         assert vf.export_smt2(cond3, VDP.domain).count("(tanh") == 3
+
+    def test_repeated_subexpression_defined_once(self):
+        cond = iv.Condition(
+            antecedents=(iv.ExprFn(ex.parse("(x1 + 1)^2 - 4", 1), 1),),
+            consequent=iv.ExprFn(ex.parse("(x1 + 1)*x1 - tanh(x1)", 1), 1))
+        text = vf.export_smt2(cond, iv.Box([-3.0], [3.0]))
+        assert text.count("(+ x1 1)") == 1
+        name = re.search(r"\(define-fun (\w+) \(\) Real \(\+ x1 1\)\)", text).group(1)
+        assert f"(assert (<= (- (* {name} {name}) 4) 0))" in text
+        assert f"(assert (> (- (* {name} x1) (tanh x1)) 0))" in text
 
     def test_uninterpreted_mode(self):
         net = nn.init_mlp([1, 2, 1], 0)
