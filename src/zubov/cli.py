@@ -223,7 +223,7 @@ def _cmd_train(args) -> int:
 
 
 def _default_local_certificate(cfg: dict, sysdef: dyn.SystemDef):
-    """Local certificate with Q = I and the largest bisected c."""
+    """Local certificate with Q = I at the largest c that `find_max_local_c` proves."""
     sol = dyn.solve_lyapunov(sysdef.linearization.A, np.eye(sysdef.dim))
     if not sol.pos_def:
         return None

@@ -16,10 +16,12 @@ Two layers live here:
 * A public API: `Box`, enclosures of compiled expressions (`ex.Tape`)
   from one forward loop over their slots, HC4 contraction by that loop
   and a reverse sweep, interval propagation through tanh networks
-  (values and input gradients), and `bnb_verify`, a depth-first
-  splitter that decides universally quantified implications over a box
-  up to a width threshold ``delta`` (the counterpart of a delta-sat
-  query to an SMT solver).
+  (values and input gradients), and one depth-first splitting loop
+  that serves two ends: `bnb_verify` decides universally quantified
+  implications over a box up to a width threshold ``delta`` (the
+  counterpart of a delta-sat query to an SMT solver), and
+  `bnb_minimize` lowers the level of such an implication to about the
+  least one at which it fails.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "Certified", "Falsified", "Unknown", "VerifyOutcome",
     "BudgetExhausted", "UnsupportedPrimitive",
     "expr_interval_many", "net_interval_many", "hc4_contract", "bnb_verify",
+    "bnb_minimize",
 ]
 
 _EPS = np.finfo(np.float64).eps  # 2^-52
@@ -626,23 +629,21 @@ class BudgetExhausted(RuntimeError):
         self.pending = pending
 
 
-def bnb_verify(cond: Condition, X: Box, delta: float = 1e-3,
-               budget: int = 5_000_000, chunk: int = 512) -> VerifyOutcome:
-    """Decide ``forall x in X: antecedents(x) => consequent(x)`` up to delta.
+_CHUNK = 512   # boxes per chunk: enough rows to amortize NumPy's call overhead
 
-    Depth-first subdivision.  Each popped box is first contracted
-    against the antecedents (expression antecedents run an HC4-revise
-    sweep; others just test feasibility): a box whose feasible part is
-    provably empty is discarded, as is one where the consequent's
-    interval upper bound over the contracted box is <= 0.  Centers of
-    surviving boxes are probed in exact point arithmetic: a probe that
-    satisfies every antecedent and violates the consequent is a genuine
-    counterexample and short-circuits to ``Falsified``.  A surviving box
-    whose widths are all <= delta returns ``Unknown``.  ``Certified``
-    means every box was discarded.
 
-    Raises ``BudgetExhausted`` once more than ``budget`` boxes have been
-    processed.
+def _bnb(cond: Condition, X: Box, delta: float, budget: int, chunk: int):
+    """The depth-first branch-and-bound loop, as a generator.
+
+    Each popped chunk of boxes is contracted against the antecedents (HC4
+    for expressions, a feasibility test otherwise).  A box found empty is
+    discarded, as is one where the consequent's interval upper bound is
+    <= 0; the centers of the others are probed in point arithmetic.  A
+    chunk with violating probes (genuine counterexamples) or surviving
+    boxes of width <= delta yields ``(processed, probes, margins, dlo,
+    dhi)`` and resumes with the condition sent back, dropping those
+    delta-boxes and bisecting the other survivors.  An empty stack yields
+    the box count alone.  Raises ``BudgetExhausted`` past ``budget`` boxes.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -664,48 +665,89 @@ def bnb_verify(cond: Condition, X: Box, delta: float = 1e-3,
         bhi = shi[top - take:top][::-1].copy()
         top -= take
 
-        feasible = np.ones(take, dtype=bool)
+        alive = np.ones(take, dtype=bool)
         for g in cond.antecedents:
             blo, bhi, dead = g.contract_boxes(blo, bhi)
-            feasible &= ~dead
-        alive = feasible
+            alive &= ~dead
         if np.any(alive):
             # full-chunk evaluation lets condition functions share cached
             # enclosures with the antecedent pass
             _, hhi = cond.consequent.eval_boxes(blo, bhi)
             alive = alive & ~(hhi <= 0.0)
+        if not np.any(alive):
+            continue
 
-        if np.any(alive):
-            idx = np.where(alive)[0]
-            mids = 0.5 * (blo[idx] + bhi[idx])
-            ok = np.ones(len(idx), dtype=bool)
-            for g in cond.antecedents:
-                ok &= g.eval_points(mids) <= 0.0
-            hv = cond.consequent.eval_points(mids)
-            viol = ok & (hv > 0.0)
-            if np.any(viol):
-                j = int(np.argmax(viol))
-                return Falsified(witness=mids[j].copy(), margin=float(hv[j]),
-                                 boxes_processed=processed)
-            lo_s, hi_s = blo[idx], bhi[idx]
-            widths = hi_s - lo_s
-            small = np.all(widths <= delta, axis=1)
-            if np.any(small):
-                k = int(np.argmax(small))
-                return Unknown(box=Box(lo_s[k], hi_s[k]), delta=delta,
-                               boxes_processed=processed)
-            # bisect each box along its widest axis; in stack order box j
-            # pushes its left child (row 2j), then its right one (2j + 1)
-            m = len(idx)
-            if top + 2 * m > len(slo):   # m <= chunk <= len(slo) / 2
-                slo = np.concatenate([slo, np.empty_like(slo)])
-                shi = np.concatenate([shi, np.empty_like(shi)])
-            j = np.arange(m)
-            axis = np.argmax(widths, axis=1)
-            mid = 0.5 * (lo_s[j, axis] + hi_s[j, axis])
-            slo[top:top + 2 * m] = np.repeat(lo_s, 2, axis=0)
-            shi[top:top + 2 * m] = np.repeat(hi_s, 2, axis=0)
-            shi[top + 2 * j, axis] = mid
-            slo[top + 2 * j + 1, axis] = mid
-            top += 2 * m
-    return Certified(boxes_processed=processed)
+        idx = np.where(alive)[0]
+        mids = 0.5 * (blo[idx] + bhi[idx])
+        ok = np.ones(len(idx), dtype=bool)
+        for g in cond.antecedents:
+            ok &= g.eval_points(mids) <= 0.0
+        hv = cond.consequent.eval_points(mids)
+        viol = ok & (hv > 0.0)
+        lo_s, hi_s = blo[idx], bhi[idx]
+        small = np.all(hi_s - lo_s <= delta, axis=1)
+        if np.any(viol) or np.any(small):
+            cond = yield processed, mids[viol], hv[viol], lo_s[small], hi_s[small]
+            lo_s, hi_s = lo_s[~small], hi_s[~small]
+        # bisect each box along its widest axis; in stack order box j
+        # pushes its left child (row 2j), then its right one (2j + 1)
+        m = len(lo_s)
+        if top + 2 * m > len(slo):   # m <= chunk <= len(slo) / 2
+            slo = np.concatenate([slo, np.empty_like(slo)])
+            shi = np.concatenate([shi, np.empty_like(shi)])
+        j = np.arange(m)
+        axis = np.argmax(hi_s - lo_s, axis=1)
+        mid = 0.5 * (lo_s[j, axis] + hi_s[j, axis])
+        slo[top:top + 2 * m] = np.repeat(lo_s, 2, axis=0)
+        shi[top:top + 2 * m] = np.repeat(hi_s, 2, axis=0)
+        shi[top + 2 * j, axis] = mid
+        slo[top + 2 * j + 1, axis] = mid
+        top += 2 * m
+    none = np.empty((0, X.dim))
+    yield processed, none, np.empty(0), none, none
+
+
+def bnb_verify(cond: Condition, X: Box, delta: float = 1e-3,
+               budget: int = 5_000_000, chunk: int = _CHUNK) -> VerifyOutcome:
+    """Decide ``forall x in X: antecedents(x) => consequent(x)`` up to delta.
+
+    ``Falsified`` at the first violating probe of `_bnb`, else ``Unknown``
+    at its first delta-box; ``Certified`` when every box is discarded.
+    """
+    n, probes, margins, dlo, dhi = next(_bnb(cond, X, delta, budget, chunk))
+    if len(probes):
+        return Falsified(witness=probes[0].copy(), margin=float(margins[0]), boxes_processed=n)
+    if len(dlo):
+        return Unknown(box=Box(dlo[0], dhi[0]), delta=delta, boxes_processed=n)
+    return Certified(boxes_processed=n)
+
+
+def bnb_minimize(make, level: float, X: Box, floor: float = 0.0, delta: float = 1e-3,
+                 budget: int = 5_000_000) -> float:
+    """About the least level at which ``make(level)`` fails, found by
+    lowering ``level`` (in the style of Moore-Skelboe global minimization).
+
+    ``make(u)`` builds a condition whose first antecedent is ``l(x) - u``.
+    At each yield of `_bnb` the level drops to the least l over the
+    violating probes and the least interval lower bound of l over the
+    delta-boxes, and the loop goes on with the condition rebuilt there;
+    boxes discarded at a higher level stay discarded.  Stops early at a
+    level <= ``floor``.  The result is not proved: `bnb_verify` decides it.
+    """
+    if level <= floor:
+        return level
+    cond = make(level)
+    steps = _bnb(cond, X, delta, budget, _CHUNK)
+    _, probes, _, dlo, dhi = next(steps)
+    while len(probes) or len(dlo):
+        g, drop = cond.antecedents[0], 0.0   # g = l - level
+        if len(probes):
+            drop = min(drop, float(g.eval_points(probes).min()))
+        if len(dlo):
+            drop = min(drop, float(g.eval_boxes(dlo, dhi)[0].min()))
+        level += drop
+        if level <= floor:
+            break
+        cond = make(level)
+        _, probes, _, dlo, dhi = steps.send(cond)
+    return level

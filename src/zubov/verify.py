@@ -27,6 +27,7 @@ certified region of attraction.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -365,10 +366,10 @@ def _timed_bnb(name, cond, box, delta, budget) -> ConditionReport:
     return ConditionReport(name=name, outcome=outcome, seconds=time.perf_counter() - t0)
 
 
-def verify_local(sys: dyn.SystemDef, P: np.ndarray, Q: np.ndarray,
-                 r: float, c: float, delta: float = 1e-3,
-                 budget: int = 5_000_000) -> LocalCertificate:
-    """Certify the ellipsoid {x'Px <= c} as a local region of attraction."""
+def _local_condition(sys: dyn.SystemDef, P: np.ndarray, Q: np.ndarray,
+                     r: float, c: float):
+    """The local condition at level c and lambda_min(Q), once r and c are
+    checked."""
     if r <= 0 or c <= 0:
         raise ValueError("r and c must be positive")
     lam = dyn.lambda_min(Q)
@@ -379,6 +380,14 @@ def verify_local(sys: dyn.SystemDef, P: np.ndarray, Q: np.ndarray,
         consequent=SegmentNormFn(sys.linearization, P, r, sys.dim),
         name=f"local-ellipsoid c={c:g}",
     )
+    return cond, lam
+
+
+def verify_local(sys: dyn.SystemDef, P: np.ndarray, Q: np.ndarray,
+                 r: float, c: float, delta: float = 1e-3,
+                 budget: int = 5_000_000) -> LocalCertificate:
+    """Certify the ellipsoid {x'Px <= c} as a local region of attraction."""
+    cond, lam = _local_condition(sys, P, Q, r, c)
     t0 = time.perf_counter()
     outcome = iv.bnb_verify(cond, sys.domain, delta=delta, budget=budget)
     return LocalCertificate(system=sys.name, P=np.asarray(P, float), Q=np.asarray(Q, float),
@@ -386,59 +395,44 @@ def verify_local(sys: dyn.SystemDef, P: np.ndarray, Q: np.ndarray,
                             seconds=time.perf_counter() - t0)
 
 
-def _proved(prove, level: float):
-    """``prove(level)``'s report if it certifies; None if it does not or
-    the box budget runs out."""
-    try:
-        report = prove(level)
-    except iv.BudgetExhausted:
-        return None
-    return report if report.certified else None
+def _prove_near(prove, level: float, floor: float):
+    """The first of level and level * (1 - 4^k 2^-16), k = 0..7, above
+    ``floor`` at which ``prove`` certifies, with its report; None if none.
 
-
-def _bisect(prove, good: float, bad: float, steps: int):
-    """Halve [good, bad] ``steps`` times, moving ``good`` up to each
-    midpoint that ``prove`` certifies.  Returns the last level that
-    certified and its report, or (None, None) when none did."""
-    best = (None, None)
-    for _ in range(steps):
-        mid = 0.5 * (good + bad)
-        report = _proved(prove, mid)
-        if report is None:
-            bad = mid
-        else:
-            good, best = mid, (mid, report)
-    return best
+    A searched level can miss the provable one by the width of a
+    delta-box, so the rungs back off from 15 ppm to 25 %.  A proof that
+    runs out of budget counts as not certified.
+    """
+    for rung in [level] + [level * (1.0 - 4.0 ** k * 2.0 ** -16) for k in range(8)]:
+        if rung <= floor:
+            return None
+        try:
+            report = prove(rung)
+        except iv.BudgetExhausted:
+            continue
+        if report.certified:
+            return rung, report
+    return None
 
 
 def find_max_local_c(sys: dyn.SystemDef, P: np.ndarray, Q: np.ndarray,
-                     r: float, delta: float = 1e-3, budget: int = 5_000_000,
-                     c_lo: Optional[float] = None,
-                     steps: int = 12) -> LocalCertificate:
-    """Certificate of the largest certifiable c on a bisection grid in
-    [c_lo, c_hi].
+                     r: float, delta: float = 1e-3,
+                     budget: int = 5_000_000) -> LocalCertificate:
+    """The certificate of `verify_local` at the largest c it proves.
 
-    c_hi is the largest quadratic-form value over the domain corners (the
-    largest sublevel set that could matter inside the box).  The search
-    returns the certificate it proved at the level it found, so callers
-    need not prove that level again.
+    `iv.bnb_minimize` lowers c from the largest x'Px over the domain
+    corners to where the condition first fails or stays undecided, and
+    `_prove_near` proves c there or a little below it.
     """
     corners = sys.domain.corners()
     c_hi = float(np.einsum("ki,ij,kj->k", corners, np.asarray(P, float), corners).max())
-    if c_lo is None:
-        c_lo = 1e-3 * c_hi
-
-    def prove(c: float) -> LocalCertificate:
-        return verify_local(sys, P, Q, r, c, delta=delta, budget=budget)
-
-    lowest = _proved(prove, c_lo)
-    if lowest is None:
-        raise NoCertifiableC(f"not certifiable even at c = {c_lo:g}")
-    highest = _proved(prove, c_hi)
-    if highest is not None:
-        return highest
-    _, cert = _bisect(prove, c_lo, c_hi, steps)
-    return lowest if cert is None else cert
+    level = iv.bnb_minimize(lambda c: _local_condition(sys, P, Q, r, c)[0], c_hi, sys.domain,
+                            delta=delta, budget=budget)
+    found = _prove_near(lambda c: verify_local(sys, P, Q, r, c, delta=delta, budget=budget),
+                        level, 0.0)
+    if found is None:
+        raise NoCertifiableC(f"not certifiable at or a little below c = {level:g}")
+    return found[1]
 
 
 def _face_boxes(box: iv.Box):
@@ -462,6 +456,16 @@ def _inclusion_condition(cache: _NetBoxCache, local: LocalCertificate,
     )
 
 
+def _band_condition(cache: _NetBoxCache, sys: dyn.SystemDef, c1: float, c2: float,
+                    epsilon: float) -> iv.Condition:
+    """c1 <= W_N <= c2  =>  grad W_N . f <= -epsilon."""
+    return iv.Condition(
+        antecedents=(NetValueFn(cache, c2, +1, sys.dim), NetValueFn(cache, c1, -1, sys.dim)),
+        consequent=NetLieFn(cache, sys, epsilon),
+        name=f"decrease band [{c1:g}, {c2:g}]",
+    )
+
+
 def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate,
                c1: float, c2: float, epsilon: float = 1e-4,
                delta: float = 1e-3, budget: int = 5_000_000) -> RoaCertificate:
@@ -475,11 +479,7 @@ def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate,
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     cache = _NetBoxCache(net)
-    band = iv.Condition(
-        antecedents=(NetValueFn(cache, c1, -1, sys.dim), NetValueFn(cache, c2, +1, sys.dim)),
-        consequent=NetLieFn(cache, sys, epsilon),
-        name=f"decrease band [{c1:g}, {c2:g}]",
-    )
+    band = _band_condition(cache, sys, c1, c2, epsilon)
     inclusion = _inclusion_condition(cache, local, c1, sys.dim)
     decrease_rep = _timed_bnb("decrease", band, sys.domain, delta, budget)
     inclusion_rep = _timed_bnb("inclusion", inclusion, sys.domain, delta, budget)
@@ -498,35 +498,39 @@ def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate,
 
 def find_max_level(net, sys: dyn.SystemDef, local: LocalCertificate,
                    epsilon: float = 1e-4, delta: float = 1e-3,
-                   budget: int = 5_000_000, steps: int = 10):
-    """Search the largest certifiable (c1, c2) pair by bisection.
+                   budget: int = 5_000_000):
+    """The largest (c1, c2) that `verify_roa` proves, and its certificate.
 
-    c1: the largest level whose sublevel set provably sits inside the
-    local ellipsoid.  c2: the largest level above c1 for which the
-    decrease band and the boundary-exclusion checks both certify.
-    Returns (c1, c2, RoaCertificate).
+    `iv.bnb_minimize` lowers c1 from 1 to where {W_N <= c1} first leaves
+    the local ellipsoid, and `_prove_near` proves the inclusion there or
+    a little below.  c2 starts at the least W_N over the domain faces (a
+    search whose consequent always fails), kept below 1, and is lowered
+    to where the decrease band first fails; `verify_roa` proves it there
+    or a little below.  Returns (c1, c2, RoaCertificate).
     """
     if not local.certified:
         raise ValueError("local certificate must be Certified first")
     cache = _NetBoxCache(net)
-
-    def prove_c1(c1: float) -> ConditionReport:
-        return _timed_bnb("inclusion", _inclusion_condition(cache, local, c1, sys.dim),
-                          sys.domain, delta, budget)
-
-    c1_best, _ = _bisect(prove_c1, 0.0, 1.0, steps)
-    if c1_best is None:
+    search = functools.partial(iv.bnb_minimize, delta=delta, budget=budget)
+    inclusion = functools.partial(_inclusion_condition, cache, local, dim=sys.dim)
+    found = _prove_near(lambda c: _timed_bnb("inclusion", inclusion(c), sys.domain,
+                                             delta, budget),
+                        search(inclusion, 1.0, sys.domain), 0.0)
+    if found is None:
         raise NoCertifiableLevel("no c1 level set fits inside the local ellipsoid")
-
-    def prove_c2(c2: float) -> RoaCertificate:
-        return verify_roa(net, sys, local, c1_best, c2, epsilon=epsilon,
-                          delta=delta, budget=budget)
-
-    _, best_cert = _bisect(prove_c2, c1_best, 1.0, steps)
-    if best_cert is None:
-        raise NoCertifiableLevel(f"no c2 in ({c1_best:g}, 1) certifies the decrease "
+    c1 = found[0]
+    fails = iv.ExprFn(ex.Constant(1.0), sys.dim)
+    c2 = float(np.nextafter(1.0, 0.0))
+    for _, face in _face_boxes(sys.domain):
+        c2 = search(lambda c: iv.Condition((NetValueFn(cache, c, +1, sys.dim),), fails),
+                    c2, face, c1)
+    c2 = search(lambda c: _band_condition(cache, sys, c1, c, epsilon), c2, sys.domain, c1)
+    found = _prove_near(lambda c: verify_roa(net, sys, local, c1, c, epsilon=epsilon,
+                                             delta=delta, budget=budget), c2, c1)
+    if found is None:
+        raise NoCertifiableLevel(f"no c2 in ({c1:g}, 1) certifies the decrease "
                                  "and boundary conditions")
-    return c1_best, best_cert.c2, best_cert
+    return (c1, *found)
 
 
 def validate_roa_by_simulation(net, sys: dyn.SystemDef, local: LocalCertificate,

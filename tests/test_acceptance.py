@@ -109,11 +109,11 @@ def test_c4b_local_certificate_poly2d():
     # exactly for c <= r / (1.2 sqrt(0.625)) = sqrt(10) r / 3 ~ 1.054.
     #
     # Soundness: a certified c above that ceiling is a wrong verdict.
-    # Near-maximality: find_max_local_c bisects [c_lo, c_hi] in `steps`
-    # halvings, so it may land one grid step (c_hi - c_lo) / 2^steps below
-    # the largest certifiable level.  That level may in turn sit below the
-    # ceiling by the delta-limited band: a box of side <= delta across the
-    # boundary is neither pruned nor refuted.  At the boundary point,
+    # Near-maximality: find_max_local_c lowers c to where the condition
+    # first fails or stays undecided on a delta-box and proves it there or
+    # a little below, so it may sit below the ceiling by the delta-limited
+    # band: a box of side <= delta across the boundary is neither pruned
+    # nor refuted.  At the boundary point,
     # x = (sqrt(0.6 c), -sqrt(0.6 c) / 3), the gradient 2Px of x'Px is
     # along x1 with size 2 sqrt(0.6 c) / 0.6 ~ 2.65, so the enclosures of
     # the antecedent and of x1^2 each shift the decided level by about
@@ -122,15 +122,12 @@ def test_c4b_local_certificate_poly2d():
     # c = 2.0 lies above the ceiling, so a sound engine must answer
     # Falsified there, with a witness inside the ellipsoid at which the
     # point evaluation of the condition is violated.
-    r, delta, steps = 0.9999, 1e-3, 12
+    r, delta = 0.9999, 1e-3
     t0 = time.perf_counter()
     P = dyn.solve_lyapunov(dyn.linearize(POLY).A, np.eye(2)).P
-    corners = POLY.domain.corners()
-    c_hi = float(np.einsum("ki,ij,kj->k", corners, P, corners).max())
-    c_lo = 1e-3 * c_hi
     ceiling = math.sqrt(10) * r / 3
-    floor = ceiling - (c_hi - c_lo) / 2 ** steps - 10 * delta
-    cert = vf.find_max_local_c(POLY, P, np.eye(2), r, delta=delta, c_lo=c_lo, steps=steps)
+    floor = ceiling - 10 * delta
+    cert = vf.find_max_local_c(POLY, P, np.eye(2), r, delta=delta)
     c = cert.c
     at_two = vf.verify_local(POLY, P, np.eye(2), r, 2.0, delta=delta).outcome
     elapsed = time.perf_counter() - t0

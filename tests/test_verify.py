@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,7 +91,55 @@ class TestFindMaxLocalC:
     def test_no_certifiable_c(self):
         # r tiny makes even minuscule levels fail for a nonlinear system
         with pytest.raises(vf.NoCertifiableC):
-            vf.find_max_local_c(POLY, lyap_P(POLY), np.eye(2), 1e-12, c_lo=5.0)
+            vf.find_max_local_c(POLY, lyap_P(POLY), np.eye(2), 1e-12)
+
+    def test_backs_off_below_the_searched_level(self, monkeypatch):
+        # on reversed VdP a delta-box straddles the boundary at the searched
+        # level, so the proof there is Unknown and a lower rung certifies
+        proofs = []
+        verify_local = vf.verify_local
+
+        def recorded(*args, **kwargs):
+            proofs.append(verify_local(*args, **kwargs))
+            return proofs[-1]
+
+        monkeypatch.setattr(vf, "verify_local", recorded)
+        found = vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999)
+        searched = proofs[0]
+        assert not searched.certified
+        assert found is proofs[-1] and found.certified
+        assert found.c < searched.c
+        assert all(b.c < a.c for a, b in zip(proofs, proofs[1:]))
+        again = verify_local(VDP, lyap_P(VDP), np.eye(2), 0.9999, found.c)
+        assert type(again.outcome) is iv.Certified
+        assert found.outcome.boxes_processed == again.outcome.boxes_processed
+
+    def test_raises_when_no_rung_certifies(self, monkeypatch):
+        levels = []
+
+        def undecided(sys, P, Q, r, c, delta=1e-3, budget=5_000_000):
+            levels.append(c)
+            return vf.LocalCertificate(system=sys.name, P=P, Q=Q, r=r, c=c,
+                                       outcome=iv.Unknown(iv.Box([0.0], [0.0]), delta),
+                                       lambda_min_q=1.0, seconds=0.0)
+
+        monkeypatch.setattr(vf, "verify_local", undecided)
+        with pytest.raises(vf.NoCertifiableC):
+            vf.find_max_local_c(POLY, lyap_P(POLY), np.eye(2), 0.9999)
+        # the searched level, then eight rungs down to three quarters of it
+        assert len(levels) == 9
+        assert levels[-1] == pytest.approx(0.75 * levels[0])
+
+    def test_vdp_level_reaches_the_bisection_level(self):
+        # 0.2896674 is what a 12-step bisection of [1e-3 c_hi, c_hi] found
+        assert vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999).c >= 0.2896674
+
+    def test_poly_level_near_ceiling(self):
+        # the condition holds exactly up to sqrt(10) r / 3 (criterion 4b)
+        r = 0.9999
+        cert = vf.find_max_local_c(POLY, lyap_P(POLY), np.eye(2), r)
+        assert cert.certified
+        assert 1.05 <= cert.c <= np.sqrt(10) * r / 3
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +209,48 @@ class TestVerifyRoa:
             vf.verify_roa(constant_net(2, 0.5), VDP, bad, 0.1, 0.5)
 
 
+@pytest.fixture(scope="module")
+def bench_net():
+    net, _, _ = nn.load_mlp(Path(__file__).parents[1] / "bench" / "net_vdp.json")
+    return net
+
+
+@pytest.fixture(scope="module")
+def bench_local():
+    return vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999)
+
+
 class TestFindMaxLevel:
+    def test_bench_net_reaches_the_bisection_levels(self, bench_net, bench_local):
+        # 0.0224609 and 0.7432051 are what 10-step bisections of (0, 1) and
+        # (c1, 1) found on this network
+        c1, c2, cert = vf.find_max_level(bench_net, VDP, bench_local)
+        assert cert.certified
+        assert (cert.c1, cert.c2) == (c1, c2)
+        assert c1 >= 0.0224609
+        assert c2 >= 0.7432051
+
+    def test_raises_when_no_c1_rung_certifies(self, bench_net, bench_local, monkeypatch):
+        def undecided(name, cond, box, delta, budget):
+            return vf.ConditionReport(name, iv.Unknown(box, delta), 0.0)
+
+        monkeypatch.setattr(vf, "_timed_bnb", undecided)
+        with pytest.raises(vf.NoCertifiableLevel):
+            vf.find_max_level(bench_net, VDP, bench_local)
+
+    def test_raises_when_no_c2_rung_certifies(self, bench_net, bench_local, monkeypatch):
+        levels = []
+
+        def undecided(net, sys, local, c1, c2, epsilon=1e-4, delta=1e-3, budget=5_000_000):
+            levels.append(c2)
+            report = vf.ConditionReport("decrease", iv.Unknown(sys.domain, delta), 0.0)
+            return vf.RoaCertificate(c1, c2, epsilon, report, report, [], local)
+
+        monkeypatch.setattr(vf, "verify_roa", undecided)
+        with pytest.raises(vf.NoCertifiableLevel):
+            vf.find_max_level(bench_net, VDP, bench_local)
+        assert len(levels) == 9
+
     def test_trained_net_reaches_mid_level(self, vdp_level):
         c1, c2, cert = vdp_level
         assert cert.certified
