@@ -21,14 +21,15 @@ Two layers live here:
   implications over a box up to a width threshold ``delta`` (the
   counterpart of a delta-sat query to an SMT solver), and
   `bnb_minimize` lowers the level of such an implication to about the
-  least one at which it fails.
+  least one at which it fails, keeping the tree's open leaves so that
+  the same search proves the implication a little below that level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,7 +40,7 @@ __all__ = [
     "Certified", "Falsified", "Unknown", "VerifyOutcome",
     "BudgetExhausted", "UnsupportedPrimitive",
     "expr_interval_many", "net_interval_many", "hc4_contract", "bnb_verify",
-    "bnb_minimize",
+    "bnb_minimize", "LevelSearch",
 ]
 
 _EPS = np.finfo(np.float64).eps  # 2^-52
@@ -134,6 +135,19 @@ def kmul(alo, ahi, blo, bhi):
     p1, p2, p3, p4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
     lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
     hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+    return _widen(lo, hi)
+
+
+def kmul_nonneg(dlo, dhi, alo, ahi):
+    """`kmul` for a factor known to be non-negative (0 <= dlo <= dhi).
+
+    The sign of each bound of a picks the product that is extreme, so two
+    products replace `kmul`'s four and its min/max trees.  Rounding is
+    monotone, so the bounds are `kmul`'s up to the sign of a zero, which
+    the widening erases: the result is `kmul`'s bit for bit.
+    """
+    lo = np.where(alo >= 0.0, dlo * alo, dhi * alo)
+    hi = np.where(ahi >= 0.0, dhi * ahi, dlo * ahi)
     return _widen(lo, hi)
 
 
@@ -380,7 +394,7 @@ def net_interval_many(net, lo: np.ndarray, hi: np.ndarray, want_grad: bool = Fal
                 s2lo, s2hi = kpow(alo, ahi, 2)
                 dlo = np.clip(_down(1.0 - s2hi, _ULPS_ARITH), 0.0, 1.0)
                 dhi = np.clip(_up(1.0 - s2lo, _ULPS_ARITH), 0.0, 1.0)
-                jlo, jhi = kmul(dlo[:, :, None], dhi[:, :, None], mlo, mhi)
+                jlo, jhi = kmul_nonneg(dlo[:, :, None], dhi[:, :, None], mlo, mhi)
         else:
             alo, ahi = zlo, zhi
             if need_j:
@@ -722,23 +736,71 @@ def bnb_verify(cond: Condition, X: Box, delta: float = 1e-3,
     return Certified(boxes_processed=n)
 
 
-def bnb_minimize(make, level: float, X: Box, floor: float = 0.0, delta: float = 1e-3,
-                 budget: int = 5_000_000) -> float:
-    """About the least level at which ``make(level)`` fails, found by
-    lowering ``level`` (in the style of Moore-Skelboe global minimization).
+@dataclass(frozen=True)
+class LevelSearch:
+    """What `bnb_minimize` found: the level it lowered ``make``'s
+    condition to, the boxes it processed, whether it ran until its stack
+    was empty, and the delta-boxes it dropped (``dlo``, ``dhi``: the open
+    leaves of its tree), which `proves` needs."""
 
-    ``make(u)`` builds a condition whose first antecedent is ``l(x) - u``.
+    make: Callable
+    level: float
+    boxes_processed: int
+    complete: bool
+    dlo: np.ndarray
+    dhi: np.ndarray
+
+    def proves(self, level: float) -> bool:
+        """Whether this search proves ``make(level)``, without a new search.
+
+        The search ran ``make(u)`` at falling levels u, all at or above
+        ``self.level``, so at or above any ``level <= self.level``.  Only
+        the first antecedent, l(x) - u, depends on u, and it gets harder
+        to satisfy as u falls.  So every box the search discarded is still
+        discarded at ``level``: HC4 emptied it or cut it down, or an
+        antecedent was proved infeasible, at some u >= ``level`` (or, for
+        the other antecedents, at every level), or the consequent was
+        proved, which no level changes.  A box whose probe violated the
+        condition was split, not dropped.  The only leaves left open are
+        the dropped delta-boxes.  If the first antecedent at ``level`` is
+        proved infeasible on every one of them (the outward-rounded flag
+        of ``contract_boxes``), every point meeting the antecedents at
+        ``level`` lies in a leaf where the consequent was proved, and the
+        condition holds.  A search stopped at its floor left boxes
+        unexamined and proves nothing; neither does it prove a level above
+        its own, where boxes found infeasible at lower u may be feasible.
+        """
+        if not (self.complete and level <= self.level):
+            return False
+        first = self.make(level).antecedents[0]
+        return all(np.all(first.contract_boxes(self.dlo[i:i + _CHUNK], self.dhi[i:i + _CHUNK])[2])
+                   for i in range(0, len(self.dlo), _CHUNK))
+
+
+def bnb_minimize(make, level: float, X: Box, floor: float = 0.0, delta: float = 1e-3,
+                 budget: int = 5_000_000) -> LevelSearch:
+    """Lower ``level`` to about the least one at which ``make(level)``
+    fails, in the style of Moore-Skelboe global minimization, and keep
+    the tree's open leaves so that `LevelSearch.proves` can certify the
+    condition a little below that level from this one search.
+
+    ``make(u)`` builds a condition whose first antecedent is ``l(x) - u``
+    and whose other antecedents and consequent do not depend on u.
+    Callers must keep that invariant: `LevelSearch.proves` rests on it.
     At each yield of `_bnb` the level drops to the least l over the
     violating probes and the least interval lower bound of l over the
     delta-boxes, and the loop goes on with the condition rebuilt there;
-    boxes discarded at a higher level stay discarded.  Stops early at a
-    level <= ``floor``.  The result is not proved: `bnb_verify` decides it.
+    boxes discarded at a higher level stay discarded.  Stops early, and
+    incomplete, at a level <= ``floor``.  Raises ``BudgetExhausted``
+    past ``budget`` boxes.
     """
+    none = np.empty((0, X.dim))
     if level <= floor:
-        return level
+        return LevelSearch(make, level, 0, False, none, none)
     cond = make(level)
     steps = _bnb(cond, X, delta, budget, _CHUNK)
-    _, probes, _, dlo, dhi = next(steps)
+    n, probes, _, dlo, dhi = next(steps)
+    kept_lo, kept_hi = [dlo], [dhi]
     while len(probes) or len(dlo):
         g, drop = cond.antecedents[0], 0.0   # g = l - level
         if len(probes):
@@ -749,5 +811,9 @@ def bnb_minimize(make, level: float, X: Box, floor: float = 0.0, delta: float = 
         if level <= floor:
             break
         cond = make(level)
-        _, probes, _, dlo, dhi = steps.send(cond)
-    return level
+        n, probes, _, dlo, dhi = steps.send(cond)
+        kept_lo.append(dlo)
+        kept_hi.append(dhi)
+    # only the last yield of `_bnb`, at an empty stack, brings neither
+    complete = not (len(probes) or len(dlo))
+    return LevelSearch(make, level, n, complete, np.concatenate(kept_lo), np.concatenate(kept_hi))

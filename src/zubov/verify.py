@@ -23,6 +23,14 @@ local ellipsoid through three checks over the working box X
 
 after which {W_N <= c2} is invariant and feeds the ellipsoid, so it is a
 certified region of attraction.
+
+Level searches lower a level with `iv.bnb_minimize` to where its
+condition first fails or stays undecided, then certify it there or on
+the first of eight rungs a little below (`_prove_near`).  In
+`find_max_level` the search tree itself proves the rungs of (a) and (b)
+(`iv.LevelSearch.proves`); `find_max_local_c` proves its rungs with
+fresh `verify_local` calls, which reproduce what `zubov verify-local
+--c` decides.
 """
 
 from __future__ import annotations
@@ -427,7 +435,7 @@ def find_max_local_c(sys: dyn.SystemDef, P: np.ndarray, Q: np.ndarray,
     corners = sys.domain.corners()
     c_hi = float(np.einsum("ki,ij,kj->k", corners, np.asarray(P, float), corners).max())
     level = iv.bnb_minimize(lambda c: _local_condition(sys, P, Q, r, c)[0], c_hi, sys.domain,
-                            delta=delta, budget=budget)
+                            delta=delta, budget=budget).level
     found = _prove_near(lambda c: verify_local(sys, P, Q, r, c, delta=delta, budget=budget),
                         level, 0.0)
     if found is None:
@@ -466,34 +474,59 @@ def _band_condition(cache: _NetBoxCache, sys: dyn.SystemDef, c1: float, c2: floa
     )
 
 
-def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate,
-               c1: float, c2: float, epsilon: float = 1e-4,
-               delta: float = 1e-3, budget: int = 5_000_000) -> RoaCertificate:
-    """Certify {W_N <= c2} as a region of attraction feeding the local
-    ellipsoid, via the decrease band, the inclusion check, and the
-    domain-boundary exclusion check."""
+def _check_roa_args(local: LocalCertificate, epsilon: float) -> None:
     if not local.certified:
         raise ValueError("local certificate must be Certified first")
-    if not (0.0 < c1 < c2 < 1.0):
-        raise ValueError("need 0 < c1 < c2 < 1")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    cache = _NetBoxCache(net)
-    band = _band_condition(cache, sys, c1, c2, epsilon)
-    inclusion = _inclusion_condition(cache, local, c1, sys.dim)
-    decrease_rep = _timed_bnb("decrease", band, sys.domain, delta, budget)
-    inclusion_rep = _timed_bnb("inclusion", inclusion, sys.domain, delta, budget)
-    boundary_reps = []
+
+
+def _boundary_reports(cache: _NetBoxCache, sys: dyn.SystemDef, c2: float,
+                      delta: float, budget: int) -> list:
+    """W_N > c2 on every face of the domain, one proof per face."""
+    reports = []
     for face_name, face in _face_boxes(sys.domain):
         cond = iv.Condition(
             antecedents=(),
             consequent=NetValueFn(cache, c2 + STRICT_SLACK, -1, sys.dim),
             name=f"boundary {face_name}: W > c2",
         )
-        boundary_reps.append(_timed_bnb(f"boundary {face_name}", cond, face, delta, budget))
+        reports.append(_timed_bnb(f"boundary {face_name}", cond, face, delta, budget))
+    return reports
+
+
+def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate,
+               c1: float, c2: float, epsilon: float = 1e-4,
+               delta: float = 1e-3, budget: int = 5_000_000) -> RoaCertificate:
+    """Certify {W_N <= c2} as a region of attraction feeding the local
+    ellipsoid, via the decrease band, the inclusion check, and the
+    domain-boundary exclusion check."""
+    _check_roa_args(local, epsilon)
+    if not (0.0 < c1 < c2 < 1.0):
+        raise ValueError("need 0 < c1 < c2 < 1")
+    cache = _NetBoxCache(net)
+    band = _band_condition(cache, sys, c1, c2, epsilon)
+    inclusion = _inclusion_condition(cache, local, c1, sys.dim)
     return RoaCertificate(c1=c1, c2=c2, epsilon=epsilon,
-                          decrease=decrease_rep, inclusion=inclusion_rep,
-                          boundary=boundary_reps, local=local)
+                          decrease=_timed_bnb("decrease", band, sys.domain, delta, budget),
+                          inclusion=_timed_bnb("inclusion", inclusion, sys.domain, delta, budget),
+                          boundary=_boundary_reports(cache, sys, c2, delta, budget), local=local)
+
+
+def _searched(name, make, level, box, floor, delta, budget):
+    """Lower ``level`` with `iv.bnb_minimize`; return the level reached
+    and, for `_prove_near`, the report at a rung: Certified with the
+    search's box count and seconds where `iv.LevelSearch.proves` holds."""
+    t0 = time.perf_counter()
+    search = iv.bnb_minimize(make, level, box, floor, delta=delta, budget=budget)
+    seconds = time.perf_counter() - t0
+
+    def report(rung):
+        outcome = (iv.Certified(search.boxes_processed) if search.proves(rung)
+                   else iv.Unknown(box, delta, search.boxes_processed))
+        return ConditionReport(name, outcome, seconds)
+
+    return search.level, report
 
 
 def find_max_level(net, sys: dyn.SystemDef, local: LocalCertificate,
@@ -502,31 +535,42 @@ def find_max_level(net, sys: dyn.SystemDef, local: LocalCertificate,
     """The largest (c1, c2) that `verify_roa` proves, and its certificate.
 
     `iv.bnb_minimize` lowers c1 from 1 to where {W_N <= c1} first leaves
-    the local ellipsoid, and `_prove_near` proves the inclusion there or
-    a little below.  c2 starts at the least W_N over the domain faces (a
-    search whose consequent always fails), kept below 1, and is lowered
-    to where the decrease band first fails; `verify_roa` proves it there
-    or a little below.  Returns (c1, c2, RoaCertificate).
+    the local ellipsoid.  c2 starts at the least W_N over the domain
+    faces (a search whose consequent always fails), kept below 1, and is
+    lowered to where the decrease band first fails.  At each level the
+    search's own tree proves the condition a little below it
+    (`iv.LevelSearch.proves`), so `_prove_near` walks down its rungs
+    without a second search; only the four boundary proofs run afresh,
+    at the c2 rungs.  The conditions' antecedents do not contract, so the
+    tree picks the rung a fresh `verify_roa` would.  The rungs lie above
+    their floors, 0 and c1, and c2 starts below 1, so 0 < c1 < c2 < 1 as
+    `verify_roa` requires.  Returns (c1, c2, RoaCertificate).
     """
-    if not local.certified:
-        raise ValueError("local certificate must be Certified first")
+    _check_roa_args(local, epsilon)
     cache = _NetBoxCache(net)
-    search = functools.partial(iv.bnb_minimize, delta=delta, budget=budget)
-    inclusion = functools.partial(_inclusion_condition, cache, local, dim=sys.dim)
-    found = _prove_near(lambda c: _timed_bnb("inclusion", inclusion(c), sys.domain,
-                                             delta, budget),
-                        search(inclusion, 1.0, sys.domain), 0.0)
+    search = functools.partial(_searched, box=sys.domain, delta=delta, budget=budget)
+    level, inclusion = search("inclusion",
+                              functools.partial(_inclusion_condition, cache, local, dim=sys.dim),
+                              1.0, floor=0.0)
+    found = _prove_near(inclusion, level, 0.0)
     if found is None:
         raise NoCertifiableLevel("no c1 level set fits inside the local ellipsoid")
-    c1 = found[0]
+    c1, inclusion_rep = found
     fails = iv.ExprFn(ex.Constant(1.0), sys.dim)
     c2 = float(np.nextafter(1.0, 0.0))
     for _, face in _face_boxes(sys.domain):
-        c2 = search(lambda c: iv.Condition((NetValueFn(cache, c, +1, sys.dim),), fails),
-                    c2, face, c1)
-    c2 = search(lambda c: _band_condition(cache, sys, c1, c, epsilon), c2, sys.domain, c1)
-    found = _prove_near(lambda c: verify_roa(net, sys, local, c1, c, epsilon=epsilon,
-                                             delta=delta, budget=budget), c2, c1)
+        c2 = iv.bnb_minimize(lambda c: iv.Condition((NetValueFn(cache, c, +1, sys.dim),), fails),
+                             c2, face, c1, delta=delta, budget=budget).level
+    level, decrease = search("decrease", lambda c: _band_condition(cache, sys, c1, c, epsilon),
+                             c2, floor=c1)
+
+    def prove(c2):
+        decrease_rep = decrease(c2)
+        boundary = (_boundary_reports(cache, sys, c2, delta, budget)
+                    if decrease_rep.certified else [])
+        return RoaCertificate(c1, c2, epsilon, decrease_rep, inclusion_rep, boundary, local)
+
+    found = _prove_near(prove, level, c1)
     if found is None:
         raise NoCertifiableLevel(f"no c2 in ({c1:g}, 1) certifies the decrease "
                                  "and boundary conditions")

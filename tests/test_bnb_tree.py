@@ -5,9 +5,13 @@ once.  Its pop and push order must be the one of a plain depth-first
 list stack, so the outcome, the witness or Unknown box, the number of
 boxes processed and the pending count of a budget stop stay what they
 were.  The pinned figures were recorded with the list-stack engine.
+The box counts of the two level searches of `find_max_level` on the
+benchmark network are pinned too: they are that search's whole cost, so
+a change to the search order or the pruning shows up here.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +85,18 @@ class TestPinnedOutcomes:
         with pytest.raises(iv.BudgetExhausted) as err:
             iv.bnb_verify(cond, iv.Box([-3.0], [3.0]), delta=1e-9, budget=5)
         assert (err.value.processed, err.value.pending) == (5, 2)
+
+
+class TestPinnedSearches:
+    def test_bench_net_level_searches(self):
+        # find_max_level proves c1 and c2 from the trees of its two level
+        # searches on bench/net_vdp.json; their box counts are the cost
+        net, _, _ = nn.load_mlp(Path(__file__).parents[1] / "bench" / "net_vdp.json")
+        local = vf.find_max_local_c(VDP, _lyap_P(VDP), np.eye(2), 0.9999)
+        _, _, cert = vf.find_max_level(net, VDP, local)
+        assert cert.certified
+        assert cert.inclusion.outcome.boxes_processed == 3453
+        assert cert.decrease.outcome.boxes_processed == 201693
 
 
 def _list_stack_bnb(cond, X, delta, budget, chunk):

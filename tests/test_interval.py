@@ -152,6 +152,24 @@ class TestNetInterval:
         mv = iv.net_interval_many(net, lo[None, :], hi[None, :], mean_value=True)
         assert mv[1][0] - mv[0][0] <= nat[1][0] - nat[0][0]
 
+    def test_nonneg_product_is_kmul_bit_for_bit(self):
+        # net_interval_many multiplies by tanh' in [0, 1] through kmul_nonneg
+        rng = np.random.default_rng(9)
+        sub = 3 * 2.0 ** -1074
+        a = np.sort(rng.normal(size=(2, 400)) * 10.0 ** rng.integers(-300, 300, size=400),
+                    axis=0)
+        special = np.array([[0.0, -0.0, -0.0, 0.0, -sub, -sub, 0.0, -1.5, -sub],
+                            [0.0, 0.0, -0.0, -0.0, sub, -0.0, sub, -0.0, 2.5]])
+        alo = np.concatenate([a[0], special[0]])
+        ahi = np.concatenate([a[1], special[1]])
+        d = np.sort(rng.uniform(0.0, 1.0, size=(2, alo.size)), axis=0)
+        for dlo, dhi in [d, (0.0 * d[0], 0.0 * d[1]), (0.0 * d[0], 1.0 + 0.0 * d[1]),
+                         (1.0 + 0.0 * d[0], 1.0 + 0.0 * d[1]), (d[0], 1.0 + 0.0 * d[1]),
+                         (np.full(alo.size, sub), d[1])]:
+            got = iv.kmul_nonneg(dlo, dhi, alo, ahi)
+            want = iv.kmul(dlo, dhi, alo, ahi)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
 
 def _expr_cond(g_texts, h_text, dim):
     ants = tuple(iv.ExprFn(ex.parse(t, dim), dim) for t in g_texts)

@@ -1,3 +1,4 @@
+import functools
 import re
 from pathlib import Path
 
@@ -220,33 +221,145 @@ def bench_local():
     return vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999)
 
 
+def fresh_levels(net, local, epsilon=1e-4, delta=1e-3, budget=5_000_000):
+    """(c1, c2) as fresh proofs pick them: the searched levels, then the
+    rungs below each proved from scratch by `bnb_verify` and `verify_roa`."""
+    cache = vf._NetBoxCache(net)
+    inclusion = functools.partial(vf._inclusion_condition, cache, local, dim=VDP.dim)
+    c1, _ = vf._prove_near(
+        lambda c: vf._timed_bnb("inclusion", inclusion(c), VDP.domain, delta, budget),
+        iv.bnb_minimize(inclusion, 1.0, VDP.domain, delta=delta, budget=budget).level, 0.0)
+    fails = iv.ExprFn(ex.Constant(1.0), VDP.dim)
+    c2 = float(np.nextafter(1.0, 0.0))
+    for _, face in vf._face_boxes(VDP.domain):
+        c2 = iv.bnb_minimize(
+            lambda c: iv.Condition((vf.NetValueFn(cache, c, +1, VDP.dim),), fails),
+            c2, face, c1, delta=delta, budget=budget).level
+    c2 = iv.bnb_minimize(lambda c: vf._band_condition(cache, VDP, c1, c, epsilon),
+                         c2, VDP.domain, c1, delta=delta, budget=budget).level
+    c2, _ = vf._prove_near(lambda c: vf.verify_roa(net, VDP, local, c1, c, epsilon=epsilon,
+                                                   delta=delta, budget=budget), c2, c1)
+    return c1, c2
+
+
+@pytest.fixture(scope="module")
+def bench_level(bench_net, bench_local):
+    return vf.find_max_level(bench_net, VDP, bench_local)
+
+
+class _LooseLevel(iv.ExprFn):
+    """x1 + 2 - u, whose infeasibility test is looser by ``slack`` than
+    its enclosure, as a coarser contractor's would be: sound, but it keeps
+    delta-boxes near the searched level feasible a little below it."""
+
+    def __init__(self, u, slack):
+        super().__init__(ex.Sub(ex.parse("x1 + 2", 2), ex.Constant(u)), 2)
+        self.slack = slack
+
+    def contract_boxes(self, lo, hi):
+        glo, _ = self.eval_boxes(lo, hi)
+        return lo, hi, glo - self.slack > 0.0
+
+
+def _loose_search(h_text, slack, floor=0.0):
+    consequent = iv.ExprFn(ex.parse(h_text, 2), 2)
+
+    def make(u):
+        return iv.Condition((_LooseLevel(u, slack),), consequent)
+
+    box = iv.Box.from_bounds([[-1, 1], [-1, 1]])
+    return make, box, iv.bnb_minimize(make, 10.0, box, floor, delta=1e-3)
+
+
 class TestFindMaxLevel:
-    def test_bench_net_reaches_the_bisection_levels(self, bench_net, bench_local):
+    def test_bench_net_reaches_the_bisection_levels(self, bench_level):
         # 0.0224609 and 0.7432051 are what 10-step bisections of (0, 1) and
         # (c1, 1) found on this network
-        c1, c2, cert = vf.find_max_level(bench_net, VDP, bench_local)
+        c1, c2, cert = bench_level
         assert cert.certified
         assert (cert.c1, cert.c2) == (c1, c2)
         assert c1 >= 0.0224609
         assert c2 >= 0.7432051
 
-    def test_raises_when_no_c1_rung_certifies(self, bench_net, bench_local, monkeypatch):
-        def undecided(name, cond, box, delta, budget):
-            return vf.ConditionReport(name, iv.Unknown(box, delta), 0.0)
+    def test_bench_net_levels_are_the_fresh_proofs_levels(self, bench_net, bench_local,
+                                                          bench_level):
+        c1, c2, _ = bench_level
+        assert (c1, c2) == fresh_levels(bench_net, bench_local)
+        assert vf.verify_roa(bench_net, VDP, bench_local, c1, c2).certified
 
-        monkeypatch.setattr(vf, "_timed_bnb", undecided)
+    def test_trained_net_levels_are_the_fresh_proofs_levels(self, vdp_local, trained_vdp,
+                                                            vdp_level):
+        net, _ = trained_vdp
+        c1, c2, _ = vdp_level
+        assert (c1, c2) == fresh_levels(net, vdp_local)
+        assert vf.verify_roa(net, VDP, vdp_local, c1, c2).certified
+
+    def test_reports_carry_the_searches(self, bench_level):
+        _, _, cert = bench_level
+        for report in (cert.decrease, cert.inclusion):
+            assert report.outcome.boxes_processed > 0 and report.seconds > 0.0
+        assert cert.decrease.outcome.boxes_processed > cert.inclusion.outcome.boxes_processed
+
+    def test_steps_down_past_delta_boxes_feasible_at_the_first_rungs(self):
+        # h = x1 - 0.5 straddles 0 on the delta-boxes at x1 = 0.5, where
+        # l = x1 + 2 is about 2.5, so the search stops just below 2.5; the
+        # loose test keeps those boxes feasible within 1e-3 below the
+        # level, which covers the searched level and the rungs 15, 61 and
+        # 244 ppm below it, and the rung 977 ppm below is the first proved
+        make, box, search = _loose_search("x1 - 0.5", 1e-3)
+        assert search.complete and len(search.dlo)
+        assert 2.49 < search.level < 2.5
+        rungs = []
+
+        def prove(c):
+            rungs.append(c)
+            ok = search.proves(c)
+            fresh = iv.bnb_verify(make(c), box, delta=1e-3)
+            assert ok == isinstance(fresh, iv.Certified), (c, fresh)
+            return vf.ConditionReport("loose", iv.Certified() if ok else fresh, 0.0)
+
+        level, _ = vf._prove_near(prove, search.level, 0.0)
+        assert rungs == [search.level] + [search.level * (1 - 4.0 ** k * 2.0 ** -16)
+                                          for k in range(4)]
+        assert level == rungs[-1]
+
+    def test_search_stopped_at_its_floor_proves_nothing(self):
+        # h > 0 for x1 > 0.5 and for x1 < -0.999; the depth-first order
+        # takes the larger x1 first and drops the delta-boxes at x1 = 0.5,
+        # then a probe at x1 < -0.999 drops the level below the floor.  The
+        # kept delta-boxes are infeasible there, but the region the search
+        # stopped short of refutes the condition
+        make, box, search = _loose_search("(x1 - 0.5) * (x1 + 0.999)", 0.0, floor=2.0)
+        assert not search.complete and search.level <= 2.0 and len(search.dlo)
+        first = make(search.level).antecedents[0]
+        assert np.all(first.contract_boxes(search.dlo, search.dhi)[2])
+        assert not search.proves(search.level)
+        assert isinstance(iv.bnb_verify(make(search.level), box, delta=1e-3), iv.Falsified)
+
+    def test_rejects_nonpositive_epsilon(self, bench_net, bench_local):
+        for epsilon in (0.0, -1e-4):
+            with pytest.raises(ValueError):
+                vf.find_max_level(bench_net, VDP, bench_local, epsilon=epsilon)
+
+    def test_raises_when_no_c1_rung_certifies(self, bench_net, bench_local, monkeypatch):
+        monkeypatch.setattr(iv.LevelSearch, "proves", lambda self, level: False)
         with pytest.raises(vf.NoCertifiableLevel):
             vf.find_max_level(bench_net, VDP, bench_local)
 
     def test_raises_when_no_c2_rung_certifies(self, bench_net, bench_local, monkeypatch):
-        levels = []
+        # the c1 search proves its rung; the band search proves none
+        searches, levels = [], []
+        proves = iv.LevelSearch.proves
 
-        def undecided(net, sys, local, c1, c2, epsilon=1e-4, delta=1e-3, budget=5_000_000):
-            levels.append(c2)
-            report = vf.ConditionReport("decrease", iv.Unknown(sys.domain, delta), 0.0)
-            return vf.RoaCertificate(c1, c2, epsilon, report, report, [], local)
+        def c1_only(self, level):
+            if self not in searches:
+                searches.append(self)
+            if self is searches[0]:
+                return proves(self, level)
+            levels.append(level)
+            return False
 
-        monkeypatch.setattr(vf, "verify_roa", undecided)
+        monkeypatch.setattr(iv.LevelSearch, "proves", c1_only)
         with pytest.raises(vf.NoCertifiableLevel):
             vf.find_max_level(bench_net, VDP, bench_local)
         assert len(levels) == 9
