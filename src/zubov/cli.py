@@ -171,8 +171,10 @@ def _cmd_gen_data(args) -> int:
         cfg["grid"] = _parse_grid(args.grid, sysdef.dim)
     counts = _parse_grid(cfg["grid"], sysdef.dim)
     beta = ode.BetaKind(kind=cfg["train"]["psi_form"], alpha=cfg["train"]["alpha"])
+    stats = ode.IntegratorStats()
     t0 = time.perf_counter()
-    samples = ode.gen_dataset(sysdef, counts, _integrator_from_config(cfg), beta)
+    samples = ode.gen_dataset(sysdef, counts, _integrator_from_config(cfg), beta,
+                              stats=stats)
     seconds = time.perf_counter() - t0
     out = Path(args.out or Path(cfg["out_dir"]) / "dataset.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -185,6 +187,9 @@ def _cmd_gen_data(args) -> int:
         "rows": len(samples),
         "converged": n_conv,
         "gen_seconds": seconds,
+        "integrator": {"accepted_steps": stats.accepted,
+                       "rejected_steps": stats.rejected,
+                       "status": stats.status},
     })
     print(f"wrote {len(samples)} samples ({n_conv} converged) to {out} "
           f"in {seconds:.1f}s")

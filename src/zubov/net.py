@@ -24,6 +24,13 @@ hinge reads the collocation rows' values, so it needs no pass of its
 own.  No autodiff framework is involved, which keeps runs
 bit-reproducible for a fixed seed and lets the verifier reuse the exact
 same weights.
+
+Training does the weight-independent work once per dataset: f(x),
+|x|^2 and the hinge envelopes of every collocation point are computed
+up front, and each step takes its batch's rows of them.  The weights
+and biases being trained are views into one flat parameter vector, and
+each gradient is one flat vector laid out the same way, so an Adam step
+is a few whole-vector operations.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -87,10 +94,6 @@ class Mlp:
 
     def grad_batch(self, X: np.ndarray) -> np.ndarray:
         return input_grad_batch(self, X)[1]
-
-    def clone(self) -> "Mlp":
-        return Mlp(self.layer_sizes, [W.copy() for W in self.weights],
-                   [b.copy() for b in self.biases], self.activation)
 
 
 def init_mlp(layer_sizes, seed_or_rng) -> Mlp:
@@ -230,7 +233,10 @@ class Dataset:
         self.pair_w = np.asarray(self.pair_w, dtype=float).reshape(-1)
         if self.pair_x.shape[0] != self.pair_w.shape[0]:
             raise ValueError("pair_x and pair_w lengths differ")
-        if self.pair_w.size and (self.pair_w.min() < 0 or self.pair_w.max() > 1):
+        for name in ("collocation", "exterior", "pair_x"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} points must be finite")
+        if not np.all((self.pair_w >= 0) & (self.pair_w <= 1)):
             raise ValueError("pair targets must lie in [0, 1]")
 
 
@@ -311,10 +317,24 @@ def zubov_residual(net, sys: dyn.SystemDef, cfg: TrainConfig, x) -> float:
                                       np.asarray(x, dtype=float)[None, :])[0])
 
 
+def _layer_views(flat: np.ndarray, sizes) -> tuple:
+    """Per-layer (out, in) weight and (out,) bias views into one flat
+    vector, laid out layer by layer, weights before biases."""
+    weights, biases, o = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[o:o + fan_out * fan_in].reshape(fan_out, fan_in))
+        o += fan_out * fan_in
+        biases.append(flat[o:o + fan_out])
+        o += fan_out
+    return weights, biases
+
+
 class _GradAccum:
+    """A parameter gradient: one flat vector and per-layer views into it."""
+
     def __init__(self, net: Mlp):
-        self.dW = [np.zeros_like(W) for W in net.weights]
-        self.db = [np.zeros_like(b) for b in net.biases]
+        self.flat = np.zeros(param_count(net))
+        self.dW, self.db = _layer_views(self.flat, net.layer_sizes)
 
 
 def _residual_forward(net: Mlp, X: np.ndarray, F: np.ndarray):
@@ -351,7 +371,7 @@ def _residual_vjp(net: Mlp, states, ybar: np.ndarray,
     abar = ybar[:, None] * Wo
     tbar = ubar[:, None] * Wo
     out.dW[L] += ybar[None, :] @ acts[L] + ubar[None, :] @ taus[L]
-    out.db[L] += np.array([ybar.sum()])  # the tangent stream carries no bias
+    out.db[L] += ybar.sum()     # the tangent stream carries no bias
     for l in range(L - 1, -1, -1):
         s, v, a = sigs[l], vs[l], acts[l + 1]
         vbar = tbar * s
@@ -360,8 +380,9 @@ def _residual_vjp(net: Mlp, states, ybar: np.ndarray,
         zbar = abar * s
         out.dW[l] += zbar.T @ acts[l] + vbar.T @ taus[l]
         out.db[l] += zbar.sum(axis=0)
-        abar = zbar @ net.weights[l]
-        tbar = vbar @ net.weights[l]
+        if l:       # the input rows need no cotangent
+            abar = zbar @ net.weights[l]
+            tbar = vbar @ net.weights[l]
     return out
 
 
@@ -375,10 +396,35 @@ def _hinge_targets(cfg: TrainConfig, X: np.ndarray):
     return inside, beta_transform(cfg.c1_local * n2, b), beta_transform(cfg.c2_local * n2, b)
 
 
+class _Terms(NamedTuple):
+    """What the loss needs of collocation points besides the weights:
+    f(x), |x|^2 and, with the hinge on, its (mask, lower, upper)."""
+
+    f: np.ndarray
+    phi: np.ndarray
+    hinge: Optional[tuple]
+
+    def take(self, rows: np.ndarray) -> "_Terms":
+        hinge = None if self.hinge is None else tuple(a[rows] for a in self.hinge)
+        return _Terms(self.f[rows], self.phi[rows], hinge)
+
+
+def _collocation_terms(sys: dyn.SystemDef, cfg: TrainConfig, Xc: np.ndarray) -> _Terms:
+    hinge = None
+    if cfg.use_local_band and cfg.local_P is not None and cfg.c_local is not None:
+        hinge = _hinge_targets(cfg, Xc)
+    return _Terms(sys.f_many(Xc), np.sum(Xc * Xc, axis=1), hinge)
+
+
+def _mean(a: np.ndarray) -> float:
+    """np.mean of a 1-d array, bit for bit, without its dispatch cost."""
+    return float(a.sum()) / a.shape[0]
+
+
 def _loss_batch(net: Mlp, sys: dyn.SystemDef, cfg: TrainConfig,
                 Xc: np.ndarray, Xe: np.ndarray,
                 Xp: np.ndarray, wp: np.ndarray,
-                want_grad: bool):
+                want_grad: bool, terms: Optional[_Terms] = None):
     """Loss parts on one mini-batch, optionally with the parameter gradient
     of the weighted total.
 
@@ -386,22 +432,25 @@ def _loss_batch(net: Mlp, sys: dyn.SystemDef, cfg: TrainConfig,
     tangent f(x) on the collocation rows and 0 elsewhere, so every loss
     part reads the same outputs y (and u on the collocation rows).  The
     gradient is one reverse pass whose per-row cotangents sum the parts
-    that read each row.
+    that read each row.  ``terms`` are Xc's ``_collocation_terms`` if the
+    caller has them.
     """
+    if terms is None:
+        terms = _collocation_terms(sys, cfg, Xc)
     B, M, D = Xc.shape[0], Xe.shape[0], Xp.shape[0]
     o = B + M                   # the origin row; exterior rows are B:o
     X = np.concatenate([Xc, Xe, np.zeros((1, sys.dim)), Xp])
-    T = np.zeros_like(X)
-    T[:B] = sys.f_many(Xc)
+    T = np.zeros(X.shape)
+    T[:B] = terms.f
     states = _residual_forward(net, X, T)
     y, u = states[4], states[5]
     yc = y[:B]
-    ybar = np.zeros_like(y)
+    ybar = np.zeros(y.shape)
 
     # residual term
-    phi = np.sum(Xc * Xc, axis=1)
+    phi = terms.phi
     r = u[:B] + _psi(cfg, phi, yc) * (1.0 - yc)
-    L_r = float(np.mean(r * r))
+    L_r = _mean(r * r)
     rbar = (2.0 * cfg.lambda_r / B) * r
     if cfg.psi_form == "exp":
         ybar[:B] = rbar * (-cfg.alpha * phi)
@@ -412,30 +461,30 @@ def _loss_batch(net: Mlp, sys: dyn.SystemDef, cfg: TrainConfig,
     L_b = 0.0
     if M:
         d = y[B:o] - 1.0
-        L_b += float(np.mean(d * d))
+        L_b += _mean(d * d)
         ybar[B:o] = (2.0 * cfg.lambda_b / M) * d
     L_b += float(y[o] ** 2)
     ybar[o] = 2.0 * cfg.lambda_b * y[o]
-    if cfg.use_local_band and cfg.local_P is not None and cfg.c_local is not None:
-        inside, lo_t, hi_t = _hinge_targets(cfg, Xc)
-        if np.any(inside):
+    if terms.hinge is not None:
+        inside, lo_t, hi_t = terms.hinge
+        if inside.any():
             wi = yc[inside]
             under = np.maximum(lo_t[inside] - wi, 0.0)
             over = np.maximum(wi - hi_t[inside], 0.0)
-            L_b += float(np.mean(under ** 2 + over ** 2))
+            L_b += _mean(under ** 2 + over ** 2)
             ybar[:B][inside] += (2.0 * cfg.lambda_b / wi.shape[0]) * (over - under)
 
     # data term
     L_d = 0.0
     if D:
         d = y[o + 1:] - wp
-        L_d = float(np.mean(d * d))
+        L_d = _mean(d * d)
         ybar[o + 1:] = (2.0 * cfg.lambda_d / D) * d
 
     parts = LossParts(residual=L_r, boundary=L_b, data=L_d)
     if not want_grad:
         return parts
-    ubar = np.zeros_like(u)
+    ubar = np.zeros(u.shape)
     ubar[:B] = rbar
     return parts, _residual_vjp(net, states, ybar, ubar)
 
@@ -451,11 +500,9 @@ def loss(net: Mlp, data: Dataset, sys: dyn.SystemDef, cfg: TrainConfig):
 # Training (Algorithm: mini-batch Adam on the weighted loss)
 # ---------------------------------------------------------------------------
 
-def _cycle_take(arr: np.ndarray, perm: np.ndarray, start: int, count: int):
-    if arr.shape[0] == 0 or count == 0:
-        return arr[:0]
-    idx = (start + np.arange(count)) % perm.shape[0]
-    return arr[perm[idx]]
+def _cycle_rows(perm: np.ndarray, start: int, count: int) -> np.ndarray:
+    """``count`` entries of ``perm`` from ``start`` on, wrapping around."""
+    return perm[(start + np.arange(count)) % perm.shape[0]]
 
 
 def train(net: Mlp, data: Dataset, sys: dyn.SystemDef, cfg: TrainConfig):
@@ -463,21 +510,25 @@ def train(net: Mlp, data: Dataset, sys: dyn.SystemDef, cfg: TrainConfig):
 
     Stops when the epoch-mean total loss drops below ``loss_threshold``
     or after ``max_epochs``.  Raises DivergedLoss on non-finite loss.
+    The returned network shares no memory with ``net``.
     """
     t0 = time.perf_counter()
-    net = net.clone()
+    theta = np.concatenate([p.ravel() for W, b in zip(net.weights, net.biases)
+                            for p in (W, b)])
+    net = Mlp(net.layer_sizes, *_layer_views(theta, net.layer_sizes), net.activation)
     record = TrainRecord()
     if cfg.max_epochs == 0:
         record.stop_reason = "max_epochs"
         return net, record
     rng = np.random.default_rng(cfg.seed)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    mW = [np.zeros_like(W) for W in net.weights]
-    vW = [np.zeros_like(W) for W in net.weights]
-    mb = [np.zeros_like(b) for b in net.biases]
-    vb = [np.zeros_like(b) for b in net.biases]
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     adam_t = 0
+    terms = _collocation_terms(sys, cfg, data.collocation)
     N = data.collocation.shape[0]
+    n_e = min(cfg.batch, data.exterior.shape[0])
+    n_p = min(cfg.batch, data.pair_x.shape[0])
     steps = max(1, (N + cfg.batch - 1) // cfg.batch)
     stop_reason = "max_epochs"
     for epoch in range(cfg.max_epochs):
@@ -487,13 +538,12 @@ def train(net: Mlp, data: Dataset, sys: dyn.SystemDef, cfg: TrainConfig):
         sums = np.zeros(4)
         for s in range(steps):
             lo = s * cfg.batch
-            Xc = data.collocation[perm_c[lo:lo + cfg.batch]]
-            Xe = _cycle_take(data.exterior, perm_e, lo,
-                             min(cfg.batch, data.exterior.shape[0]))
-            Xp_idx_n = min(cfg.batch, data.pair_x.shape[0])
-            Xp = _cycle_take(data.pair_x, perm_p, lo, Xp_idx_n)
-            wp = _cycle_take(data.pair_w, perm_p, lo, Xp_idx_n)
-            parts, grad = _loss_batch(net, sys, cfg, Xc, Xe, Xp, wp, want_grad=True)
+            rows = perm_c[lo:lo + cfg.batch]
+            Xe = data.exterior[_cycle_rows(perm_e, lo, n_e)]
+            pairs = _cycle_rows(perm_p, lo, n_p)
+            parts, grad = _loss_batch(net, sys, cfg, data.collocation[rows], Xe,
+                                      data.pair_x[pairs], data.pair_w[pairs],
+                                      want_grad=True, terms=terms.take(rows))
             total = parts.total(cfg)
             if not np.isfinite(total):
                 raise DivergedLoss(f"loss became non-finite at epoch {epoch}, step {s}")
@@ -501,14 +551,12 @@ def train(net: Mlp, data: Dataset, sys: dyn.SystemDef, cfg: TrainConfig):
             adam_t += 1
             corr1 = 1.0 - beta1 ** adam_t
             corr2 = 1.0 - beta2 ** adam_t
-            for l in range(len(net.weights)):
-                for p, g, m, v in ((net.weights[l], grad.dW[l], mW[l], vW[l]),
-                                   (net.biases[l], grad.db[l], mb[l], vb[l])):
-                    m *= beta1
-                    m += (1 - beta1) * g
-                    v *= beta2
-                    v += (1 - beta2) * g * g
-                    p -= cfg.lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+            g = grad.flat
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * g * g
+            theta -= cfg.lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
         means = sums / steps
         record.epochs.append(tuple(float(x) for x in means))
         record.epochs_run = epoch + 1

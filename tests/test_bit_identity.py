@@ -1,0 +1,363 @@
+"""The integrator and the training loop against reference implementations.
+
+The references below are the straightforward forms of the two inner
+loops: a Dormand-Prince step that evaluates all seven stages, summed
+with Python's ``sum``; and a training loop that evaluates f(x) and the
+hinge envelopes of every mini-batch and runs Adam array by array.  The
+package's versions reuse the last stage as the next first stage, compute
+the collocation terms once per dataset and update one flat parameter
+vector; they must give the same bits.
+"""
+
+import numpy as np
+import pytest
+
+from zubov import dynamics as dyn
+from zubov import net as nn
+from zubov import ode
+
+VDP = dyn.builtin("reversed_vdp")
+POLY = dyn.builtin("poly2d")
+
+
+# ---------------------------------------------------------------------------
+# Reference integrator
+# ---------------------------------------------------------------------------
+
+def ref_rk_step(rhs, Y, h):
+    k = []
+    for s in range(7):
+        ys = Y if s == 0 else Y + h[:, None] * sum(
+            a * k[j] for j, a in enumerate(ode._A[s]) if a != 0.0)
+        k.append(rhs(ys))
+    y5 = Y + h[:, None] * sum(b * k[j] for j, b in enumerate(ode._B5) if b != 0.0)
+    err = h[:, None] * sum(e * k[j] for j, e in enumerate(ode._E) if e != 0.0)
+    return y5, err
+
+
+def ref_advance(rhs, Y0, cfg, stop_time, classify, on_accept=None, stats=None):
+    Y = Y0.astype(float).copy()
+    t = np.zeros(Y0.shape[0])
+    h = np.full(Y0.shape[0], min(cfg.h_max, 1e-2))
+    status = classify(t, Y).copy()
+    active = status == 0
+    while np.any(active):
+        idx = np.where(active)[0]
+        remaining = stop_time[idx] - t[idx]
+        clipped = remaining < h[idx]
+        h_try = np.where(clipped, remaining, h[idx])
+        y5, err = ref_rk_step(rhs, Y[idx], h_try)
+        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(Y[idx]), np.abs(y5))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            enorm = np.sqrt(np.mean((err / scale) ** 2, axis=1))
+        enorm = np.where(np.isfinite(enorm), enorm, 1e6)
+        accept = enorm <= 1.0
+        with np.errstate(divide="ignore", over="ignore"):
+            factor = np.where(enorm > 0, 0.9 * enorm ** -0.2, 5.0)
+        factor = np.clip(factor, 0.2, 5.0)
+        acc = idx[accept]
+        if acc.size:
+            t[acc] = t[acc] + h_try[accept]
+            Y[acc] = y5[accept]
+            if on_accept is not None:
+                on_accept(acc, t[acc], Y[acc])
+        h_prop = np.minimum(h_try * factor, cfg.h_max)
+        h[idx] = np.where(accept & clipped, h[idx], h_prop)
+        if acc.size:
+            st = classify(t[acc], Y[acc])
+            nonfin = ~np.all(np.isfinite(Y[acc]), axis=1)
+            st = np.where(nonfin & (st == 0), -2, st)
+            status[acc] = st
+        under = idx[(h[idx] < ode.MIN_STEP) & (status[idx] == 0)]
+        status[under] = -1
+        active = status == 0
+    return t, Y, status
+
+
+def ref_estimate_V_batch(sys, X, cfg, tail_P=None, stats=None):
+    n = sys.dim
+    Y0 = np.concatenate([X, np.zeros((X.shape[0], 1))], axis=1)
+
+    def rhs(Ys):
+        out = np.empty_like(Ys)
+        out[:, :n] = sys.f_many(Ys[:, :n])
+        out[:, n] = np.sum(Ys[:, :n] * Ys[:, :n], axis=1)
+        return out
+
+    def classify(t, Y):
+        out = np.zeros(t.shape, dtype=np.int8)
+        r = np.linalg.norm(Y[:, :n], axis=1)
+        out[r > ode.BLOWUP_NORM] = 3
+        out[Y[:, n] >= cfg.value_cap] = 2
+        out[t >= cfg.t_max] = 4
+        out[r <= cfg.stop_radius] = 1
+        return out
+
+    _, Yf, status = ref_advance(rhs, Y0, cfg, np.full(X.shape[0], cfg.t_max), classify)
+    converged = status == 1
+    v = np.full(X.shape[0], np.inf)
+    if np.any(converged):
+        xs = Yf[converged, :n]
+        tail = np.einsum("ki,ij,kj->k", xs, tail_P, xs) if tail_P is not None else 0.0
+        v[converged] = Yf[converged, n] + tail
+    return v, converged
+
+
+@pytest.fixture
+def reference_integrator(monkeypatch):
+    """Swap the reference integrator in for the package's own."""
+    def use():
+        monkeypatch.setattr(ode, "_advance", ref_advance)
+        monkeypatch.setattr(ode, "estimate_V_batch", ref_estimate_V_batch)
+    return use
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+class TestIntegrator:
+    def test_last_stage_is_the_fifth_order_solution(self):
+        assert np.array_equal(ode._A[6], ode._B5[:6]) and ode._B5[6] == 0.0
+
+    def test_stage_points(self):
+        # x' = x from -0.0: the field is -0.0 at every stage
+        growth = dyn.make_system("growth", 1, ["x1"], [[-1.0, 1.0]])
+        Y = np.array([[-0.0], [0.5], [-0.25]])
+        h = np.array([0.1, 0.01, 0.2])
+        points = {"new": [], "ref": []}
+
+        def recorder(key):
+            def rhs(Ys):
+                points[key].append(Ys.copy())
+                return growth.f_many(Ys)
+            return rhs
+
+        y5, err, k7 = ode._rk_step(recorder("new"), Y, h)
+        want_y5, want_err = ref_rk_step(recorder("ref"), Y, h)
+        assert len(points["new"]) == len(points["ref"]) == 7
+        for a, b in zip(points["new"], points["ref"]):
+            assert same_bits(a, b)
+        assert same_bits(y5, want_y5) and same_bits(k7, growth.f_many(y5))
+        assert np.array_equal(err, want_err)
+
+    def test_first_stage_is_the_field_at_the_state(self, monkeypatch):
+        # a stale first stage makes the error estimate too large to ever
+        # shrink, so the integration would crawl instead of failing: check
+        # the stage that each step is given before it is used
+        rk_step, steps = ode._rk_step, []
+
+        def checked(rhs, Y, h, k1):
+            assert same_bits(k1, rhs(Y))
+            steps.append(Y.shape[0])
+            return rk_step(rhs, Y, h, k1)
+
+        monkeypatch.setattr(ode, "_rk_step", checked)
+        ode.gen_dataset(VDP, [12, 12], ode.IntegratorConfig(), ode.BetaKind("tanh", 0.1),
+                        chunk=50)
+        ode.integrate(VDP, [0.5, 0.5], 3.0)
+        assert len(steps) > 100
+
+    @pytest.mark.parametrize("sys", [VDP, POLY], ids=["reversed_vdp", "poly2d"])
+    def test_gen_dataset(self, sys, reference_integrator):
+        beta = ode.BetaKind("tanh", 0.1)
+        cfg = ode.IntegratorConfig()
+        got = ode.gen_dataset(sys, [12, 12], cfg, beta, chunk=50)
+        reference_integrator()
+        want = ode.gen_dataset(sys, [12, 12], cfg, beta, chunk=50)
+        assert len(got) == len(want) == 144
+        assert 0 < sum(s.converged for s in got) < 144
+        for a, b in zip(got, want):
+            assert same_bits(a.x, b.x) and a.converged == b.converged
+            assert same_bits(a.v_hat, b.v_hat) and same_bits(a.w_hat, b.w_hat)
+
+    @pytest.mark.parametrize("sys, x0, t_end", [
+        (VDP, [-0.0, 1.2], 8.0),
+        # x' = x from -0.0: every stage of the field is -0.0
+        (dyn.make_system("growth", 1, ["x1"], [[-1.0, 1.0]]), [-0.0], 1.0),
+    ], ids=["reversed_vdp", "signed_zero"])
+    def test_integrate(self, sys, x0, t_end, reference_integrator):
+        got = ode.integrate(sys, x0, t_end)
+        reference_integrator()
+        want = ode.integrate(sys, x0, t_end)
+        assert len(got) == len(want) > 10
+        for (ta, xa), (tb, xb) in zip(got, want):
+            assert same_bits(ta, tb) and same_bits(xa, xb)
+
+    def test_advance_batch(self, reference_integrator):
+        rng = np.random.default_rng(5)
+        X0 = rng.uniform(-2.5, 2.5, size=(40, 2))
+        X0[:4, 0] = -0.0     # signed zeros in the start states
+        X0[4] = 0.0          # the equilibrium: done before the first step
+        cfg = ode.IntegratorConfig(t_max=20.0)
+
+        def classify(t, X):
+            out = np.zeros(t.shape, dtype=np.int8)
+            out[t >= cfg.t_max] = 2
+            out[np.sum(X * X, axis=1) <= 0.01] = 1
+            return out
+
+        def run():
+            seen = []
+            t, X, status = ode.advance_batch(
+                POLY, X0, classify, cfg,
+                on_accept=lambda rows, t, X: seen.append((rows.copy(), t, X)))
+            return t, X, status, seen
+
+        got = run()
+        reference_integrator()
+        want = run()
+        for a, b in zip(got[:3], want[:3]):
+            assert same_bits(a, b) if a.dtype == float else np.array_equal(a, b)
+        assert len(got[3]) == len(want[3]) > 10
+        for a, b in zip(got[3], want[3]):
+            assert np.array_equal(a[0], b[0]) and same_bits(a[1], b[1]) and same_bits(a[2], b[2])
+        assert {1, -1} <= set(got[2].tolist())    # converged, and escaped
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_squared_norm(self, n):
+        rng = np.random.default_rng(n)
+        Y = rng.standard_normal((257, n + 1)) * rng.uniform(1e-3, 1e3, size=n + 1)
+        X = Y[:, :n]
+        assert same_bits(ode._sq_norm(X), np.sum(X * X, axis=1))
+        assert same_bits(np.sqrt(ode._sq_norm(X)), np.linalg.norm(X, axis=1))
+
+
+# ---------------------------------------------------------------------------
+# Reference training loop
+# ---------------------------------------------------------------------------
+
+def ref_loss_batch(net, sys, cfg, Xc, Xe, Xp, wp):
+    B, M, D = Xc.shape[0], Xe.shape[0], Xp.shape[0]
+    o = B + M
+    X = np.concatenate([Xc, Xe, np.zeros((1, sys.dim)), Xp])
+    T = np.zeros_like(X)
+    T[:B] = sys.f_many(Xc)
+    states = nn._residual_forward(net, X, T)
+    y, u = states[4], states[5]
+    yc = y[:B]
+    ybar = np.zeros_like(y)
+    phi = np.sum(Xc * Xc, axis=1)
+    r = u[:B] + nn._psi(cfg, phi, yc) * (1.0 - yc)
+    L_r = float(np.mean(r * r))
+    rbar = (2.0 * cfg.lambda_r / B) * r
+    if cfg.psi_form == "exp":
+        ybar[:B] = rbar * (-cfg.alpha * phi)
+    else:
+        ybar[:B] = rbar * (-2.0 * cfg.alpha * phi * yc)
+    L_b = 0.0
+    if M:
+        d = y[B:o] - 1.0
+        L_b += float(np.mean(d * d))
+        ybar[B:o] = (2.0 * cfg.lambda_b / M) * d
+    L_b += float(y[o] ** 2)
+    ybar[o] = 2.0 * cfg.lambda_b * y[o]
+    if cfg.use_local_band and cfg.local_P is not None and cfg.c_local is not None:
+        inside, lo_t, hi_t = nn._hinge_targets(cfg, Xc)
+        if np.any(inside):
+            wi = yc[inside]
+            under = np.maximum(lo_t[inside] - wi, 0.0)
+            over = np.maximum(wi - hi_t[inside], 0.0)
+            L_b += float(np.mean(under ** 2 + over ** 2))
+            ybar[:B][inside] += (2.0 * cfg.lambda_b / wi.shape[0]) * (over - under)
+    L_d = 0.0
+    if D:
+        d = y[o + 1:] - wp
+        L_d = float(np.mean(d * d))
+        ybar[o + 1:] = (2.0 * cfg.lambda_d / D) * d
+    ubar = np.zeros_like(u)
+    ubar[:B] = rbar
+    return nn.LossParts(L_r, L_b, L_d), nn._residual_vjp(net, states, ybar, ubar)
+
+
+def ref_cycle_take(arr, perm, start, count):
+    if arr.shape[0] == 0 or count == 0:
+        return arr[:0]
+    return arr[perm[(start + np.arange(count)) % perm.shape[0]]]
+
+
+def ref_train(net, data, sys, cfg):
+    net = nn.Mlp(net.layer_sizes, [W.copy() for W in net.weights],
+                 [b.copy() for b in net.biases])
+    rng = np.random.default_rng(cfg.seed)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    mW = [np.zeros_like(W) for W in net.weights]
+    vW = [np.zeros_like(W) for W in net.weights]
+    mb = [np.zeros_like(b) for b in net.biases]
+    vb = [np.zeros_like(b) for b in net.biases]
+    adam_t = 0
+    N = data.collocation.shape[0]
+    steps = max(1, (N + cfg.batch - 1) // cfg.batch)
+    epochs = []
+    for _ in range(cfg.max_epochs):
+        perm_c = rng.permutation(N)
+        perm_e = rng.permutation(max(1, data.exterior.shape[0]))
+        perm_p = rng.permutation(max(1, data.pair_x.shape[0]))
+        sums = np.zeros(4)
+        for s in range(steps):
+            lo = s * cfg.batch
+            Xc = data.collocation[perm_c[lo:lo + cfg.batch]]
+            Xe = ref_cycle_take(data.exterior, perm_e, lo,
+                                min(cfg.batch, data.exterior.shape[0]))
+            n_p = min(cfg.batch, data.pair_x.shape[0])
+            Xp = ref_cycle_take(data.pair_x, perm_p, lo, n_p)
+            wp = ref_cycle_take(data.pair_w, perm_p, lo, n_p)
+            parts, grad = ref_loss_batch(net, sys, cfg, Xc, Xe, Xp, wp)
+            sums += (parts.total(cfg), parts.residual, parts.boundary, parts.data)
+            adam_t += 1
+            corr1 = 1.0 - beta1 ** adam_t
+            corr2 = 1.0 - beta2 ** adam_t
+            for l in range(len(net.weights)):
+                for p, g, m, v in ((net.weights[l], grad.dW[l], mW[l], vW[l]),
+                                   (net.biases[l], grad.db[l], mb[l], vb[l])):
+                    m *= beta1
+                    m += (1 - beta1) * g
+                    v *= beta2
+                    v += (1 - beta2) * g * g
+                    p -= cfg.lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+        epochs.append(tuple(float(x) for x in sums / steps))
+    return net, epochs
+
+
+@pytest.fixture(scope="module")
+def vdp_data():
+    samples = ode.gen_dataset(VDP, [15, 15], ode.IntegratorConfig(),
+                              ode.BetaKind("tanh", 0.1))
+    P = dyn.solve_lyapunov(VDP.linearization.A, np.eye(2)).P
+    return samples, P
+
+
+class TestTrain:
+    @pytest.mark.parametrize("psi_form", ["tanh", "exp"])
+    def test_matches_reference(self, vdp_data, psi_form):
+        samples, P = vdp_data
+        cfg = nn.TrainConfig(alpha=0.1, psi_form=psi_form, batch=32, max_epochs=2,
+                             loss_threshold=0.0, seed=4, local_P=P, c_local=1.5)
+        if psi_form == "exp":
+            samples = [ode.ValueSample(s.x, s.v_hat, ode.beta_transform(s.v_hat, cfg.beta()),
+                                       s.converged) for s in samples]
+        data = nn.assemble_dataset(samples, cfg, pair_fraction=0.1)
+        N = data.collocation.shape[0]
+        assert N % cfg.batch and 0 < data.pair_x.shape[0] < cfg.batch
+        inside = nn._hinge_targets(cfg, data.collocation)[0]
+        assert np.count_nonzero(inside) >= 5
+        net0 = nn.init_mlp([2, 8, 8, 1], 11)
+        got, record = nn.train(net0, data, VDP, cfg)
+        want, epochs = ref_train(net0, data, VDP, cfg)
+        assert record.epochs == epochs and len(epochs) == 2
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.shape == b.shape and same_bits(a, b)
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_returned_net_shares_no_memory(self, vdp_data, epochs):
+        samples, _ = vdp_data
+        cfg = nn.TrainConfig(max_epochs=epochs, use_local_band=False)
+        data = nn.assemble_dataset(samples, cfg)
+        net0 = nn.init_mlp([2, 6, 1], 0)
+        before = [a.copy() for a in net0.weights + net0.biases]
+        net, _ = nn.train(net0, data, VDP, cfg)
+        for a in net.weights + net.biases:
+            for b in net0.weights + net0.biases:
+                assert not np.shares_memory(a, b)
+        for a, b in zip(net0.weights + net0.biases, before):
+            assert same_bits(a, b)

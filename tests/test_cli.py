@@ -39,6 +39,10 @@ class TestGenData:
         assert meta["rows"] == 201
         assert meta["config"]["system"] == "cubic1d"
         assert meta["seed"] == 7
+        counts = meta["integrator"]
+        assert sum(counts["status"].values()) == 201
+        assert counts["status"]["converged"] == meta["converged"]
+        assert counts["accepted_steps"] > 0 and counts["rejected_steps"] >= 0
 
     def test_grid_flag_overrides(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -160,6 +164,17 @@ class TestConfigErrors:
                    "--net", str(tmp_path / "missing.json")) == 2
         assert run("train", "--system", "cubic1d",
                    "--data", str(tmp_path / "missing.csv")) == 2
+
+    def test_unknown_converged_flag_exit_two(self, cubic_run, tmp_path, capsys):
+        d, cfgfile = cubic_run
+        rows = (d / "dataset.csv").read_text().splitlines()
+        rows[5] = rows[5].rsplit(",", 1)[0] + ",maybe"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        assert run("train", "--config", str(cfgfile), "--data", str(bad),
+                   "--out-dir", str(tmp_path)) == 2
+        assert "line 6" in capsys.readouterr().err
+        assert not (tmp_path / "net.json").exists()
 
     def test_inline_system_definition(self, tmp_path):
         cfg = tmp_path / "run.json"

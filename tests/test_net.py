@@ -282,6 +282,16 @@ class TestDatasetAssembly:
         with pytest.raises(ValueError):
             nn.assemble_dataset(samples, bad, pair_fraction=0.2)
 
+    @pytest.mark.parametrize("field", ["collocation", "exterior", "pair_x", "pair_w"])
+    def test_nan_rejected(self, field):
+        parts = {"collocation": np.ones((3, 2)), "exterior": np.ones((2, 2)),
+                 "pair_x": np.ones((2, 2)), "pair_w": np.full(2, 0.5)}
+        nn.Dataset(**parts)
+        parts[field] = parts[field].copy()
+        parts[field].flat[1] = np.nan
+        with pytest.raises(ValueError):
+            nn.Dataset(**parts)
+
     def test_exterior_from_nonconverged(self):
         samples = ode.gen_dataset(VDP, [15, 15], ode.IntegratorConfig(),
                                   ode.BetaKind("tanh", 0.1))

@@ -141,6 +141,12 @@ class TestBeta:
         with pytest.raises(ValueError):
             ode.beta_transform(-1.0, ode.BetaKind("exp", 1.0))
 
+    @pytest.mark.parametrize("v", [math.nan, [0.5, math.nan]])
+    def test_nan_rejected(self, v):
+        for kind in ("exp", "tanh"):
+            with pytest.raises(ValueError, match="NaN"):
+                ode.beta_transform(v, ode.BetaKind(kind, 1.0))
+
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
             ode.BetaKind("sigmoid", 1.0)
@@ -184,6 +190,28 @@ class TestGenDataset:
         with pytest.raises(ValueError):
             ode.gen_dataset(CUBIC, [1], ode.IntegratorConfig(), ode.BetaKind("exp", 1.0))
 
+    def test_stats_count_every_row_and_step(self, monkeypatch):
+        row_steps = []
+        rk_step = ode._rk_step
+
+        def counted(rhs, Y, h, *rest):
+            row_steps.append(Y.shape[0])
+            return rk_step(rhs, Y, h, *rest)
+
+        monkeypatch.setattr(ode, "_rk_step", counted)
+        stats = ode.IntegratorStats()
+        cfg = ode.IntegratorConfig(t_max=3.0)
+        samples = ode.gen_dataset(VDP, [9, 9], cfg, ode.BetaKind("tanh", 0.1),
+                                  chunk=20, stats=stats)
+        assert sum(stats.status.values()) == len(samples) == 81
+        assert stats.status["converged"] == sum(s.converged for s in samples) > 0
+        assert stats.status["value_cap"] > 0 and stats.status["t_max"] > 0
+        assert stats.accepted + stats.rejected == sum(row_steps)
+        assert stats.accepted > 0 and stats.rejected > 0
+        # a second lattice adds to the same counts
+        ode.gen_dataset(CUBIC, [5], cfg, ode.BetaKind("tanh", 0.1), stats=stats)
+        assert sum(stats.status.values()) == 86
+
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):
@@ -211,6 +239,34 @@ class TestCsv:
         p = tmp_path / "bad.csv"
         p.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
+            ode.load_samples(p)
+
+    GOOD = "x1,x2,v_hat,w_hat,converged\n0.5,0.25,1.5,0.15,true\n2.0,1.0,inf,1.0,false\n"
+
+    def test_inf_value_on_nonconverged_row(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text(self.GOOD)
+        a, b = ode.load_samples(p)
+        assert a.converged and a.v_hat == 1.5
+        assert not b.converged and math.isinf(b.v_hat) and b.w_hat == 1.0
+
+    @pytest.mark.parametrize("row, why", [
+        ("0.1,0.2,1.0,0.1,maybe", "converged flag"),
+        ("0.1,0.2,1.0,0.1,True", "converged flag"),
+        ("0.1,0.2,1.0,0.1,", "converged flag"),
+        ("nan,0.2,1.0,0.1,true", "non-finite coordinate"),
+        ("0.1,inf,inf,1.0,false", "non-finite coordinate"),
+        ("0.1,0.2,nan,0.1,true", "NaN value"),
+        ("0.1,0.2,nan,1.0,false", "NaN value"),
+        ("0.1,0.2,1.0,nan,true", "NaN value"),
+        ("0.1,0.2,inf,1.0,true", "infinite v_hat"),
+        ("0.1,0.2,1.0,0.1", "4 fields"),
+        ("0.1,0.2,x,0.1,true", "could not convert"),
+    ])
+    def test_bad_row_rejected_with_its_line(self, tmp_path, row, why):
+        p = tmp_path / "d.csv"
+        p.write_text(self.GOOD + row + "\n")
+        with pytest.raises(ValueError, match=f"line 4: .*{why}"):
             ode.load_samples(p)
 
 
