@@ -139,9 +139,7 @@ class Linearization:
 
 def linearize(sys: SystemDef) -> Linearization:
     n = sys.dim
-    zero = np.zeros(n)
-    jac = sys.field.jacobian_exprs()
-    A = np.array([[ex.evaluate(jac[i][j], zero) for j in range(n)] for i in range(n)])
+    A = np.array(ex.evaluate(sys.field.jacobian_tape, np.zeros(n))).reshape(n, n)
     # g_i = f_i - sum_j A[i][j] x_j, kept symbolic so Dg can be interval-evaluated
     g_comps = []
     for i in range(n):

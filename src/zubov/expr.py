@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -524,3 +525,9 @@ class VectorField:
     def jacobian_exprs(self) -> list:
         """Row-major list of lists: entry [i][j] = d f_i / d x_j."""
         return [[diff(c, j) for j in range(self.dim)] for c in self.components]
+
+    @cached_property
+    def jacobian_tape(self) -> Tape:
+        """The `jacobian_exprs` entries compiled row-major: output i*n + j
+        is d f_i / d x_j.  Built on first use and kept."""
+        return compile([e for row in self.jacobian_exprs() for e in row])

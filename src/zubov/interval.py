@@ -16,10 +16,10 @@ Two layers live here:
 * A public API: `Box`, enclosures of compiled expressions (`ex.Tape`)
   from one forward loop over their slots, HC4 contraction by that loop
   and a reverse sweep, interval propagation through tanh networks
-  (values and input gradients), and one depth-first splitting loop
-  that serves two ends: `bnb_verify` decides universally quantified
-  implications over a box up to a width threshold ``delta`` (the
-  counterpart of a delta-sat query to an SMT solver), and
+  (values, input gradients and Hessians), and one depth-first
+  splitting loop that serves two ends: `bnb_verify` decides universally
+  quantified implications over a box up to a width threshold
+  ``delta`` (the counterpart of a delta-sat query to an SMT solver), and
   `bnb_minimize` lowers the level of such an implication to about the
   least one at which it fails, keeping the tree's open leaves so that
   the same search proves the implication a little below that level.
@@ -39,8 +39,8 @@ __all__ = [
     "Box", "Condition", "ScalarFn", "ExprFn",
     "Certified", "Falsified", "Unknown", "VerifyOutcome",
     "BudgetExhausted", "UnsupportedPrimitive",
-    "expr_interval_many", "net_interval_many", "hc4_contract", "bnb_verify",
-    "bnb_minimize", "LevelSearch",
+    "expr_interval_many", "net_interval_many", "center_offsets", "hc4_contract",
+    "bnb_verify", "bnb_minimize", "LevelSearch",
 ]
 
 _EPS = np.finfo(np.float64).eps  # 2^-52
@@ -204,6 +204,19 @@ def ksqrt(alo, ahi):
     return np.maximum(lo, 0.0), hi
 
 
+def kintersect(alo, ahi, blo, bhi):
+    """The meet of two sound enclosures of the same values.  Both hold the
+    value, so they meet; should rounding ever make them disjoint, their
+    hull still encloses it."""
+    ilo = np.maximum(alo, blo)
+    ihi = np.minimum(ahi, bhi)
+    bad = ilo > ihi
+    if np.any(bad):
+        ilo[bad] = np.minimum(alo[bad], blo[bad])
+        ihi[bad] = np.maximum(ahi[bad], bhi[bad])
+    return ilo, ihi
+
+
 def _dot_err(absmax_sum: np.ndarray, k_terms: int) -> np.ndarray:
     # forward-error bound for k rounded products plus their rounded sum:
     # |fl(sum) - sum| <= gamma_k * sum |terms| with gamma_k ~ k u (Higham,
@@ -364,12 +377,57 @@ def _net_value_interval(net, alo: np.ndarray, ahi: np.ndarray):
     return alo[:, 0], ahi[:, 0]
 
 
+def center_offsets(lo, hi):
+    """The midpoints m of K boxes, which lie inside them, and an outward
+    enclosure (dlo, dhi) of the offsets B - m: a centered form needs the
+    real x - m for every x in B, not its rounding."""
+    m = 0.5 * (lo + hi)
+    return (m, *ksub(lo, hi, m, m))
+
+
+def _hessian_layer(W, alo, ahi, dlo, dhi, mlo, mhi, cols):
+    """One hidden layer of the second-order stream: the entries p <= q
+    (in `np.triu_indices` order) of
+
+        T_k = s''(z) (WJ)_p (WJ)_q + s'(z) W T_{k-1}
+            = s'(z) (W T_{k-1} - 2 tanh(z) (WJ)_p (WJ)_q),
+
+    from a = tanh(z), d = s'(z), M = W J_{k-1} and T_{k-1} (``cols``: one
+    (K, m) pair per entry, or None where it is exactly 0), with
+    s'' = -2 tanh s'.  The factored form costs one product fewer, and as
+    a product of a sum it is the tighter enclosure (subdistributivity).
+    Entry by entry, the temporaries stay the size of one layer's values."""
+    slo, shi = kscale(-2.0, alo, ahi)
+    out = []
+    for c, (p, q) in enumerate(zip(*np.triu_indices(mlo.shape[2]))):
+        if p == q:
+            olo, ohi = kpow(mlo[:, :, p], mhi[:, :, p], 2)
+        else:
+            olo, ohi = kmul(mlo[:, :, p], mhi[:, :, p], mlo[:, :, q], mhi[:, :, q])
+        olo, ohi = kmul(slo, shi, olo, ohi)
+        if cols is not None:
+            olo, ohi = kadd(olo, ohi, *kaffine(W, None, *cols[c]))
+        out.append(kmul_nonneg(dlo, dhi, olo, ohi))
+    return out
+
+
 def net_interval_many(net, lo: np.ndarray, hi: np.ndarray, want_grad: bool = False,
-                      mean_value: bool = True):
+                      mean_value: bool = True, want_hess: bool = False):
     """Interval enclosures of a tanh network over K boxes.
 
     Returns ``(vlo, vhi)`` of shape (K,), and when ``want_grad`` also
-    ``(glo, ghi)`` of shape (K, n) enclosing the input gradient.
+    ``(glo, ghi)`` of shape (K, n) enclosing the input gradient.  With
+    ``want_hess`` it holds both and ends with ``(hlo, hhi)`` of shape
+    (K, n(n+1)/2) enclosing the Hessian's upper triangle, row by row
+    (the order of `np.triu_indices`).
+
+    One forward pass carries the value, the Jacobian J_k = s'(z) W J_{k-1}
+    and, with ``want_hess``, a second-order stream T_k = s''(z) (WJ)(WJ)'
+    + s'(z) W T_{k-1}, s'' = -2 tanh s' (`_hessian_layer`), on the same
+    outward-rounded kernels; the diagonal squares go through `kpow`.
+    Only the centered form of the decrease condition (`verify.NetLieFn`)
+    reads the Hessian, and value-only callers leave ``want_hess`` off and
+    pay nothing for it.
 
     The value enclosure is the layerwise natural propagation, optionally
     intersected with the mean-value form  W(c) + grad(B) . (B - c),
@@ -379,10 +437,11 @@ def net_interval_many(net, lo: np.ndarray, hi: np.ndarray, want_grad: bool = Fal
     """
     n_in = lo.shape[1]
     alo, ahi = lo, hi
-    need_j = want_grad or mean_value
+    need_j = want_grad or mean_value or want_hess
     if need_j:
         eye = np.broadcast_to(np.eye(n_in), (lo.shape[0], n_in, n_in)).copy()
         jlo, jhi = eye, eye.copy()
+    cols = None   # the Hessian stream, entry by entry; None while it is exactly 0
     last = len(net.weights) - 1
     for i, (W, b) in enumerate(zip(net.weights, net.biases)):
         zlo, zhi = kaffine(W, b, alo, ahi)
@@ -394,11 +453,20 @@ def net_interval_many(net, lo: np.ndarray, hi: np.ndarray, want_grad: bool = Fal
                 s2lo, s2hi = kpow(alo, ahi, 2)
                 dlo = np.clip(_down(1.0 - s2hi, _ULPS_ARITH), 0.0, 1.0)
                 dhi = np.clip(_up(1.0 - s2lo, _ULPS_ARITH), 0.0, 1.0)
+                if want_hess:
+                    cols = _hessian_layer(W, alo, ahi, dlo, dhi, mlo, mhi, cols)
                 jlo, jhi = kmul_nonneg(dlo[:, :, None], dhi[:, :, None], mlo, mhi)
         else:
             alo, ahi = zlo, zhi
             if need_j:
                 jlo, jhi = kmatmul_interval(W, jlo, jhi)
+            if want_hess and cols is None:   # no hidden layer: W_N is affine
+                hlo = np.zeros((lo.shape[0], n_in * (n_in + 1) // 2))
+                hhi = hlo.copy()
+            elif want_hess:
+                out = [kaffine(W, None, *c) for c in cols]   # (K, 1) pairs
+                hlo = np.concatenate([o[0] for o in out], axis=1)
+                hhi = np.concatenate([o[1] for o in out], axis=1)
     vlo, vhi = alo[:, 0], ahi[:, 0]
     glo, ghi = (jlo[:, 0, :], jhi[:, 0, :]) if need_j else (None, None)
     if mean_value:
@@ -408,17 +476,10 @@ def net_interval_many(net, lo: np.ndarray, hi: np.ndarray, want_grad: bool = Fal
         mag = np.maximum(np.abs(glo), np.abs(ghi))
         spread = (mag * rad).sum(axis=1)
         spread = spread + _dot_err(spread, n_in)
-        mlo = _down(fc_lo - spread, _ULPS_ARITH)
-        mhi = _up(fc_hi + spread, _ULPS_ARITH)
-        ilo = np.maximum(vlo, mlo)
-        ihi = np.minimum(vhi, mhi)
-        # both enclosures are sound, so they meet; should rounding ever
-        # make them disjoint, their hull still encloses the value
-        bad = ilo > ihi
-        if np.any(bad):
-            ilo[bad] = np.minimum(vlo[bad], mlo[bad])
-            ihi[bad] = np.maximum(vhi[bad], mhi[bad])
-        vlo, vhi = ilo, ihi
+        vlo, vhi = kintersect(vlo, vhi, _down(fc_lo - spread, _ULPS_ARITH),
+                              _up(fc_hi + spread, _ULPS_ARITH))
+    if want_hess:
+        return vlo, vhi, glo, ghi, hlo, hhi
     return (vlo, vhi, glo, ghi) if want_grad else (vlo, vhi)
 
 

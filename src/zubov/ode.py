@@ -180,8 +180,10 @@ def _advance(rhs, Y0: np.ndarray, cfg: IntegratorConfig,
     """Drive a batch of trajectories until each is classified non-zero.
 
     ``classify(t, Y) -> int8`` per row: 0 keep going, otherwise a caller
-    status code.  Rows also stop with status -1 (step underflow) or -2
-    (non-finite state).  Returns (t, Y, status); ``stats``, if given,
+    status code.  Rows also stop with status -1 (step underflow), -2
+    (non-finite state) or -3 (``stop_time`` reached while ``classify``
+    still says 0: the last step is clipped to it, and a step of 0 would
+    be accepted forever).  Returns (t, Y, status); ``stats``, if given,
     gains the accepted and rejected row-steps.
     """
     K = Y0.shape[0]
@@ -217,13 +219,17 @@ def _advance(rhs, Y0: np.ndarray, cfg: IntegratorConfig,
         # a step clipped to the endpoint says nothing about accuracy limits,
         # so keep the controller value in that case
         h_prop = np.minimum(h_try * factor, cfg.h_max)
-        h[idx] = hi = np.where(accept & clipped, hi, h_prop)
+        landed = accept & clipped       # accepted steps that end at stop_time
+        h[idx] = hi = np.where(landed, hi, h_prop)
         if acc.size:
             ta, Ya = t[acc] + h_try[accept], y5[accept]
             t[acc], Y[acc], k1[acc] = ta, Ya, k7[accept]
             nonfin = ~np.isfinite(Ya).all(axis=1)
             st = classify(ta, Ya)
-            status[acc] = np.where(nonfin & (st == 0), -2, st)
+            st = np.where(nonfin & (st == 0), -2, st)
+            if landed.any():
+                st = np.where(landed[accept] & (st == 0), -3, st)
+            status[acc] = st
             if on_accept is not None:
                 on_accept(acc, ta, Ya)
         under = idx[(hi < MIN_STEP) & (status[idx] == 0)]
@@ -308,8 +314,9 @@ def advance_batch(sys: dyn.SystemDef, X0: np.ndarray,
 
     ``classify(t, X) -> int8`` per row decides when each trajectory is
     done (0 keeps going); ``on_accept(rows, t, X)`` observes accepted
-    steps.  Returns (t, X, status) with status -1 for step underflow and
-    -2 for a non-finite state.
+    steps.  Returns (t, X, status) with status -1 for step underflow, -2
+    for a non-finite state and -3 for a row still unclassified at
+    ``cfg.t_max``.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     return _advance(lambda Ys: sys.f_many(Ys), X0, cfg,

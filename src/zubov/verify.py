@@ -85,20 +85,28 @@ class _NetBoxCache:
     """Shares one interval net evaluation (value + gradient) between the
     several condition functions that look at the same chunk of boxes.
 
+    A cache that serves a `NetLieFn` also carries the Hessian enclosure
+    in that one pass (``hessian``, set by `NetLieFn`); value-only
+    conditions get their own cache and do not pay for it.
+
     The cache keys on the array objects themselves and keeps references
     to them, so an address reused by a later allocation can never alias.
     """
 
     def __init__(self, net):
         self.net = net
+        self.hessian = False
         self._box_key = None
         self._box_val = None
         self._pt_key = None
         self._pt_val = None
 
     def boxes(self, lo, hi):
+        """(vlo, vhi, glo, ghi), then (hlo, hhi) if ``hessian``: see
+        `iv.net_interval_many`."""
         if self._box_key is None or self._box_key[0] is not lo or self._box_key[1] is not hi:
-            self._box_val = iv.net_interval_many(self.net, lo, hi, want_grad=True)
+            self._box_val = iv.net_interval_many(self.net, lo, hi, want_grad=True,
+                                                 want_hess=self.hessian)
             self._box_key = (lo, hi)
         return self._box_val
 
@@ -194,7 +202,7 @@ class NetValueFn(iv.ScalarFn):
         return (w - self.level) if self.sign > 0 else (self.level - w)
 
     def eval_boxes(self, lo, hi):
-        vlo, vhi, _, _ = self.cache.boxes(lo, hi)
+        vlo, vhi = self.cache.boxes(lo, hi)[:2]
         if self.sign > 0:
             return iv.ksub(vlo, vhi, self.level, self.level)
         return iv.ksub(self.level, self.level, vlo, vhi)
@@ -207,27 +215,69 @@ class NetValueFn(iv.ScalarFn):
 
 
 class NetLieFn(iv.ScalarFn):
-    """h(x) = grad W_N(x) . f(x) + offset (so h <= 0 means decrease)."""
+    """h(x) = grad W_N(x) . f(x) + offset (so h <= 0 means decrease).
+
+    Over a box B the enclosure is the meet of two sound ones (Moore,
+    *Interval Analysis*; Neumaier, *Interval Methods for Systems of
+    Equations*, ch. 2):
+
+    * the natural product of the enclosures of grad W_N and f;
+    * the centered form  h(m) + sum_p d_p h(B) (B_p - m_p)  at the
+      midpoint m, with grad h = H_W f + J_f' grad W_N.  H_W comes from
+      the cache's second-order stream, J_f from the compiled tape of
+      the field's Jacobian, h(m) from a degenerate-box pass at m, and
+      B - m is rounded outward (`iv.center_offsets`).
+
+    The natural form suffers the dependency problem even on small boxes;
+    the centered one shrinks with the square of the box width.  Building
+    one makes ``cache`` carry the Hessian.
+    """
 
     def __init__(self, cache: _NetBoxCache, sys: dyn.SystemDef, offset: float):
         self.cache = cache
+        cache.hessian = True
         self.sys = sys
         self.offset = float(offset)
-        self.dim = sys.dim
+        self.dim = n = sys.dim
+        # Hessian entry (i, p) -> its column in the upper triangle
+        tri = np.zeros((n, n), dtype=int)
+        tri[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
+        self._tri = np.maximum(tri, tri.T)
 
     def eval_points(self, X):
         _, g = self.cache.points(X)
         F = self.sys.f_many(X)
         return np.sum(g * F, axis=1) + self.offset
 
-    def eval_boxes(self, lo, hi):
-        _, _, glo, ghi = self.cache.boxes(lo, hi)
-        acc_lo = np.full(lo.shape[0], self.offset)
+    def _natural(self, glo, ghi, F):
+        """offset + sum_i g_i f_i from enclosures of the gradient and of
+        the field's components F."""
+        acc_lo = np.full(glo.shape[0], self.offset)
         acc_hi = acc_lo.copy()
-        for i, (flo, fhi) in enumerate(iv.expr_interval_many(self.sys.field.tape, lo, hi)):
+        for i, (flo, fhi) in enumerate(F):
             plo, phi = iv.kmul(glo[:, i], ghi[:, i], flo, fhi)
             acc_lo, acc_hi = iv.kadd(acc_lo, acc_hi, plo, phi)
         return acc_lo, acc_hi
+
+    def eval_boxes(self, lo, hi):
+        _, _, glo, ghi, hlo, hhi = self.cache.boxes(lo, hi)
+        n = self.dim
+        F = iv.expr_interval_many(self.sys.field.tape, lo, hi)
+        J = iv.expr_interval_many(self.sys.field.jacobian_tape, lo, hi)   # J[i*n + p]
+        tri = self._tri
+        m, dlo, dhi = iv.center_offsets(lo, hi)
+        _, _, gmlo, gmhi = iv.net_interval_many(self.cache.net, m, m, want_grad=True,
+                                                mean_value=False)
+        clo, chi = self._natural(gmlo, gmhi, iv.expr_interval_many(self.sys.field.tape, m, m))
+        for p in range(n):
+            # d_p h = sum_i H_ip f_i + J_ip g_i
+            slo = np.zeros(lo.shape[0])
+            shi = slo.copy()
+            for i in range(n):
+                slo, shi = iv.kadd(slo, shi, *iv.kmul(hlo[:, tri[i, p]], hhi[:, tri[i, p]], *F[i]))
+                slo, shi = iv.kadd(slo, shi, *iv.kmul(*J[i * n + p], glo[:, i], ghi[:, i]))
+            clo, chi = iv.kadd(clo, chi, *iv.kmul(slo, shi, dlo[:, p], dhi[:, p]))
+        return iv.kintersect(*self._natural(glo, ghi, F), clo, chi)
 
     def to_expr(self):
         w = _net_to_expr(self.cache.net)
@@ -505,7 +555,7 @@ def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate,
     if not (0.0 < c1 < c2 < 1.0):
         raise ValueError("need 0 < c1 < c2 < 1")
     cache = _NetBoxCache(net)
-    band = _band_condition(cache, sys, c1, c2, epsilon)
+    band = _band_condition(_NetBoxCache(net), sys, c1, c2, epsilon)
     inclusion = _inclusion_condition(cache, local, c1, sys.dim)
     return RoaCertificate(c1=c1, c2=c2, epsilon=epsilon,
                           decrease=_timed_bnb("decrease", band, sys.domain, delta, budget),
@@ -561,7 +611,9 @@ def find_max_level(net, sys: dyn.SystemDef, local: LocalCertificate,
     for _, face in _face_boxes(sys.domain):
         c2 = iv.bnb_minimize(lambda c: iv.Condition((NetValueFn(cache, c, +1, sys.dim),), fails),
                              c2, face, c1, delta=delta, budget=budget).level
-    level, decrease = search("decrease", lambda c: _band_condition(cache, sys, c1, c, epsilon),
+    band_cache = _NetBoxCache(net)
+    level, decrease = search("decrease",
+                             lambda c: _band_condition(band_cache, sys, c1, c, epsilon),
                              c2, floor=c1)
 
     def prove(c2):

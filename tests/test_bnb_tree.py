@@ -96,7 +96,9 @@ class TestPinnedSearches:
         _, _, cert = vf.find_max_level(net, VDP, local)
         assert cert.certified
         assert cert.inclusion.outcome.boxes_processed == 3453
-        assert cert.decrease.outcome.boxes_processed == 201693
+        # 201,693 with the natural enclosure of grad W_N . f; its centered
+        # form decides the band's boxes much sooner
+        assert cert.decrease.outcome.boxes_processed == 14531
 
 
 def _list_stack_bnb(cond, X, delta, budget, chunk):

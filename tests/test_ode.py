@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -51,6 +52,48 @@ class TestIntegrate:
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
             ode.integrate(CUBIC, [0.1], 0.0)
+
+
+class _Timeout(Exception):
+    pass
+
+
+class TestAdvanceBatch:
+    def test_rows_stop_at_t_max_without_classify(self):
+        # a classify that never stops a row used to step with h = 0 at
+        # t_max forever; the alarm turns such a hang into a failure
+        def alarm(signum, frame):
+            raise _Timeout("advance_batch did not return within 20 s")
+
+        cfg = ode.IntegratorConfig(t_max=0.05)
+        calls = []
+
+        def classify(t, X):
+            calls.append(t.copy())
+            return np.zeros(t.shape, dtype=np.int8)
+
+        old = signal.signal(signal.SIGALRM, alarm)
+        signal.alarm(20)
+        try:
+            t, X, status = ode.advance_batch(VDP, [[0.5, 0.5], [1.0, -1.0]], classify, cfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert status.tolist() == [-3, -3]
+        assert t.tolist() == [0.05, 0.05]
+        assert np.all(np.isfinite(X))
+        assert len(calls) < 100
+        ref = ode.integrate(VDP, [0.5, 0.5], 0.05, cfg)
+        assert np.array_equal(X[0], ref[-1][1])
+
+    def test_classified_rows_keep_their_status(self):
+        cfg = ode.IntegratorConfig(t_max=0.05)
+
+        def classify(t, X):
+            return np.where(t >= cfg.t_max, 7, 0).astype(np.int8)
+
+        _, _, status = ode.advance_batch(VDP, [[0.5, 0.5]], classify, cfg)
+        assert status.tolist() == [7]
 
 
 class TestEstimateV:

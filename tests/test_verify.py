@@ -294,6 +294,18 @@ class TestFindMaxLevel:
         assert (c1, c2) == fresh_levels(net, vdp_local)
         assert vf.verify_roa(net, VDP, vdp_local, c1, c2).certified
 
+    def test_coarse_delta_reaches_the_bisection_level(self, bench_net, bench_local):
+        # with the natural enclosure of grad W_N . f, delta = 4e-3 left the
+        # band undecided next to c1 and certified no level at all
+        c1, c2, cert = vf.find_max_level(bench_net, VDP, bench_local, delta=4e-3)
+        assert cert.certified
+        assert c2 >= 0.7432051
+        assert vf.verify_roa(bench_net, VDP, bench_local, c1, c2, delta=4e-3).certified
+
+    def test_coarse_delta_certifies_the_fixed_levels(self, bench_net, bench_local):
+        cert = vf.verify_roa(bench_net, VDP, bench_local, c1=0.0224, c2=0.74, delta=4e-3)
+        assert cert.certified
+
     def test_reports_carry_the_searches(self, bench_level):
         _, _, cert = bench_level
         for report in (cert.decrease, cert.inclusion):
