@@ -26,11 +26,9 @@ certified region of attraction.
 
 Level searches lower a level with `iv.bnb_minimize` to where its
 condition first fails or stays undecided, then certify it there or on
-the first of eight rungs a little below (`_prove_near`).  In
-`find_max_level` the search tree itself proves the rungs of (a) and (b)
-(`iv.LevelSearch.proves`); `find_max_local_c` proves its rungs with
-fresh `verify_local` calls, which reproduce what `zubov verify-local
---c` decides.
+the first of eight rungs a little below (`_prove_near`).  The search
+tree itself proves the rungs (`iv.LevelSearch.proves`): of the local
+condition in `find_max_local_c`, of (a) and (b) in `find_max_level`.
 """
 
 from __future__ import annotations
@@ -473,24 +471,46 @@ def _prove_near(prove, level: float, floor: float):
     return None
 
 
+def _searched(name, make, level, box, floor, delta, budget):
+    """Lower ``level`` with `iv.bnb_minimize`; return the level reached
+    and, for `_prove_near`, the report at a rung: Certified with the
+    search's box count and seconds where `iv.LevelSearch.proves` holds.
+    Every level search proves its rungs this way."""
+    t0 = time.perf_counter()
+    search = iv.bnb_minimize(make, level, box, floor, delta=delta, budget=budget)
+    seconds = time.perf_counter() - t0
+
+    def report(rung):
+        outcome = (iv.Certified(search.boxes_processed) if search.proves(rung)
+                   else iv.Unknown(box, delta, search.boxes_processed))
+        return ConditionReport(name, outcome, seconds)
+
+    return search.level, report
+
+
 def find_max_local_c(sys: dyn.SystemDef, P: np.ndarray, Q: np.ndarray,
                      r: float, delta: float = 1e-3,
                      budget: int = 5_000_000) -> LocalCertificate:
-    """The certificate of `verify_local` at the largest c it proves.
+    """The local certificate at the largest c its level search proves.
 
     `iv.bnb_minimize` lowers c from the largest x'Px over the domain
     corners to where the condition first fails or stays undecided, and
-    `_prove_near` proves c there or a little below it.
+    `_prove_near` proves c there or a little below it from the search's
+    own tree (`iv.LevelSearch.proves`).  HC4 contracts the ellipsoid
+    antecedent, so a fresh `verify_local` at the returned c builds
+    another tree and may answer Unknown at the same delta.
     """
     corners = sys.domain.corners()
     c_hi = float(np.einsum("ki,ij,kj->k", corners, np.asarray(P, float), corners).max())
-    level = iv.bnb_minimize(lambda c: _local_condition(sys, P, Q, r, c)[0], c_hi, sys.domain,
-                            delta=delta, budget=budget).level
-    found = _prove_near(lambda c: verify_local(sys, P, Q, r, c, delta=delta, budget=budget),
-                        level, 0.0)
+    level, report = _searched("local", lambda c: _local_condition(sys, P, Q, r, c)[0],
+                              c_hi, sys.domain, floor=0.0, delta=delta, budget=budget)
+    found = _prove_near(report, level, 0.0)
     if found is None:
         raise NoCertifiableC(f"not certifiable at or a little below c = {level:g}")
-    return found[1]
+    c, rep = found
+    return LocalCertificate(system=sys.name, P=np.asarray(P, float), Q=np.asarray(Q, float),
+                            r=r, c=c, outcome=rep.outcome, lambda_min_q=dyn.lambda_min(Q),
+                            seconds=rep.seconds)
 
 
 def _face_boxes(box: iv.Box):
@@ -563,22 +583,6 @@ def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate,
                           boundary=_boundary_reports(cache, sys, c2, delta, budget), local=local)
 
 
-def _searched(name, make, level, box, floor, delta, budget):
-    """Lower ``level`` with `iv.bnb_minimize`; return the level reached
-    and, for `_prove_near`, the report at a rung: Certified with the
-    search's box count and seconds where `iv.LevelSearch.proves` holds."""
-    t0 = time.perf_counter()
-    search = iv.bnb_minimize(make, level, box, floor, delta=delta, budget=budget)
-    seconds = time.perf_counter() - t0
-
-    def report(rung):
-        outcome = (iv.Certified(search.boxes_processed) if search.proves(rung)
-                   else iv.Unknown(box, delta, search.boxes_processed))
-        return ConditionReport(name, outcome, seconds)
-
-    return search.level, report
-
-
 def find_max_level(net, sys: dyn.SystemDef, local: LocalCertificate,
                    epsilon: float = 1e-4, delta: float = 1e-3,
                    budget: int = 5_000_000):
@@ -591,10 +595,11 @@ def find_max_level(net, sys: dyn.SystemDef, local: LocalCertificate,
     search's own tree proves the condition a little below it
     (`iv.LevelSearch.proves`), so `_prove_near` walks down its rungs
     without a second search; only the four boundary proofs run afresh,
-    at the c2 rungs.  The conditions' antecedents do not contract, so the
-    tree picks the rung a fresh `verify_roa` would.  The rungs lie above
-    their floors, 0 and c1, and c2 starts below 1, so 0 < c1 < c2 < 1 as
-    `verify_roa` requires.  Returns (c1, c2, RoaCertificate).
+    at the c2 rungs.  Unlike the ellipsoid in `find_max_local_c`, these
+    antecedents do not contract, so here the tree also picks the rung a
+    fresh `verify_roa` would.  The rungs lie above their floors, 0 and
+    c1, and c2 starts below 1, so 0 < c1 < c2 < 1 as `verify_roa`
+    requires.  Returns (c1, c2, RoaCertificate).
     """
     _check_roa_args(local, epsilon)
     cache = _NetBoxCache(net)

