@@ -79,6 +79,10 @@ def load_config(path) -> dict:
     return doc
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def resolve_config(overrides: dict) -> dict:
     """Merge defaults <- file <- explicit values, validating strictly."""
     cfg = json.loads(json.dumps(_DEFAULT_CONFIG))  # deep copy
@@ -95,6 +99,10 @@ def resolve_config(overrides: dict) -> dict:
         _check_keys(cfg["system"], _SYSTEM_KEYS, "system")
     elif not isinstance(cfg["system"], str):
         raise ConfigError("system must be a builtin name or an inline definition")
+    for section in ("integrator", "train", "verify"):
+        for key, default in _DEFAULT_CONFIG[section].items():
+            if _is_number(default) and not _is_number(cfg[section][key]):
+                raise ConfigError(f"{section}.{key} must be a number")
     tr = cfg["train"]
     for field, lo in (("batch", 1), ("max_epochs", 0)):
         if not isinstance(tr[field], int) or tr[field] < lo:
@@ -113,8 +121,13 @@ def _system_from_config(cfg: dict) -> dyn.SystemDef:
     spec = cfg["system"]
     if isinstance(spec, str):
         return dyn.builtin(spec)
-    return dyn.make_system(spec["name"], int(spec["dim"]), spec["components"],
-                           spec["domain"], notes=spec.get("notes", ""))
+    try:
+        return dyn.make_system(spec["name"], int(spec["dim"]), spec["components"],
+                               spec["domain"], notes=spec.get("notes", ""))
+    except KeyError as e:
+        raise ConfigError(f"inline system needs the key {e}") from None
+    except (IndexError, TypeError, ValueError, RecursionError) as e:   # ParseError is a ValueError
+        raise ConfigError(f"inline system: {e}") from None
 
 
 def _integrator_from_config(cfg: dict) -> ode.IntegratorConfig:
@@ -268,6 +281,8 @@ def _cmd_verify_local(args) -> int:
 
 
 def _cmd_verify_roa(args) -> int:
+    if (args.c1 is None) != (args.c2 is None):
+        raise ConfigError("give both --c1 and --c2, or neither to search for them")
     cfg = _gather_config(args)
     sysdef = _system_from_config(cfg)
     net, alpha, psi_form = nn.load_mlp(args.net)

@@ -9,11 +9,15 @@ export (`zubov.verify`) all loop over that list.  The grammar is
 deliberately small: + - * / ^ (non-negative integer exponents only),
 unary minus, and the functions tanh/exp/ln.  Keeping the operator set
 this small means every node has a cheap interval extension and a
-closed-form derivative.
+closed-form derivative.  `parse` reads text with Python's own parser
+(`ast`), whose precedence table is the grammar's once ``^`` is spelled
+``**``, and converts only the grammar's nodes.
 """
 
 from __future__ import annotations
 
+import ast
+import re
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -116,142 +120,10 @@ Expr = Union[Constant, Var, Add, Sub, Mul, Div, Neg, IntPow, Tanh, Exp, Ln]
 # Parsing
 # ---------------------------------------------------------------------------
 
-_FUNCS = ("tanh", "exp", "ln")
-
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("end", "", self.pos)
-        ch = self.text[self.pos]
-        start = self.pos
-        if ch in "+-*/^()":
-            return ("op", ch, start)
-        if ch.isdigit() or ch == ".":
-            j = self.pos
-            seen_dot = False
-            while j < len(self.text) and (self.text[j].isdigit() or (self.text[j] == "." and not seen_dot)):
-                if self.text[j] == ".":
-                    seen_dot = True
-                j += 1
-            # optional exponent part
-            if j < len(self.text) and self.text[j] in "eE":
-                k = j + 1
-                if k < len(self.text) and self.text[k] in "+-":
-                    k += 1
-                if k < len(self.text) and self.text[k].isdigit():
-                    while k < len(self.text) and self.text[k].isdigit():
-                        k += 1
-                    j = k
-            return ("num", self.text[start:j], start)
-        if ch.isalpha() or ch == "_":
-            j = self.pos
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-                j += 1
-            return ("ident", self.text[start:j], start)
-        raise ParseError(f"unexpected character {ch!r}", start)
-
-    def next(self):
-        tok = self.peek()
-        self.pos = tok[2] + len(tok[1])
-        return tok
-
-
-class _Parser:
-    def __init__(self, text: str, dim: int):
-        self.toks = _Tokenizer(text)
-        self.dim = dim
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        kind, val, pos = self.toks.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected token {val!r}", pos)
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, val, _ = self.toks.peek()
-            if kind == "op" and val in "+-":
-                self.toks.next()
-                rhs = self.term()
-                e = Add(e, rhs) if val == "+" else Sub(e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while True:
-            kind, val, _ = self.toks.peek()
-            if kind == "op" and val in "*/":
-                self.toks.next()
-                rhs = self.unary()
-                e = Mul(e, rhs) if val == "*" else Div(e, rhs)
-            else:
-                return e
-
-    def unary(self) -> Expr:
-        kind, val, _ = self.toks.peek()
-        if kind == "op" and val == "-":
-            self.toks.next()
-            return Neg(self.unary())
-        if kind == "op" and val == "+":
-            self.toks.next()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> Expr:
-        e = self.atom()
-        while True:
-            kind, val, _ = self.toks.peek()
-            if kind == "op" and val == "^":
-                self.toks.next()
-                k2, v2, p2 = self.toks.next()
-                if k2 != "num" or any(c in v2 for c in ".eE"):
-                    raise ParseError("exponent must be a non-negative integer literal", p2)
-                e = IntPow(e, int(v2))
-            else:
-                return e
-
-    def atom(self) -> Expr:
-        kind, val, pos = self.toks.next()
-        if kind == "num":
-            return Constant(float(val))
-        if kind == "ident":
-            if val in _FUNCS:
-                k2, v2, p2 = self.toks.next()
-                if not (k2 == "op" and v2 == "("):
-                    raise ParseError(f"expected '(' after {val}", p2)
-                arg = self.expr()
-                k3, v3, p3 = self.toks.next()
-                if not (k3 == "op" and v3 == ")"):
-                    raise ParseError("expected ')'", p3)
-                return {"tanh": Tanh, "exp": Exp, "ln": Ln}[val](arg)
-            if val.startswith("x") and val[1:].isdigit():
-                idx = int(val[1:])
-                if idx < 1:
-                    raise ParseError("variables are named x1, x2, ...", pos)
-                if idx > self.dim:
-                    raise IndexError(f"variable {val} exceeds dimension {self.dim}")
-                return Var(idx - 1)
-            raise ParseError(f"unknown identifier {val!r}", pos)
-        if kind == "op" and val == "(":
-            e = self.expr()
-            k2, v2, p2 = self.toks.next()
-            if not (k2 == "op" and v2 == ")"):
-                raise ParseError("expected ')'", p2)
-            return e
-        raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
+_FUNCS = {"tanh": Tanh, "exp": Exp, "ln": Ln}
+_BINOPS = {ast.Add: Add, ast.Sub: Sub, ast.Mult: Mul, ast.Div: Div}
+_BAD_CHAR = re.compile(r"[^A-Za-z0-9_.+\-*/^()\s]|\*\*", re.ASCII)
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 
 
 def parse(text: str, dim: int) -> Expr:
@@ -259,9 +131,60 @@ def parse(text: str, dim: int) -> Expr:
 
     Precedence: ``^`` (integer exponents only) binds tighter than unary
     minus, which binds tighter than ``* /``, which bind tighter than
-    ``+ -``.  Whitespace is insignificant.
+    ``+ -``; ``a^b^c`` needs parentheses.  Whitespace is insignificant.
+    Any other character, a literal ``**`` and every other Python construct
+    raise `ParseError`, at an offset into ``text`` at or before the fault.
     """
-    return _Parser(text, dim).parse()
+    bad = _BAD_CHAR.search(text)
+    if bad:
+        raise ParseError(f"unexpected {bad.group()!r}", bad.start())
+    # one line without a leading indent, as Python's parser wants; where[i]
+    # is the offset in text of character i of src
+    lead = len(text) - len(text.lstrip())
+    src = re.sub(r"\s", " ", text[lead:], flags=re.ASCII).replace("^", "**")
+    where = [i for i in range(lead, len(text)) for _ in range(1 + (text[i] == "^"))] + [len(text)]
+
+    def at(col) -> int:
+        return where[min(col, len(src))]
+
+    try:
+        tree = ast.parse(src, mode="eval").body
+    except (SyntaxError, ValueError) as e:
+        col = max((getattr(e, "offset", None) or 1) - 1, 0)
+        raise ParseError(getattr(e, "msg", str(e)), at(col)) from None
+
+    def seg(node) -> str:
+        return src[node.col_offset:node.end_col_offset]
+
+    def conv(node) -> Expr:
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            return _BINOPS[type(node.op)](conv(node.left), conv(node.right))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            k = node.right
+            if isinstance(k, ast.BinOp) and isinstance(k.op, ast.Pow):
+                raise ParseError("a^b^c is ambiguous: write (a^b)^c", at(k.col_offset))
+            if not (isinstance(k, ast.Constant) and seg(k).isdigit()):
+                raise ParseError("exponent must be a non-negative integer literal",
+                                 at(k.col_offset))
+            return IntPow(conv(node.left), int(seg(k)))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            arg = conv(node.operand)
+            return Neg(arg) if isinstance(node.op, ast.USub) else arg
+        if isinstance(node, ast.Constant) and _NUMBER.fullmatch(seg(node)):
+            return Constant(float(seg(node)))
+        if isinstance(node, ast.Name) and re.fullmatch(r"x\d+", node.id):
+            idx = int(node.id[1:])
+            if idx < 1:
+                raise ParseError("variables are named x1, x2, ...", at(node.col_offset))
+            if idx > dim:
+                raise IndexError(f"variable {node.id} exceeds dimension {dim}")
+            return Var(idx - 1)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCS and len(node.args) == 1 and not node.keywords):
+            return _FUNCS[node.func.id](conv(node.args[0]))
+        raise ParseError(f"{seg(node)!r} is not in the expression grammar", at(node.col_offset))
+
+    return conv(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +366,8 @@ def diff(e: Expr, var: int) -> Expr:
 # ---------------------------------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+_SYMBOLS = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
+_FUNC_NAMES = {f: name for name, f in _FUNCS.items()}
 
 
 def _prec(e: Expr) -> int:
@@ -470,24 +395,15 @@ def to_str(e: Expr) -> str:
         return repr(e.value)
     if isinstance(e, Var):
         return f"x{e.index + 1}"
-    if isinstance(e, Add):
-        return f"{_wrap(e.left, _PREC_ADD)} + {_wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.left, _PREC_ADD)} - {_wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.left, _PREC_MUL)}*{_wrap(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.left, _PREC_MUL)}/{_wrap(e.right, _PREC_MUL + 1)}"
+    if type(e) in _SYMBOLS:
+        p = _prec(e)
+        return f"{_wrap(e.left, p)}{_SYMBOLS[type(e)]}{_wrap(e.right, p + 1)}"
     if isinstance(e, Neg):
         return f"-{_wrap(e.arg, _PREC_UNARY)}"
     if isinstance(e, IntPow):
         return f"{_wrap(e.base, _PREC_ATOM)}^{e.exponent}"
-    if isinstance(e, Tanh):
-        return f"tanh({to_str(e.arg)})"
-    if isinstance(e, Exp):
-        return f"exp({to_str(e.arg)})"
-    if isinstance(e, Ln):
-        return f"ln({to_str(e.arg)})"
+    if type(e) in _FUNC_NAMES:
+        return f"{_FUNC_NAMES[type(e)]}({to_str(e.arg)})"
     raise TypeError(f"not an Expr node: {e!r}")
 
 

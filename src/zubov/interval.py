@@ -367,16 +367,6 @@ def expr_interval_many(tape, lo: np.ndarray, hi: np.ndarray):
 # identity output).
 # ---------------------------------------------------------------------------
 
-def _net_value_interval(net, alo: np.ndarray, ahi: np.ndarray):
-    """Natural layerwise value enclosure only (no jacobian)."""
-    last = len(net.weights) - 1
-    for i, (W, b) in enumerate(zip(net.weights, net.biases)):
-        alo, ahi = kaffine(W, b, alo, ahi)
-        if i < last:
-            alo, ahi = ktanh(alo, ahi)
-    return alo[:, 0], ahi[:, 0]
-
-
 def center_offsets(lo, hi):
     """The midpoints m of K boxes, which lie inside them, and an outward
     enclosure (dlo, dhi) of the offsets B - m: a centered form needs the
@@ -411,76 +401,80 @@ def _hessian_layer(W, alo, ahi, dlo, dhi, mlo, mhi, cols):
     return out
 
 
-def net_interval_many(net, lo: np.ndarray, hi: np.ndarray, want_grad: bool = False,
-                      mean_value: bool = True, want_hess: bool = False):
-    """Interval enclosures of a tanh network over K boxes.
-
-    Returns ``(vlo, vhi)`` of shape (K,), and when ``want_grad`` also
-    ``(glo, ghi)`` of shape (K, n) enclosing the input gradient.  With
-    ``want_hess`` it holds both and ends with ``(hlo, hhi)`` of shape
-    (K, n(n+1)/2) enclosing the Hessian's upper triangle, row by row
-    (the order of `np.triu_indices`).
+def _natural(net, lo: np.ndarray, hi: np.ndarray, order: int) -> tuple:
+    """The layerwise natural enclosures of a tanh network over K boxes:
+    ``(vlo, vhi)`` of shape (K,), then the input gradient's ``(glo, ghi)``
+    of shape (K, n) if ``order`` >= 1, then the Hessian's upper triangle
+    ``(hlo, hhi)`` of shape (K, n(n+1)/2) if ``order`` is 2.
 
     One forward pass carries the value, the Jacobian J_k = s'(z) W J_{k-1}
-    and, with ``want_hess``, a second-order stream T_k = s''(z) (WJ)(WJ)'
-    + s'(z) W T_{k-1}, s'' = -2 tanh s' (`_hessian_layer`), on the same
-    outward-rounded kernels; the diagonal squares go through `kpow`.
-    Only the centered form of the decrease condition (`verify.NetLieFn`)
-    reads the Hessian, and value-only callers leave ``want_hess`` off and
-    pay nothing for it.
-
-    The value enclosure is the layerwise natural propagation, optionally
-    intersected with the mean-value form  W(c) + grad(B) . (B - c),
-    which is much tighter on small boxes.  The center value W(c) is
-    itself enclosed by a degenerate-box pass so the mean-value bound
-    stays sound under floating point.
+    and the second-order stream T_k = s''(z) (WJ)(WJ)' + s'(z) W T_{k-1},
+    s'' = -2 tanh s' (`_hessian_layer`), on the same outward-rounded
+    kernels; the diagonal squares go through `kpow`.
     """
     n_in = lo.shape[1]
     alo, ahi = lo, hi
-    need_j = want_grad or mean_value or want_hess
-    if need_j:
+    if order:
         eye = np.broadcast_to(np.eye(n_in), (lo.shape[0], n_in, n_in)).copy()
         jlo, jhi = eye, eye.copy()
     cols = None   # the Hessian stream, entry by entry; None while it is exactly 0
     last = len(net.weights) - 1
     for i, (W, b) in enumerate(zip(net.weights, net.biases)):
-        zlo, zhi = kaffine(W, b, alo, ahi)
-        if i < last:
-            alo, ahi = ktanh(zlo, zhi)
-            if need_j:
-                mlo, mhi = kmatmul_interval(W, jlo, jhi)
-                # tanh'(z) = 1 - tanh(z)^2, enclosed from the tanh enclosure
-                s2lo, s2hi = kpow(alo, ahi, 2)
-                dlo = np.clip(_down(1.0 - s2hi, _ULPS_ARITH), 0.0, 1.0)
-                dhi = np.clip(_up(1.0 - s2lo, _ULPS_ARITH), 0.0, 1.0)
-                if want_hess:
-                    cols = _hessian_layer(W, alo, ahi, dlo, dhi, mlo, mhi, cols)
-                jlo, jhi = kmul_nonneg(dlo[:, :, None], dhi[:, :, None], mlo, mhi)
-        else:
-            alo, ahi = zlo, zhi
-            if need_j:
-                jlo, jhi = kmatmul_interval(W, jlo, jhi)
-            if want_hess and cols is None:   # no hidden layer: W_N is affine
-                hlo = np.zeros((lo.shape[0], n_in * (n_in + 1) // 2))
-                hhi = hlo.copy()
-            elif want_hess:
-                out = [kaffine(W, None, *c) for c in cols]   # (K, 1) pairs
-                hlo = np.concatenate([o[0] for o in out], axis=1)
-                hhi = np.concatenate([o[1] for o in out], axis=1)
-    vlo, vhi = alo[:, 0], ahi[:, 0]
-    glo, ghi = (jlo[:, 0, :], jhi[:, 0, :]) if need_j else (None, None)
-    if mean_value:
-        c = 0.5 * (lo + hi)
-        fc_lo, fc_hi = _net_value_interval(net, c, c.copy())
-        rad = _up(np.maximum(hi - c, c - lo), _ULPS_ARITH)
-        mag = np.maximum(np.abs(glo), np.abs(ghi))
-        spread = (mag * rad).sum(axis=1)
-        spread = spread + _dot_err(spread, n_in)
-        vlo, vhi = kintersect(vlo, vhi, _down(fc_lo - spread, _ULPS_ARITH),
-                              _up(fc_hi + spread, _ULPS_ARITH))
-    if want_hess:
-        return vlo, vhi, glo, ghi, hlo, hhi
-    return (vlo, vhi, glo, ghi) if want_grad else (vlo, vhi)
+        alo, ahi = kaffine(W, b, alo, ahi)
+        if i == last:
+            break
+        alo, ahi = ktanh(alo, ahi)
+        if order:
+            mlo, mhi = kmatmul_interval(W, jlo, jhi)
+            # tanh'(z) = 1 - tanh(z)^2, enclosed from the tanh enclosure
+            s2lo, s2hi = kpow(alo, ahi, 2)
+            dlo = np.clip(_down(1.0 - s2hi, _ULPS_ARITH), 0.0, 1.0)
+            dhi = np.clip(_up(1.0 - s2lo, _ULPS_ARITH), 0.0, 1.0)
+            if order == 2:
+                cols = _hessian_layer(W, alo, ahi, dlo, dhi, mlo, mhi, cols)
+            jlo, jhi = kmul_nonneg(dlo[:, :, None], dhi[:, :, None], mlo, mhi)
+    out = (alo[:, 0], ahi[:, 0])
+    if order:
+        jlo, jhi = kmatmul_interval(net.weights[-1], jlo, jhi)
+        out += (jlo[:, 0, :], jhi[:, 0, :])
+    if order == 2 and cols is None:   # no hidden layer: W_N is affine
+        h = np.zeros((lo.shape[0], n_in * (n_in + 1) // 2))
+        out += (h, h.copy())
+    elif order == 2:
+        h = [kaffine(net.weights[-1], None, *c) for c in cols]   # (K, 1) pairs
+        out += (np.concatenate([o[0] for o in h], axis=1),
+                np.concatenate([o[1] for o in h], axis=1))
+    return out
+
+
+def net_interval_many(net, lo: np.ndarray, hi: np.ndarray, want_hess: bool = False):
+    """Interval enclosures of a tanh network over K boxes.
+
+    Returns ``(vlo, vhi, glo, ghi)``: the value, shape (K,), and the input
+    gradient, shape (K, n).  With ``want_hess`` it goes on with
+    ``(gmlo, gmhi)``, the gradient at the midpoints ``center_offsets(lo,
+    hi)[0]``, and ``(hlo, hhi)``, the Hessian's upper triangle row by row
+    (the order of `np.triu_indices`).  Only the centered form of the
+    decrease condition (`verify.NetLieFn`) reads those, and callers that
+    leave ``want_hess`` off pay nothing for them.
+
+    The value enclosure is the layerwise natural one (`_natural`)
+    intersected with the mean-value form  W(c) + grad(B) . (B - c),
+    which is much tighter on small boxes.  The center value W(c) is
+    itself enclosed by a natural pass over the degenerate boxes at c, so
+    the mean-value bound stays sound under floating point.
+    """
+    n_in = lo.shape[1]
+    vlo, vhi, glo, ghi, *hess = _natural(net, lo, hi, 2 if want_hess else 1)
+    c = 0.5 * (lo + hi)
+    fc_lo, fc_hi, *grad_c = _natural(net, c, c, 1 if want_hess else 0)
+    rad = _up(np.maximum(hi - c, c - lo), _ULPS_ARITH)
+    mag = np.maximum(np.abs(glo), np.abs(ghi))
+    spread = (mag * rad).sum(axis=1)
+    spread = spread + _dot_err(spread, n_in)
+    vlo, vhi = kintersect(vlo, vhi, _down(fc_lo - spread, _ULPS_ARITH),
+                          _up(fc_hi + spread, _ULPS_ARITH))
+    return (vlo, vhi, glo, ghi, *grad_c, *hess)
 
 
 # ---------------------------------------------------------------------------

@@ -426,17 +426,18 @@ def save_samples(path, samples: list, dim: int) -> None:
 def load_samples(path) -> list:
     """Read a dataset written by ``save_samples``.
 
-    Raises ValueError, naming the line, on a converged flag other than
-    true/false, a non-finite coordinate or a NaN value; v_hat = inf is
-    valid only on a non-converged row.
+    Raises ValueError naming the file on an empty file or a foreign
+    header, and naming the line on a converged flag other than true/false,
+    a non-finite coordinate or a NaN value; v_hat = inf is valid only on
+    a non-converged row.
     """
     samples = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])   # [] for an empty file
         dim = len(header) - 3
         if dim < 1 or header[dim:] != ["v_hat", "w_hat", "converged"]:
-            raise ValueError(f"unrecognized dataset header: {header}")
+            raise ValueError(f"{path}: unrecognized dataset header: {header}")
         for row in reader:
             try:
                 if len(row) != dim + 3:

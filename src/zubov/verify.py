@@ -83,28 +83,27 @@ class _NetBoxCache:
     """Shares one interval net evaluation (value + gradient) between the
     several condition functions that look at the same chunk of boxes.
 
-    A cache that serves a `NetLieFn` also carries the Hessian enclosure
-    in that one pass (``hessian``, set by `NetLieFn`); value-only
-    conditions get their own cache and do not pay for it.
+    A cache built with ``hessian`` (the one a `NetLieFn` needs) also
+    carries the midpoint gradient and the Hessian enclosure in that one
+    pass; value-only conditions get their own cache and do not pay for it.
 
     The cache keys on the array objects themselves and keeps references
     to them, so an address reused by a later allocation can never alias.
     """
 
-    def __init__(self, net):
+    def __init__(self, net, hessian: bool = False):
         self.net = net
-        self.hessian = False
+        self.hessian = hessian
         self._box_key = None
         self._box_val = None
         self._pt_key = None
         self._pt_val = None
 
     def boxes(self, lo, hi):
-        """(vlo, vhi, glo, ghi), then (hlo, hhi) if ``hessian``: see
-        `iv.net_interval_many`."""
+        """(vlo, vhi, glo, ghi), then (gmlo, gmhi, hlo, hhi) if
+        ``hessian``: see `iv.net_interval_many`."""
         if self._box_key is None or self._box_key[0] is not lo or self._box_key[1] is not hi:
-            self._box_val = iv.net_interval_many(self.net, lo, hi, want_grad=True,
-                                                 want_hess=self.hessian)
+            self._box_val = iv.net_interval_many(self.net, lo, hi, want_hess=self.hessian)
             self._box_key = (lo, hi)
         return self._box_val
 
@@ -223,17 +222,18 @@ class NetLieFn(iv.ScalarFn):
     * the centered form  h(m) + sum_p d_p h(B) (B_p - m_p)  at the
       midpoint m, with grad h = H_W f + J_f' grad W_N.  H_W comes from
       the cache's second-order stream, J_f from the compiled tape of
-      the field's Jacobian, h(m) from a degenerate-box pass at m, and
-      B - m is rounded outward (`iv.center_offsets`).
+      the field's Jacobian, h(m) from the cache's degenerate-box pass at
+      m, and B - m is rounded outward (`iv.center_offsets`).
 
     The natural form suffers the dependency problem even on small boxes;
-    the centered one shrinks with the square of the box width.  Building
-    one makes ``cache`` carry the Hessian.
+    the centered one shrinks with the square of the box width.  ``cache``
+    must be built with ``hessian=True``.
     """
 
     def __init__(self, cache: _NetBoxCache, sys: dyn.SystemDef, offset: float):
+        if not cache.hessian:
+            raise ValueError("NetLieFn needs a _NetBoxCache built with hessian=True")
         self.cache = cache
-        cache.hessian = True
         self.sys = sys
         self.offset = float(offset)
         self.dim = n = sys.dim
@@ -258,14 +258,12 @@ class NetLieFn(iv.ScalarFn):
         return acc_lo, acc_hi
 
     def eval_boxes(self, lo, hi):
-        _, _, glo, ghi, hlo, hhi = self.cache.boxes(lo, hi)
+        _, _, glo, ghi, gmlo, gmhi, hlo, hhi = self.cache.boxes(lo, hi)
         n = self.dim
         F = iv.expr_interval_many(self.sys.field.tape, lo, hi)
         J = iv.expr_interval_many(self.sys.field.jacobian_tape, lo, hi)   # J[i*n + p]
         tri = self._tri
         m, dlo, dhi = iv.center_offsets(lo, hi)
-        _, _, gmlo, gmhi = iv.net_interval_many(self.cache.net, m, m, want_grad=True,
-                                                mean_value=False)
         clo, chi = self._natural(gmlo, gmhi, iv.expr_interval_many(self.sys.field.tape, m, m))
         for p in range(n):
             # d_p h = sum_i H_ip f_i + J_ip g_i
@@ -575,7 +573,7 @@ def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate,
     if not (0.0 < c1 < c2 < 1.0):
         raise ValueError("need 0 < c1 < c2 < 1")
     cache = _NetBoxCache(net)
-    band = _band_condition(_NetBoxCache(net), sys, c1, c2, epsilon)
+    band = _band_condition(_NetBoxCache(net, hessian=True), sys, c1, c2, epsilon)
     inclusion = _inclusion_condition(cache, local, c1, sys.dim)
     return RoaCertificate(c1=c1, c2=c2, epsilon=epsilon,
                           decrease=_timed_bnb("decrease", band, sys.domain, delta, budget),
@@ -616,7 +614,7 @@ def find_max_level(net, sys: dyn.SystemDef, local: LocalCertificate,
     for _, face in _face_boxes(sys.domain):
         c2 = iv.bnb_minimize(lambda c: iv.Condition((NetValueFn(cache, c, +1, sys.dim),), fails),
                              c2, face, c1, delta=delta, budget=budget).level
-    band_cache = _NetBoxCache(net)
+    band_cache = _NetBoxCache(net, hessian=True)
     level, decrease = search("decrease",
                              lambda c: _band_condition(band_cache, sys, c1, c, epsilon),
                              c2, floor=c1)

@@ -222,7 +222,7 @@ def test_c7_soundness_suite():
         net = nn.init_mlp([2, rng.integers(3, 9), rng.integers(3, 9), 1], rng)
         lo = rng.uniform(-2, 1, size=(10, 2))
         hi = lo + rng.uniform(0.01, 2, size=(10, 2))
-        vlo, vhi, glo, ghi = iv.net_interval_many(net, lo, hi, want_grad=True)
+        vlo, vhi, glo, ghi = iv.net_interval_many(net, lo, hi)
         for b in range(10):
             X = rng.uniform(lo[b], hi[b], size=(25, 2))
             vals = net.value_batch(X)

@@ -37,7 +37,7 @@ def _expr_cond(g_texts, h_text, dim):
 
 def _net_band():
     net = nn.init_mlp([2, 3, 1], 3)
-    cache = vf._NetBoxCache(net)
+    cache = vf._NetBoxCache(net, hessian=True)
     return iv.Condition(antecedents=(vf.NetValueFn(cache, 0.2, -1, 2),),
                         consequent=vf.NetLieFn(cache, VDP, 1e-4))
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -103,9 +104,14 @@ class TestHessianStream:
     @given(nets_and_boxes())
     def test_leaves_the_first_order_outputs_bit_for_bit(self, case):
         net, lo, hi, _ = case
-        first = iv.net_interval_many(net, lo, hi, want_grad=True)
+        first = iv.net_interval_many(net, lo, hi)
         second = iv.net_interval_many(net, lo, hi, want_hess=True)
+        assert len(first) == 4 and len(second) == 8
         for a, b in zip(first, second[:4]):
+            assert np.array_equal(a, b)
+        # the midpoint gradient is the natural first-order pass at the centers
+        m = iv.center_offsets(lo, hi)[0]
+        for a, b in zip(iv._natural(net, m, m, 1)[2:], second[4:6]):
             assert np.array_equal(a, b)
 
     def test_affine_net_has_a_zero_hessian(self):
@@ -138,7 +144,7 @@ class TestCenterOffsets:
 
 
 def _lie(net, sys):
-    return vf.NetLieFn(vf._NetBoxCache(net), sys, 1e-4)
+    return vf.NetLieFn(vf._NetBoxCache(net, hessian=True), sys, 1e-4)
 
 
 class TestCenteredLie:
@@ -162,13 +168,17 @@ class TestCenteredLie:
         hi = lo + rng.uniform(2e-4, 1e-2, (2000, 2))
         fn = _lie(net, VDP)
         hlo, hhi = fn.eval_boxes(lo, hi)
-        _, _, glo, ghi = iv.net_interval_many(net, lo, hi, want_grad=True)
+        _, _, glo, ghi = iv.net_interval_many(net, lo, hi)
         nlo, nhi = fn._natural(glo, ghi, iv.expr_interval_many(VDP.field.tape, lo, hi))
         assert np.all((nlo <= hlo) & (hhi <= nhi))
         assert np.median((hhi - hlo) / (nhi - nlo)) < 0.3
         X = _samples(rng, lo, hi, per_box=20)
         h = fn.eval_points(X.reshape(-1, 2)).reshape(X.shape[:2])
         assert np.all(hlo[:, None] <= h) and np.all(h <= hhi[:, None])
+
+    def test_needs_a_hessian_cache(self):
+        with pytest.raises(ValueError, match="hessian"):
+            vf.NetLieFn(vf._NetBoxCache(nn.init_mlp([2, 3, 1], 0)), VDP, 1e-4)
 
     def test_only_the_band_cache_carries_the_hessian(self, monkeypatch):
         net, _, _ = nn.load_mlp(Path(__file__).parents[1] / "bench" / "net_vdp.json")
@@ -200,7 +210,7 @@ class TestBandExport:
         # the SHA-256 of the export before the centered form was added;
         # the enclosure changed, the condition did not
         net = nn.init_mlp([2, 3, 3, 1], 5)
-        cond = vf._band_condition(vf._NetBoxCache(net), VDP, 0.2, 0.8, 1e-4)
+        cond = vf._band_condition(vf._NetBoxCache(net, hessian=True), VDP, 0.2, 0.8, 1e-4)
         text = vf.export_smt2(cond, VDP.domain)
         assert hashlib.sha256(text.encode()).hexdigest() == SMT_SHA256
 

@@ -188,6 +188,50 @@ class TestConfigErrors:
         assert len(ode.load_samples(out)) == 15
 
 
+class TestBadInput:
+    """Malformed input ends in its documented exit code, never a traceback."""
+
+    @pytest.mark.parametrize("components", [["x2", "x3"], ["x1 +", "x2"], ["sin(x1)", "x2"],
+                                            ["x1^2^3", "x2"], "x1", ["-" * 2000 + "x1", "x2"]])
+    def test_malformed_inline_system_is_a_config_error(self, tmp_path, components):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "system": {"name": "bad", "dim": 2, "components": components,
+                       "domain": [[-1, 1], [-1, 1]]},
+            "grid": [3, 3],
+        }))
+        assert run("gen-data", "--config", str(cfg), "--out", str(tmp_path / "d.csv")) == 1
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_inline_system_without_domain(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"system": {"name": "bad", "dim": 1, "components": ["-x1"]}}))
+        assert run("gen-data", "--config", str(cfg), "--out", str(tmp_path / "d.csv")) == 1
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("verify", "delta", "x"), ("integrator", "rtol", "x"), ("train", "lr", "x"),
+        ("train", "batch", True), ("verify", "budget", None), ("integrator", "t_max", [1]),
+    ])
+    def test_non_numeric_value_is_a_config_error(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"system": "cubic1d", section: {key: value}}))
+        assert run("gen-data", "--config", str(cfg), "--out", str(tmp_path / "d.csv")) == 1
+        assert f"{section}.{key} must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", [["--c1", "0.02"], ["--c2", "0.7"]])
+    def test_verify_roa_needs_both_levels_or_neither(self, cubic_run, level):
+        d, _ = cubic_run
+        assert run("verify-roa", "--system", "cubic1d", "--net", str(d / "net.json"),
+                   *level) == 1
+
+    def test_empty_dataset_is_a_runtime_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        assert run("train", "--system", "cubic1d", "--data", str(empty),
+                   "--out-dir", str(tmp_path)) == 2
+        assert "empty.csv" in capsys.readouterr().err
+
+
 class TestGridCommand:
     def test_lattice_csv(self, cubic_run, tmp_path):
         d, _ = cubic_run

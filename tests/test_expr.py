@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from zubov import dynamics as dyn
 from zubov import expr as ex
 
 
@@ -56,6 +59,40 @@ class TestParse:
     def test_variable_beyond_dim(self):
         with pytest.raises(IndexError):
             ex.parse("x3", 2)
+
+    # (text, offset of the offending token): the reported position lies in
+    # the original text, at or before that token
+    @pytest.mark.parametrize("bad, at", [
+        ("x1^2^3", 4), ("0x10", 0), ("1_0", 0), ("1j", 0), ("True", 0), ("x1 % 2", 3),
+        ("x1 < x2", 3), ("tanh(x1, x2)", 7), ("tanh(x=x1)", 6), ("x1.real", 2),
+        ("x1[0]", 2), ("(x1, x2)", 3), ("\uff581", 0), ("x1 ** 2", 3), ("x1 // 2", 3),
+        ("x1 if x2 else x1", 3), ("x1 # note", 3), ("x1)+(x2", 2), ("  x1 ^ x2", 7),
+    ])
+    def test_rejects_python_only_syntax(self, bad, at):
+        with pytest.raises(ex.ParseError) as info:
+            ex.parse(bad, 2)
+        assert 0 <= info.value.position <= at
+
+    def test_chained_power_asks_for_parentheses(self):
+        with pytest.raises(ex.ParseError, match=r"\(a\^b\)\^c"):
+            ex.parse("x1^2^3", 1)
+        assert ex.parse("(x1^2)^3", 1) == ex.IntPow(ex.IntPow(ex.Var(0), 2), 3)
+
+    def test_leading_whitespace_tabs_and_newlines(self):
+        assert ex.parse("\t x1\n+ x2 ", 2) == ex.Add(ex.Var(0), ex.Var(1))
+
+    def test_builtin_components(self):
+        x1, x2 = ex.Var(0), ex.Var(1)
+        one, two, three = ex.Constant(1.0), ex.Constant(2.0), ex.Constant(3.0)
+        expect = {
+            "cubic1d": (ex.Add(ex.Neg(x1), ex.IntPow(x1, 3)),),
+            "reversed_vdp": (ex.Neg(x2), ex.Sub(x1, ex.Mul(ex.Sub(one, ex.IntPow(x1, 2)), x2))),
+            "poly2d": (x2, ex.Sub(ex.Add(ex.Mul(ex.Neg(two), x1),
+                                         ex.Mul(ex.Div(one, three), ex.IntPow(x1, 3))), x2)),
+        }
+        assert set(expect) == set(dyn.BUILTIN_NAMES)
+        for name, comps in expect.items():
+            assert dyn.builtin(name).field.components == comps
 
 
 class TestEval:
@@ -174,6 +211,24 @@ class TestProperties:
             finite = np.isfinite(a)
             # exact double equality on the evaluable points
             assert np.array_equal(a[finite], b[finite]), text
+
+
+def _nonneg(e):
+    """``e`` with every constant replaced by its absolute value."""
+    if isinstance(e, ex.Constant):
+        return ex.Constant(abs(e.value))
+    return dataclasses.replace(e, **{f.name: _nonneg(getattr(e, f.name))
+                                     for f in dataclasses.fields(e)
+                                     if f.name in ("left", "right", "arg", "base")})
+
+
+def test_print_parse_roundtrip_is_structural():
+    # a negative constant prints with a leading minus and reads back as Neg,
+    # so the trees here have non-negative constants
+    rng = np.random.default_rng(99)
+    for _ in range(3000):
+        e = _nonneg(random_expr(rng, 3, depth=5))
+        assert ex.parse(ex.to_str(e), 3) == e, ex.to_str(e)
 
 
 class TestVectorField:

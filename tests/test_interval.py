@@ -25,7 +25,7 @@ def _expr_encl(e, lo, hi):
 
 
 def _net_encl(net, lo, hi):
-    return _finite_pair(*iv.net_interval_many(net, *_one_box(lo, hi)))
+    return _finite_pair(*iv.net_interval_many(net, *_one_box(lo, hi))[:2])
 
 
 class TestIntervalBox:
@@ -135,7 +135,7 @@ class TestNetInterval:
             net = nn.init_mlp([2, 6, 4, 1], rng)
             lo = rng.uniform(-2, 0, size=2)
             hi = lo + rng.uniform(0.01, 1.5, size=2)
-            _, _, glo, ghi = iv.net_interval_many(net, *_one_box(lo, hi), want_grad=True)
+            _, _, glo, ghi = iv.net_interval_many(net, *_one_box(lo, hi))
             X = rng.uniform(lo, hi, size=(500, 2))
             G = net.grad_batch(X)
             for i in range(2):
@@ -148,8 +148,8 @@ class TestNetInterval:
         net = nn.init_mlp([2, 8, 8, 1], rng)
         lo = np.array([0.3, -0.2])
         hi = np.array([0.5, 0.1])
-        nat = iv.net_interval_many(net, lo[None, :], hi[None, :], mean_value=False)
-        mv = iv.net_interval_many(net, lo[None, :], hi[None, :], mean_value=True)
+        nat = iv._natural(net, lo[None, :], hi[None, :], 0)
+        mv = iv.net_interval_many(net, lo[None, :], hi[None, :])
         assert mv[1][0] - mv[0][0] <= nat[1][0] - nat[0][0]
 
     def test_nonneg_product_is_kmul_bit_for_bit(self):
@@ -288,7 +288,7 @@ class TestBnb:
                 return net.value_batch(X) - 5.0
 
             def eval_boxes(self, lo, hi):
-                vlo, vhi = iv.net_interval_many(net, lo, hi)
+                vlo, vhi = iv.net_interval_many(net, lo, hi)[:2]
                 return vlo - 5.0, vhi - 5.0
 
         cond = iv.Condition(antecedents=(), consequent=NetFn())

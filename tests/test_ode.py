@@ -284,6 +284,12 @@ class TestCsv:
         with pytest.raises(ValueError):
             ode.load_samples(p)
 
+    def test_empty_file_rejected_by_name(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("")
+        with pytest.raises(ValueError, match="empty.csv"):
+            ode.load_samples(p)
+
     GOOD = "x1,x2,v_hat,w_hat,converged\n0.5,0.25,1.5,0.15,true\n2.0,1.0,inf,1.0,false\n"
 
     def test_inf_value_on_nonconverged_row(self, tmp_path):

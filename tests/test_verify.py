@@ -233,7 +233,8 @@ def fresh_levels(net, local, epsilon=1e-4, delta=1e-3, budget=5_000_000):
         c2 = iv.bnb_minimize(
             lambda c: iv.Condition((vf.NetValueFn(cache, c, +1, VDP.dim),), fails),
             c2, face, c1, delta=delta, budget=budget).level
-    c2 = iv.bnb_minimize(lambda c: vf._band_condition(cache, VDP, c1, c, epsilon),
+    band_cache = vf._NetBoxCache(net, hessian=True)
+    c2 = iv.bnb_minimize(lambda c: vf._band_condition(band_cache, VDP, c1, c, epsilon),
                          c2, VDP.domain, c1, delta=delta, budget=budget).level
     c2, _ = vf._prove_near(lambda c: vf.verify_roa(net, VDP, local, c1, c, epsilon=epsilon,
                                                    delta=delta, budget=budget), c2, c1)
@@ -464,7 +465,7 @@ class TestExportSmt2:
 
     def test_one_tanh_per_hidden_unit(self, vdp_local):
         net = nn.init_mlp([2, 1, 1], 3)  # single hidden unit
-        cache = vf._NetBoxCache(net)
+        cache = vf._NetBoxCache(net, hessian=True)
         cond = iv.Condition(
             antecedents=(vf.NetValueFn(cache, 0.2, -1, 2),
                          vf.NetValueFn(cache, 0.8, +1, 2)),
@@ -472,7 +473,7 @@ class TestExportSmt2:
         text = vf.export_smt2(cond, VDP.domain)
         assert text.count("(tanh") == 1
         net3 = nn.init_mlp([2, 3, 1], 3)
-        cache3 = vf._NetBoxCache(net3)
+        cache3 = vf._NetBoxCache(net3, hessian=True)
         cond3 = iv.Condition(
             antecedents=(vf.NetValueFn(cache3, 0.2, -1, 2),),
             consequent=vf.NetLieFn(cache3, VDP, 1e-4))
