@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -80,7 +81,8 @@ def load_config(path) -> dict:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite int or float: json reads NaN and Infinity, which no key takes."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def resolve_config(overrides: dict) -> dict:
@@ -102,7 +104,7 @@ def resolve_config(overrides: dict) -> dict:
     for section in ("integrator", "train", "verify"):
         for key, default in _DEFAULT_CONFIG[section].items():
             if _is_number(default) and not _is_number(cfg[section][key]):
-                raise ConfigError(f"{section}.{key} must be a number")
+                raise ConfigError(f"{section}.{key} must be a number, got {cfg[section][key]!r}")
     tr = cfg["train"]
     for field, lo in (("batch", 1), ("max_epochs", 0)):
         if not isinstance(tr[field], int) or tr[field] < lo:
@@ -135,12 +137,9 @@ def _integrator_from_config(cfg: dict) -> ode.IntegratorConfig:
 
 
 def _train_config(cfg: dict, local: "vf.LocalCertificate | None") -> nn.TrainConfig:
-    tr = cfg["train"]
-    kwargs = dict(alpha=tr["alpha"], psi_form=tr["psi_form"], batch=tr["batch"],
-                  lr=tr["lr"], max_epochs=tr["max_epochs"],
-                  loss_threshold=tr["loss_threshold"], lambda_r=tr["lambda_r"],
-                  lambda_b=tr["lambda_b"], lambda_d=tr["lambda_d"],
-                  seed=cfg["seed"], use_local_band=tr["use_local_band"])
+    # every train key but the network's shape and the pair share is a TrainConfig field
+    kwargs = {k: v for k, v in cfg["train"].items() if k not in ("hidden", "pair_fraction")}
+    kwargs["seed"] = cfg["seed"]
     if local is not None and local.certified:
         kwargs.update(local_P=local.P, c_local=local.c)
     return nn.TrainConfig(**kwargs)
@@ -192,7 +191,7 @@ def _cmd_gen_data(args) -> int:
     out = Path(args.out or Path(cfg["out_dir"]) / "dataset.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     ode.save_samples(out, samples, sysdef.dim)
-    n_conv = sum(s.converged for s in samples)
+    n_conv = int(np.count_nonzero(samples.converged))
     _write_json(str(out) + ".meta.json", {
         "kind": "dataset",
         "config": cfg,
@@ -341,8 +340,12 @@ def _cmd_report(args) -> int:
     if not net_path.exists():
         raise ConfigError(f"no net.json under {run_dir}")
     net, alpha, psi_form = nn.load_mlp(net_path)
-    with open(net_path) as fh:
-        net_doc = json.load(fh)
+
+    def read(name):
+        return json.loads((run_dir / name).read_text()) if (run_dir / name).exists() else {}
+
+    data, roa, net_meta = read("dataset.csv.meta.json"), read("roa_cert.json"), \
+        read("net.json").get("meta", {})
     hidden = list(net.layer_sizes[1:-1])
     row = {
         "layers": len(hidden),
@@ -350,44 +353,34 @@ def _cmd_report(args) -> int:
         "params": nn.param_count(net),
         "alpha": alpha,
         "psi_form": psi_form,
-        "data_gen_seconds": None,
+        "data_gen_seconds": data.get("gen_seconds"),
         "train_seconds": None,
         "epochs": None,
         "final_loss": None,
-        "verify_seconds": None,
-        "verified_level": None,
-        "volume_percent": None,
+        "verify_seconds": roa.get("seconds"),
+        "verified_level": roa["c2"] if roa.get("certified") else None,
+        "volume_percent": roa.get("volume_percent"),
+        "integrator": data.get("integrator"),
     }
-    meta = run_dir / "dataset.csv.meta.json"
-    if meta.exists():
-        with open(meta) as fh:
-            row["data_gen_seconds"] = json.load(fh).get("gen_seconds")
     record = run_dir / "train_record.csv"
     if record.exists():
         with open(record, newline="") as fh:
             rows = [r for r in csv.reader(fh) if r]
         body = [r for r in rows[1:] if r[0].isdigit()]
         if body:
-            row["epochs"] = int(body[-1][0])
-            row["final_loss"] = float(body[-1][1])
-        for r in rows:
-            if r and r[0] == "wall_time_s":
-                row["train_seconds"] = float(r[1])
-    roa = run_dir / "roa_cert.json"
-    if roa.exists():
-        with open(roa) as fh:
-            doc = json.load(fh)
-        if doc.get("certified"):
-            row["verified_level"] = doc["c2"]
-        row["verify_seconds"] = doc.get("seconds")
-        row["volume_percent"] = doc.get("volume_percent")
+            row["epochs"], row["final_loss"] = int(body[-1][0]), float(body[-1][1])
+        row["train_seconds"] = next((float(r[1]) for r in rows if r[0] == "wall_time_s"), None)
     _write_json(run_dir / "report.json", {"kind": "report", "row": row,
-                                          "config": net_doc.get("meta", {}).get("config"),
-                                          "seed": net_doc.get("meta", {}).get("seed")})
+                                          "config": net_meta.get("config"),
+                                          "seed": net_meta.get("seed")})
     cells = [str(row[k]) for k in ("layers", "width", "params", "data_gen_seconds",
                                    "train_seconds", "epochs", "final_loss",
                                    "verify_seconds", "verified_level", "volume_percent")]
     print("\t".join(cells))
+    counts = row["integrator"]
+    if counts:
+        print(f"integrator: {counts['accepted_steps']} accepted and {counts['rejected_steps']} "
+              "rejected steps; " + ", ".join(f"{n} {k}" for k, n in counts["status"].items()))
     return EXIT_OK
 
 
@@ -402,11 +395,7 @@ def _cmd_grid(args) -> int:
     w = net.value_batch(pts)
     out = Path(args.out or Path(cfg["out_dir"]) / "wgrid.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow([f"x{i + 1}" for i in range(sysdef.dim)] + ["W"])
-        for i in range(pts.shape[0]):
-            wr.writerow([repr(float(v)) for v in pts[i]] + [repr(float(w[i]))])
+    ode.write_csv(out, [f"x{i + 1}" for i in range(sysdef.dim)] + ["W"], [*pts.T, w])
     _write_json(str(out) + ".meta.json", {"kind": "wgrid", "config": cfg,
                                           "seed": cfg["seed"], "net": str(args.net)})
     print(f"wrote {pts.shape[0]} lattice values to {out}")

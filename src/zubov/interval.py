@@ -714,7 +714,7 @@ def _bnb(cond: Condition, X: Box, delta: float, budget: int, chunk: int):
     delta-boxes and bisecting the other survivors.  An empty stack yields
     the box count alone.  Raises ``BudgetExhausted`` past ``budget`` boxes.
     """
-    if delta <= 0:
+    if not delta > 0:   # NaN fails too
         raise ValueError("delta must be positive")
     if budget < 1:
         raise ValueError("budget must be >= 1")

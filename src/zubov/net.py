@@ -43,14 +43,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import dynamics as dyn
-from . import expr as ex
-from .ode import BetaKind, beta_transform
+from .ode import BetaKind, ValueGrid, beta_transform
 
 __all__ = [
     "Mlp", "TrainConfig", "Dataset", "TrainRecord", "LossParts",
-    "DivergedLoss", "ExprCandidate",
+    "DivergedLoss",
     "init_mlp", "forward", "forward_batch", "input_grad", "input_grad_batch",
-    "zubov_residual", "zubov_residual_batch", "loss", "train",
+    "zubov_residual_batch", "loss", "train",
     "assemble_dataset", "save_mlp", "load_mlp", "param_count",
 ]
 
@@ -154,23 +153,6 @@ def input_grad(net: Mlp, x) -> np.ndarray:
     return input_grad_batch(net, np.asarray(x, dtype=float)[None, :])[1][0]
 
 
-class ExprCandidate:
-    """Closed-form candidate wrapping an expression; same duck interface
-    as Mlp where W values and input gradients are needed."""
-
-    def __init__(self, e: ex.Expr, dim: int):
-        self.expr = e
-        self.dim = dim
-        self._value = ex.compile([e])
-        self._grads = ex.compile([ex.diff(e, i) for i in range(dim)])
-
-    def value_batch(self, X: np.ndarray) -> np.ndarray:
-        return ex.evaluate_many(self._value, np.atleast_2d(X))[0]
-
-    def grad_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.stack(ex.evaluate_many(self._grads, np.atleast_2d(X)), axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Configuration / data containers
 # ---------------------------------------------------------------------------
@@ -240,7 +222,7 @@ class Dataset:
             raise ValueError("pair targets must lie in [0, 1]")
 
 
-def assemble_dataset(samples: list, cfg: TrainConfig,
+def assemble_dataset(samples: ValueGrid, cfg: TrainConfig,
                      pair_fraction: float = 0.0,
                      rng: Optional[np.random.Generator] = None) -> Dataset:
     """Build a training set from simulated value samples.
@@ -249,10 +231,7 @@ def assemble_dataset(samples: list, cfg: TrainConfig,
     pairs = a random fraction of all samples with their w targets.
     Converged targets must agree with the configured value transform.
     """
-    X = np.stack([s.x for s in samples])
-    conv = np.array([s.converged for s in samples])
-    w = np.array([s.w_hat for s in samples])
-    v = np.array([s.v_hat for s in samples])
+    X, v, w, conv = samples.X, samples.v, samples.w, samples.converged
     expect = beta_transform(v[conv], cfg.beta()) if np.any(conv) else np.empty(0)
     if expect.size and not np.allclose(w[conv], expect, atol=1e-12):
         raise ValueError("sample w targets disagree with the configured "
@@ -310,11 +289,6 @@ def zubov_residual_batch(net, sys: dyn.SystemDef, cfg: TrainConfig,
     F = sys.f_many(X)
     phi = np.sum(X * X, axis=1)
     return np.sum(g * F, axis=1) + _psi(cfg, phi, w) * (1.0 - w)
-
-
-def zubov_residual(net, sys: dyn.SystemDef, cfg: TrainConfig, x) -> float:
-    return float(zubov_residual_batch(net, sys, cfg,
-                                      np.asarray(x, dtype=float)[None, :])[0])
 
 
 def _layer_views(flat: np.ndarray, sizes) -> tuple:

@@ -8,23 +8,27 @@ origin (converged; a quadratic tail estimate is added), or when the
 accumulated value crosses a cap / the time horizon runs out / the state
 blows up (not converged; the value is reported as +inf).
 
-The stepper is vectorized over a whole batch of trajectories: every
-trajectory keeps its own step size and all active ones advance in
-lockstep, which is what makes dense value-grid generation cheap.  The
-tableau is first-same-as-last: the seventh stage is evaluated at the
+The stepper is vectorized over a pool of at most ``POOL_ROWS``
+trajectories: each keeps its own step size, the pool advances in
+lockstep, and a finished row's slot goes to the next waiting row, so a
+whole lattice runs as one batch in bounded memory.  Every operation is
+row-wise, so a row's bits do not depend on which rows share its steps.
+The tableau is first-same-as-last: the seventh stage is evaluated at the
 fifth-order solution itself, so each row keeps its next first stage
 (the last stage of its accepted step, or its old first stage after a
 rejection) and a step costs six field evaluations, not seven.  The
 results are bit-equal to recomputing the first stage.
 
 Each run counts its accepted and rejected row-steps and the final
-status of every row (``IntegratorStats``).
+status of every row (``IntegratorStats``).  Value data travels as the
+columns of a ``ValueGrid``, and its CSV is written and read a block of
+rows at a time.
 """
 
 from __future__ import annotations
 
-import csv
-import math
+import io
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -33,14 +37,15 @@ import numpy as np
 from . import dynamics as dyn
 
 __all__ = [
-    "IntegratorConfig", "IntegratorStats", "ValueSample", "BetaKind",
+    "IntegratorConfig", "IntegratorStats", "ValueSample", "ValueGrid", "BetaKind",
     "BlowUp", "StepUnderflow",
-    "integrate", "estimate_V", "estimate_V_batch", "beta_transform",
+    "integrate", "estimate_V_batch", "beta_transform",
     "gen_dataset", "save_samples", "load_samples",
 ]
 
 BLOWUP_NORM = 1e6
 MIN_STEP = 1e-12
+POOL_ROWS = 4096     # rows in flight at once in _advance: bounds per-step memory
 
 # Dormand-Prince 5(4) tableau (stage times are not needed: systems here
 # are autonomous)
@@ -102,6 +107,23 @@ class ValueSample:
     v_hat: float          # +inf when the cost diverges
     w_hat: float
     converged: bool
+
+
+@dataclass(frozen=True, eq=False)
+class ValueGrid(Sequence):
+    """Value data as columns; it reads as a sequence of ValueSample rows."""
+
+    X: np.ndarray           # (K, n) points
+    v: np.ndarray           # v_hat, +inf where the cost diverges
+    w: np.ndarray           # w_hat
+    converged: np.ndarray
+
+    def __len__(self) -> int:
+        return self.X.shape[0]
+
+    def __getitem__(self, i) -> ValueSample:
+        return ValueSample(self.X[i].copy(), float(self.v[i]), float(self.w[i]),
+                           bool(self.converged[i]))
 
 
 # final status of a value-data row, by the code estimate_V_batch gives it
@@ -179,30 +201,29 @@ def _advance(rhs, Y0: np.ndarray, cfg: IntegratorConfig,
              stats: Optional[IntegratorStats] = None):
     """Drive a batch of trajectories until each is classified non-zero.
 
-    ``classify(t, Y) -> int8`` per row: 0 keep going, otherwise a caller
-    status code.  Rows also stop with status -1 (step underflow), -2
-    (non-finite state) or -3 (``stop_time`` reached while ``classify``
-    still says 0: the last step is clipped to it, and a step of 0 would
-    be accepted forever).  Returns (t, Y, status); ``stats``, if given,
-    gains the accepted and rejected row-steps.
+    ``classify(t, Y) -> int8`` per row, from the row's own (t, Y): 0 keep
+    going, otherwise a caller status code.  Rows also stop with status -1
+    (step underflow), -2 (non-finite state) or -3 (``stop_time`` reached
+    while ``classify`` still says 0: the last step is clipped to it, and a
+    step of 0 would be accepted forever).  ``on_accept(rows, t, Y)`` sees
+    the accepted steps by batch row index.  Returns (t, Y, status);
+    ``stats``, if given, gains the accepted and rejected row-steps.
     """
-    K = Y0.shape[0]
-    Y = Y0.astype(float).copy()
-    t = np.zeros(K)
-    h = np.full(K, min(cfg.h_max, 1e-2))
-    status = classify(t, Y).copy()
-    active = status == 0
-    k1 = np.empty_like(Y)       # each row's next first stage, rhs(Y)
-    if np.any(active):
-        k1[active] = rhs(Y[active])
-    while np.any(active):
-        idx = np.flatnonzero(active)
-        Yi, hi = Y[idx], h[idx]
-        remaining = stop_time[idx] - t[idx]
-        clipped = remaining < hi
-        h_try = np.where(clipped, remaining, hi)
-        y5, err, k7 = _rk_step(rhs, Yi, h_try, k1[idx])
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(Yi), np.abs(y5))
+    t_out, Y_out = np.zeros(Y0.shape[0]), Y0.astype(float)
+    status = classify(t_out, Y_out).astype(np.int8)
+    # the pool: batch row indices, t, Y, h, stop time and each row's next
+    # first stage rhs(Y); a finished row's slot goes to the next waiting row
+    queue = np.flatnonzero(status == 0)
+    rows, queue = queue[:POOL_ROWS], queue[POOL_ROWS:]
+    h0 = min(cfg.h_max, 1e-2)
+    t, h, stop, Y = np.zeros(rows.size), np.full(rows.size, h0), stop_time[rows], Y_out[rows]
+    k1 = rhs(Y) if rows.size else Y
+    while rows.size:
+        remaining = stop - t
+        clipped = remaining < h
+        h_try = np.where(clipped, remaining, h)
+        y5, err, k7 = _rk_step(rhs, Y, h_try, k1)
+        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(Y), np.abs(y5))
         with np.errstate(invalid="ignore", divide="ignore"):
             # the RMS over components, as np.mean gives it
             enorm = np.sqrt(_sq_norm(err / scale) / Y.shape[1])
@@ -212,30 +233,39 @@ def _advance(rhs, Y0: np.ndarray, cfg: IntegratorConfig,
         with np.errstate(divide="ignore", over="ignore"):
             factor = np.where(enorm > 0, 0.9 * enorm ** -0.2, 5.0)
         factor = np.clip(factor, 0.2, 5.0)
-        acc = idx[accept]
         if stats is not None:
-            stats.accepted += acc.size
-            stats.rejected += idx.size - acc.size
+            stats.accepted += int(np.count_nonzero(accept))
+            stats.rejected += int(np.count_nonzero(~accept))
         # a step clipped to the endpoint says nothing about accuracy limits,
         # so keep the controller value in that case
         h_prop = np.minimum(h_try * factor, cfg.h_max)
         landed = accept & clipped       # accepted steps that end at stop_time
-        h[idx] = hi = np.where(landed, hi, h_prop)
-        if acc.size:
-            ta, Ya = t[acc] + h_try[accept], y5[accept]
-            t[acc], Y[acc], k1[acc] = ta, Ya, k7[accept]
-            nonfin = ~np.isfinite(Ya).all(axis=1)
-            st = classify(ta, Ya)
-            st = np.where(nonfin & (st == 0), -2, st)
-            if landed.any():
-                st = np.where(landed[accept] & (st == 0), -3, st)
-            status[acc] = st
-            if on_accept is not None:
-                on_accept(acc, ta, Ya)
-        under = idx[(hi < MIN_STEP) & (status[idx] == 0)]
-        status[under] = -1
-        active = status == 0
-    return t, Y, status
+        h = np.where(landed, h, h_prop)
+        # whole-pool updates: a rejected row keeps its (t, Y), for which
+        # classify has already said 0
+        t = np.where(accept, t + h_try, t)
+        Y = np.where(accept[:, None], y5, Y)
+        k1 = np.where(accept[:, None], k7, k1)
+        st = classify(t, Y).astype(np.int8)
+        # x - x is NaN exactly where x is not finite
+        st[accept & (st == 0) & np.isnan(_sq_norm(Y - Y))] = -2
+        st[landed & (st == 0)] = -3
+        st[(h < MIN_STEP) & (st == 0)] = -1
+        if on_accept is not None and accept.any():
+            on_accept(rows[accept], t[accept], Y[accept])
+        done = np.flatnonzero(st)
+        if done.size:
+            out = rows[done]
+            t_out[out], Y_out[out], status[out] = t[done], Y[done], st[done]
+            new, queue = queue[:done.size], queue[done.size:]
+            slots, rest = done[:new.size], done[new.size:]
+            rows[slots], t[slots], h[slots], stop[slots] = new, 0.0, h0, stop_time[new]
+            if new.size:
+                Y[slots], k1[slots] = Y_out[new], rhs(Y_out[new])
+            if rest.size:
+                keep = np.delete(np.arange(rows.size), rest)
+                rows, t, Y, h, stop, k1 = (a[keep] for a in (rows, t, Y, h, stop, k1))
+    return t_out, Y_out, status
 
 
 def _sq_norm(X: np.ndarray) -> np.ndarray:
@@ -279,9 +309,6 @@ def integrate(sys: dyn.SystemDef, x0, t_end: float,
     x0 = np.asarray(x0, dtype=float)
     path = [(0.0, x0.copy())]
 
-    def rhs(Ys):
-        return sys.f_many(Ys)
-
     def classify(t, Y):
         out = np.zeros(t.shape, dtype=np.int8)
         out[np.linalg.norm(Y, axis=1) > BLOWUP_NORM] = 2
@@ -291,7 +318,7 @@ def integrate(sys: dyn.SystemDef, x0, t_end: float,
     def on_accept(idx, t, Y):
         path.append((float(t[0]), Y[0].copy()))
 
-    _, Yf, status = _advance(rhs, x0[None, :], cfg,
+    _, Yf, status = _advance(sys.f_many, x0[None, :], cfg,
                              stop_time=np.array([t_end]),
                              classify=classify, on_accept=on_accept)
     s = int(status[0])
@@ -319,7 +346,7 @@ def advance_batch(sys: dyn.SystemDef, X0: np.ndarray,
     ``cfg.t_max``.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-    return _advance(lambda Ys: sys.f_many(Ys), X0, cfg,
+    return _advance(sys.f_many, X0, cfg,
                     stop_time=np.full(X0.shape[0], cfg.t_max),
                     classify=classify, on_accept=on_accept)
 
@@ -377,12 +404,6 @@ def estimate_V_batch(sys: dyn.SystemDef, X: np.ndarray,
     return v, converged
 
 
-def estimate_V(sys: dyn.SystemDef, x,
-               cfg: IntegratorConfig = IntegratorConfig()):
-    v, conv = estimate_V_batch(sys, np.asarray(x, dtype=float)[None, :], cfg)
-    return float(v[0]), bool(conv[0])
-
-
 def grid_points(box, counts) -> np.ndarray:
     """Uniform inclusive lattice over a box, row-major point order."""
     counts = [int(c) for c in (counts if np.ndim(counts) else [counts] * box.dim)]
@@ -393,68 +414,80 @@ def grid_points(box, counts) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def gen_dataset(sys: dyn.SystemDef, grid, cfg: IntegratorConfig,
-                b: BetaKind, chunk: int = 4096,
-                stats: Optional[IntegratorStats] = None) -> list:
+def gen_dataset(sys: dyn.SystemDef, grid, cfg: IntegratorConfig, b: BetaKind,
+                stats: Optional[IntegratorStats] = None) -> ValueGrid:
     """Value samples on a uniform lattice over the system domain.
 
-    ``stats``, if given, gains the integrator counts of every chunk.
+    ``stats``, if given, gains the integrator counts of the lattice.
     """
-    pts = grid_points(sys.domain, grid)
-    tail_P = _tail_quadratic(sys)
-    samples = []
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start:start + chunk]
-        v, conv = estimate_V_batch(sys, block, cfg, tail_P=tail_P, stats=stats)
-        w = beta_transform(v, b)
-        for i in range(block.shape[0]):
-            samples.append(ValueSample(x=block[i].copy(), v_hat=float(v[i]),
-                                       w_hat=float(w[i]), converged=bool(conv[i])))
-    return samples
+    X = grid_points(sys.domain, grid)
+    v, conv = estimate_V_batch(sys, X, cfg, tail_P=_tail_quadratic(sys), stats=stats)
+    return ValueGrid(X, v, beta_transform(v, b), conv)
 
 
-def save_samples(path, samples: list, dim: int) -> None:
+_BLOCK = 4096   # rows formatted at once by write_csv
+
+
+def write_csv(path, header: list, columns: list) -> None:
+    """Write equal-length columns of floats (each as its ``repr``) or strings as CSV."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{i + 1}" for i in range(dim)] + ["v_hat", "w_hat", "converged"])
-        for s in samples:
-            v = "inf" if math.isinf(s.v_hat) else repr(s.v_hat)
-            writer.writerow([repr(float(c)) for c in s.x] + [v, repr(s.w_hat),
-                                                             "true" if s.converged else "false"])
+        fh.write(",".join(header) + "\n")
+        for a in range(0, len(columns[0]), _BLOCK):
+            cells = [c[a:a + _BLOCK].tolist() for c in columns]
+            cells = [map(repr, c) if isinstance(c[0], float) else c for c in cells]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def load_samples(path) -> list:
+def save_samples(path, samples: ValueGrid, dim: int) -> None:
+    """Write ``samples`` as CSV: v_hat reads ``inf`` where not converged."""
+    write_csv(path, [f"x{i + 1}" for i in range(dim)] + ["v_hat", "w_hat", "converged"],
+              [*samples.X.T, samples.v, samples.w, np.where(samples.converged, "true", "false")])
+
+
+def load_samples(path) -> ValueGrid:
     """Read a dataset written by ``save_samples``.
 
-    Raises ValueError naming the file on an empty file or a foreign
-    header, and naming the line on a converged flag other than true/false,
-    a non-finite coordinate or a NaN value; v_hat = inf is valid only on
-    a non-converged row.
+    Raises ValueError naming the file on an empty file, a foreign header
+    or no data rows, and naming the line on a row of the wrong length, an
+    unreadable number, a converged flag other than true/false, a
+    non-finite coordinate or a NaN value; v_hat = inf is valid only on a
+    non-converged row.
     """
-    samples = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])   # [] for an empty file
+    with open(path, "rb") as fh:
+        header = fh.readline().decode().rstrip("\r\n").split(",")
         dim = len(header) - 3
         if dim < 1 or header[dim:] != ["v_hat", "w_hat", "converged"]:
             raise ValueError(f"{path}: unrecognized dataset header: {header}")
-        for row in reader:
+        body = fh.read()
+    if not body.strip():
+        raise ValueError(f"{path}: no data rows")
+    # a flag longer than "false" is cut to 6 characters, which still differ
+    dt = np.dtype([("x", float, (dim,)), ("v", float), ("w", float), ("flag", "U6")])
+    try:
+        rows = np.loadtxt(io.BytesIO(body), dtype=dt, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        rows = None
+    # loadtxt skips blank lines: a short count means the body has one
+    if rows is None or rows.size != body.count(b"\n") + (not body.endswith(b"\n")):
+        for num, line in enumerate(body.decode().splitlines(), 2):
+            fields = line.split(",") if line.strip() else []
             try:
-                if len(row) != dim + 3:
-                    raise ValueError(f"{len(row)} fields, expected {dim + 3}")
-                x = [float(c) for c in row[:dim]]
-                v, w = float(row[dim]), float(row[dim + 1])
-                flag = row[dim + 2]
-                if flag not in ("true", "false"):
-                    raise ValueError(f"converged flag {flag!r} is neither true nor false")
-                if not all(map(math.isfinite, x)):
-                    raise ValueError("non-finite coordinate")
-                if math.isnan(v) or math.isnan(w):
-                    raise ValueError("NaN value")
-                if flag == "true" and math.isinf(v):
-                    raise ValueError("converged row with infinite v_hat")
+                if len(fields) != dim + 3:
+                    raise ValueError(f"{len(fields)} fields, expected {dim + 3}")
+                list(map(float, fields[:-1]))
             except ValueError as e:
-                raise ValueError(f"{path}, line {reader.line_num}: {e}") from None
-            samples.append(ValueSample(x=np.array(x), v_hat=v, w_hat=w,
-                                       converged=flag == "true"))
-    return samples
+                raise ValueError(f"{path}, line {num}: {e}") from None
+        raise ValueError(f"{path}: unreadable dataset")
+    # contiguous columns, as the writer's are: matmul's bits depend on the layout
+    X, v, w = (np.ascontiguousarray(rows[k]) for k in "xvw")
+    flag, conv = rows["flag"], rows["flag"] == "true"
+    faults = {"converged flag {!r} is neither true nor false": ~conv & (flag != "false"),
+              "non-finite coordinate": ~np.isfinite(X).all(axis=1),
+              "NaN value": np.isnan(v) | np.isnan(w),
+              "converged row with infinite v_hat": conv & np.isinf(v)}
+    bad = np.stack(list(faults.values()))
+    if bad.any():
+        i = np.flatnonzero(bad.any(axis=0))[0]
+        why = list(faults)[np.flatnonzero(bad[:, i])[0]].format(str(flag[i]))
+        raise ValueError(f"{path}, line {i + 2}: {why}")
+    return ValueGrid(X, v, w, conv)

@@ -37,7 +37,7 @@ import functools
 import json
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from . import dynamics as dyn
 from . import expr as ex
 from . import interval as iv
 from . import net as nn
-from .ode import ValueSample
+from .ode import ValueGrid
 
 __all__ = [
     "LocalCertificate", "RoaCertificate", "ConditionReport",
@@ -674,14 +674,13 @@ def validate_roa_by_simulation(net, sys: dyn.SystemDef, local: LocalCertificate,
     }
 
 
-def volume_fraction(net, c2: float, reference: Sequence[ValueSample]) -> float:
+def volume_fraction(net, c2: float, reference: ValueGrid) -> float:
     """Share (%) of simulated-convergent reference points inside {W_N <= c2}."""
-    conv = [s for s in reference if s.converged]
-    if not conv:
+    X = reference.X[reference.converged]
+    if not X.shape[0]:
         raise EmptyReference("reference dataset has no converged samples")
-    X = np.stack([s.x for s in conv])
     w = net.value_batch(X)
-    return 100.0 * float(np.count_nonzero(w <= c2)) / len(conv)
+    return 100.0 * float(np.count_nonzero(w <= c2)) / X.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from zubov import ode
 from zubov import verify as vf
 
 from test_expr import random_expr
+from test_net import ExprCandidate, zubov_residual
 
 
 def report(num, ok, detail):
@@ -58,12 +59,12 @@ def test_c1_closed_form_training_oracle():
 
 def test_c2_analytic_residual():
     cfg = nn.TrainConfig(alpha=2.0, psi_form="exp")
-    w_direct = nn.ExprCandidate(ex.parse("x1^2", 1), 1)
-    w_via_v = nn.ExprCandidate(ex.parse("1 - exp(-2*(-0.5*ln(1 - x1^2)))", 1), 1)
+    w_direct = ExprCandidate(ex.parse("x1^2", 1), 1)
+    w_via_v = ExprCandidate(ex.parse("1 - exp(-2*(-0.5*ln(1 - x1^2)))", 1), 1)
     worst = 0.0
     for cand in (w_direct, w_via_v):
         for x in (0.5, -0.5, 0.9, -0.9):
-            worst = max(worst, abs(nn.zubov_residual(cand, CUBIC, cfg, [x])))
+            worst = max(worst, abs(zubov_residual(cand, CUBIC, cfg, [x])))
     report(2, worst <= 1e-9, f"max |residual| = {worst:.2e} (<= 1e-9)")
 
 

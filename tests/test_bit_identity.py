@@ -153,18 +153,21 @@ class TestIntegrator:
             return rk_step(rhs, Y, h, k1)
 
         monkeypatch.setattr(ode, "_rk_step", checked)
-        ode.gen_dataset(VDP, [12, 12], ode.IntegratorConfig(), ode.BetaKind("tanh", 0.1),
-                        chunk=50)
+        monkeypatch.setattr(ode, "POOL_ROWS", 50)
+        ode.gen_dataset(VDP, [12, 12], ode.IntegratorConfig(), ode.BetaKind("tanh", 0.1))
         ode.integrate(VDP, [0.5, 0.5], 3.0)
         assert len(steps) > 100
 
     @pytest.mark.parametrize("sys", [VDP, POLY], ids=["reversed_vdp", "poly2d"])
-    def test_gen_dataset(self, sys, reference_integrator):
+    def test_gen_dataset(self, sys, reference_integrator, monkeypatch):
+        # the reference integrates all 144 rows at once; the package's pool
+        # of 50 refills as rows finish
+        monkeypatch.setattr(ode, "POOL_ROWS", 50)
         beta = ode.BetaKind("tanh", 0.1)
         cfg = ode.IntegratorConfig()
-        got = ode.gen_dataset(sys, [12, 12], cfg, beta, chunk=50)
+        got = ode.gen_dataset(sys, [12, 12], cfg, beta)
         reference_integrator()
-        want = ode.gen_dataset(sys, [12, 12], cfg, beta, chunk=50)
+        want = ode.gen_dataset(sys, [12, 12], cfg, beta)
         assert len(got) == len(want) == 144
         assert 0 < sum(s.converged for s in got) < 144
         for a, b in zip(got, want):
@@ -213,6 +216,42 @@ class TestIntegrator:
         for a, b in zip(got[3], want[3]):
             assert np.array_equal(a[0], b[0]) and same_bits(a[1], b[1]) and same_bits(a[2], b[2])
         assert {1, -1} <= set(got[2].tolist())    # converged, and escaped
+
+    def test_advance_batch_on_a_refilled_pool(self, reference_integrator, monkeypatch):
+        # 40 rows through a pool of 7 against the reference's single batch:
+        # the same end states, and the same accepted steps row by row
+        rng = np.random.default_rng(6)
+        X0 = rng.uniform(-2.5, 2.5, size=(40, 2))
+        X0[[3, 11, 12]] = 0.0    # done before the first step, in and after the first fill
+        cfg = ode.IntegratorConfig(t_max=20.0)
+
+        def classify(t, X):
+            out = np.zeros(t.shape, dtype=np.int8)
+            out[t >= cfg.t_max] = 2
+            out[np.sum(X * X, axis=1) <= 0.01] = 1
+            return out
+
+        def run():
+            steps = {}
+
+            def on_accept(rows, t, X):
+                for r, ti, xi in zip(rows.tolist(), t, X):
+                    steps.setdefault(r, []).append((ti, xi.copy()))
+
+            return (*ode.advance_batch(POLY, X0, classify, cfg, on_accept=on_accept), steps)
+
+        monkeypatch.setattr(ode, "POOL_ROWS", 7)
+        got = run()
+        reference_integrator()
+        want = run()
+        for a, b in zip(got[:3], want[:3]):
+            assert same_bits(a, b) if a.dtype == float else np.array_equal(a, b)
+        assert got[3].keys() == want[3].keys() and len(got[3]) == 37
+        for r, path in got[3].items():
+            assert len(path) == len(want[3][r])
+            for (ta, xa), (tb, xb) in zip(path, want[3][r]):
+                assert same_bits(ta, tb) and same_bits(xa, xb)
+        assert {1, -1} <= set(got[2].tolist())
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_squared_norm(self, n):
@@ -334,8 +373,8 @@ class TestTrain:
         cfg = nn.TrainConfig(alpha=0.1, psi_form=psi_form, batch=32, max_epochs=2,
                              loss_threshold=0.0, seed=4, local_P=P, c_local=1.5)
         if psi_form == "exp":
-            samples = [ode.ValueSample(s.x, s.v_hat, ode.beta_transform(s.v_hat, cfg.beta()),
-                                       s.converged) for s in samples]
+            samples = ode.ValueGrid(samples.X, samples.v, ode.beta_transform(samples.v, cfg.beta()),
+                                    samples.converged)
         data = nn.assemble_dataset(samples, cfg, pair_fraction=0.1)
         N = data.collocation.shape[0]
         assert N % cfg.batch and 0 < data.pair_x.shape[0] < cfg.batch

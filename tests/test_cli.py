@@ -231,6 +231,31 @@ class TestBadInput:
                    "--out-dir", str(tmp_path)) == 2
         assert "empty.csv" in capsys.readouterr().err
 
+    def test_header_only_dataset_names_its_file(self, tmp_path, capsys, recwarn):
+        data = tmp_path / "header.csv"
+        data.write_text("x1,v_hat,w_hat,converged\n")
+        assert run("train", "--system", "cubic1d", "--data", str(data),
+                   "--out-dir", str(tmp_path)) == 2
+        assert "header.csv: no data rows" in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("verify", "delta", "NaN"), ("verify", "r", "Infinity"), ("integrator", "rtol", "NaN"),
+        ("train", "lr", "-Infinity"), ("verify", "budget", "NaN"),
+    ])
+    def test_non_finite_value_is_a_config_error(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "run.json"
+        # json.dumps cannot write these, but json.load reads them
+        cfg.write_text(f'{{"system": "cubic1d", "{section}": {{"{key}": {value}}}}}')
+        assert run("verify-local", "--config", str(cfg), "--c", "0.2",
+                   "--out-dir", str(tmp_path)) == 1
+        assert f"{section}.{key} must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "local_cert.json").exists()
+
+    def test_non_finite_flag_is_a_config_error(self, tmp_path):
+        assert run("verify-local", "--system", "cubic1d", "--c", "0.2", "--delta", "nan",
+                   "--out-dir", str(tmp_path)) == 1
+
 
 class TestGridCommand:
     def test_lattice_csv(self, cubic_run, tmp_path):
@@ -263,6 +288,19 @@ class TestReport:
         assert row["final_loss"] is not None
         assert row["data_gen_seconds"] is not None
         assert doc["config"]["seed"] == 7
+
+    def test_prints_the_integrator_counts(self, cubic_run, capsys):
+        d, _ = cubic_run
+        assert run("report", str(d)) == 0
+        counts = json.loads((d / "dataset.csv.meta.json").read_text())["integrator"]
+        row = json.loads((d / "report.json").read_text())["row"]
+        assert row["integrator"] == counts
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith(f"integrator: {counts['accepted_steps']} accepted and "
+                               f"{counts['rejected_steps']} rejected steps;")
+        for name, n in counts["status"].items():
+            assert f"{n} {name}" in line
+        assert counts["status"]["converged"] > 0
 
     def test_missing_net_is_config_error(self, tmp_path):
         assert run("report", str(tmp_path)) == 1

@@ -299,5 +299,7 @@ class TestBnb:
         cond = _expr_cond([], "x1", 1)
         with pytest.raises(ValueError):
             iv.bnb_verify(cond, iv.Box([0.0], [1.0]), delta=0.0)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            iv.bnb_verify(cond, iv.Box([0.0], [1.0]), delta=float("nan"))
         with pytest.raises(ValueError):
             iv.bnb_verify(cond, iv.Box([0.0], [1.0]), budget=0)

@@ -1,11 +1,17 @@
+import csv
 import math
 import signal
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zubov import dynamics as dyn
 from zubov import ode
+
+from test_bit_identity import same_bits
 
 
 CUBIC = dyn.builtin("cubic1d")
@@ -17,6 +23,12 @@ def cubic_x_of_t(x0, t):
     u = x0 * x0
     s = u * math.exp(-2 * t)
     return math.copysign(math.sqrt(s / (1 - u + s)), x0)
+
+
+def estimate_V(sys, x, cfg=ode.IntegratorConfig()):
+    """(v_hat, converged) at one point."""
+    v, conv = ode.estimate_V_batch(sys, np.asarray(x, dtype=float)[None, :], cfg)
+    return float(v[0]), bool(conv[0])
 
 
 def cubic_V(x):
@@ -98,16 +110,16 @@ class TestAdvanceBatch:
 
 class TestEstimateV:
     def test_cubic_half(self):
-        v, conv = ode.estimate_V(CUBIC, [0.5])
+        v, conv = estimate_V(CUBIC, [0.5])
         assert conv
         assert v == pytest.approx(-0.5 * math.log(0.75), abs=2e-3)
 
     def test_origin(self):
-        v, conv = ode.estimate_V(CUBIC, [0.0])
+        v, conv = estimate_V(CUBIC, [0.0])
         assert conv and v == 0.0
 
     def test_divergent_point(self):
-        v, conv = ode.estimate_V(CUBIC, [1.2])
+        v, conv = estimate_V(CUBIC, [1.2])
         assert not conv and math.isinf(v)
 
     def test_grid_against_closed_form(self):
@@ -121,8 +133,8 @@ class TestEstimateV:
         for x0 in ([0.7], [-0.5]):
             h = 0.05
             xp = ode.integrate(CUBIC, x0, h)[-1][1]
-            v0, _ = ode.estimate_V(CUBIC, x0)
-            vp, _ = ode.estimate_V(CUBIC, xp)
+            v0, _ = estimate_V(CUBIC, x0)
+            vp, _ = estimate_V(CUBIC, xp)
             lhs = (vp - v0) / h
             # midpoint state for the comparison
             xm = ode.integrate(CUBIC, x0, h / 2)[-1][1]
@@ -139,11 +151,11 @@ class TestEstimateV:
         checked = 0
         while checked < 5:
             x0 = rng.uniform(-1.0, 1.0, size=2)
-            v0, conv = ode.estimate_V(VDP, x0)
+            v0, conv = estimate_V(VDP, x0)
             if not conv:
                 continue
             end = ode.integrate(aug, [x0[0], x0[1], 0.0], 1.0)[-1][1]
-            v1, conv1 = ode.estimate_V(VDP, end[:2])
+            v1, conv1 = estimate_V(VDP, end[:2])
             assert conv1
             assert v0 == pytest.approx(end[2] + v1, abs=1e-3)
             checked += 1
@@ -242,18 +254,37 @@ class TestGenDataset:
             return rk_step(rhs, Y, h, *rest)
 
         monkeypatch.setattr(ode, "_rk_step", counted)
+        monkeypatch.setattr(ode, "POOL_ROWS", 20)
         stats = ode.IntegratorStats()
         cfg = ode.IntegratorConfig(t_max=3.0)
-        samples = ode.gen_dataset(VDP, [9, 9], cfg, ode.BetaKind("tanh", 0.1),
-                                  chunk=20, stats=stats)
+        samples = ode.gen_dataset(VDP, [9, 9], cfg, ode.BetaKind("tanh", 0.1), stats=stats)
         assert sum(stats.status.values()) == len(samples) == 81
         assert stats.status["converged"] == sum(s.converged for s in samples) > 0
         assert stats.status["value_cap"] > 0 and stats.status["t_max"] > 0
         assert stats.accepted + stats.rejected == sum(row_steps)
+        assert max(row_steps) == 20     # the pool is full while rows wait
         assert stats.accepted > 0 and stats.rejected > 0
         # a second lattice adds to the same counts
         ode.gen_dataset(CUBIC, [5], cfg, ode.BetaKind("tanh", 0.1), stats=stats)
         assert sum(stats.status.values()) == 86
+
+
+def csv_writer_reference(path, samples, dim):
+    """The dataset writer as a csv.writer loop over ValueSample rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"x{i + 1}" for i in range(dim)] + ["v_hat", "w_hat", "converged"])
+        for s in samples:
+            v = "inf" if math.isinf(s.v_hat) else repr(s.v_hat)
+            writer.writerow([repr(float(c)) for c in s.x] + [v, repr(s.w_hat),
+                                                             "true" if s.converged else "false"])
+
+
+# every finite float64 bit pattern: -0.0, subnormals, the largest magnitudes
+finite_bits = st.integers(0, 2 ** 64 - 1).map(
+    lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]).filter(math.isfinite)
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308]
 
 
 class TestCsv:
@@ -290,7 +321,56 @@ class TestCsv:
         with pytest.raises(ValueError, match="empty.csv"):
             ode.load_samples(p)
 
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 3), rows=st.integers(1, 12), data=st.data())
+    def test_roundtrip_is_bit_exact(self, tmp_path_factory, dim, rows, data):
+        values = st.one_of(finite_bits, st.sampled_from(EXTREMES))
+        X = np.array(data.draw(st.lists(values, min_size=rows * dim, max_size=rows * dim)))
+        v = np.array(data.draw(st.lists(values, min_size=rows, max_size=rows)))
+        w = np.array(data.draw(st.lists(values, min_size=rows, max_size=rows)))
+        conv = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+        v[~conv] = np.inf
+        grid = ode.ValueGrid(X.reshape(rows, dim), v, w, conv)
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        ode.save_samples(path, grid, dim)
+        back = ode.load_samples(path)
+        assert back.X.shape == (rows, dim) and back.X.flags.c_contiguous
+        for a, b in ((back.X, grid.X), (back.v, v), (back.w, w)):
+            assert same_bits(a, b)
+        assert np.array_equal(back.converged, conv)
+        ref = path.with_name("ref.csv")
+        csv_writer_reference(ref, grid, dim)
+        assert path.read_bytes() == ref.read_bytes()
+
+    def test_bytes_match_the_csv_writer_across_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ode, "_BLOCK", 7)
+        samples = ode.gen_dataset(VDP, [6, 5], ode.IntegratorConfig(),
+                                  ode.BetaKind("tanh", 0.1))
+        ode.save_samples(tmp_path / "new.csv", samples, 2)
+        csv_writer_reference(tmp_path / "ref.csv", samples, 2)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_header_only_rejected_by_name(self, tmp_path, recwarn):
+        p = tmp_path / "header.csv"
+        p.write_text("x1,x2,v_hat,w_hat,converged\n")
+        with pytest.raises(ValueError, match="header.csv: no data rows"):
+            ode.load_samples(p)
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
     GOOD = "x1,x2,v_hat,w_hat,converged\n0.5,0.25,1.5,0.15,true\n2.0,1.0,inf,1.0,false\n"
+
+    @pytest.mark.parametrize("text, where", [
+        (GOOD.replace("true\n", "true\n\n"), "line 3: 0 fields"),
+        (GOOD + "\n", "line 4: 0 fields"),
+        (GOOD.replace("true\n", "true\n  \n"), "line 3: 0 fields"),
+        (GOOD.replace("true", "falsey"), "line 2: converged flag 'falsey'"),
+        (GOOD.replace("true", "true,1"), "line 2: 6 fields"),
+    ])
+    def test_blank_and_long_rows_rejected_with_their_line(self, tmp_path, text, where):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=where):
+            ode.load_samples(p)
 
     def test_inf_value_on_nonconverged_row(self, tmp_path):
         p = tmp_path / "d.csv"

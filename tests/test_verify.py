@@ -409,7 +409,8 @@ class TestVolumeFraction:
     def test_empty_reference(self, trained_vdp):
         net, _ = trained_vdp
         with pytest.raises(vf.EmptyReference):
-            vf.volume_fraction(net, 0.5, [])
+            vf.volume_fraction(net, 0.5, ode.ValueGrid(np.ones((3, 2)), np.full(3, np.inf),
+                                                       np.ones(3), np.zeros(3, dtype=bool)))
 
 
 class TestSimulationValidation:
