@@ -434,9 +434,13 @@ class VectorField:
     def __call__(self, x) -> np.ndarray:
         return np.array(evaluate(self.tape, x))
 
-    def eval_many(self, X: np.ndarray) -> np.ndarray:
-        """(K, n) points -> (K, n) field values."""
-        return np.stack(evaluate_many(self.tape, X), axis=1)
+    def eval_many(self, X: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+        """(K, n) points -> (K, n) field values, in the first n columns of ``out`` if given."""
+        cols = evaluate_many(self.tape, X)
+        out = np.empty((X.shape[0], self.dim)) if out is None else out
+        for i, c in enumerate(cols):
+            out[:, i] = c
+        return out
 
     def jacobian_exprs(self) -> list:
         """Row-major list of lists: entry [i][j] = d f_i / d x_j."""

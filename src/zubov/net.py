@@ -27,10 +27,10 @@ same weights.
 
 Training does the weight-independent work once per dataset: f(x),
 |x|^2 and the hinge envelopes of every collocation point are computed
-up front, and each step takes its batch's rows of them.  The weights
-and biases being trained are views into one flat parameter vector, and
-each gradient is one flat vector laid out the same way, so an Adam step
-is a few whole-vector operations.
+up front; the stacked rows of ``BLOCK_STEPS`` steps at a time go into
+one block, so a step reads views.  The trained weights and biases are
+views into one flat parameter vector, each gradient is written into one
+flat vector laid out the same way, and Adam updates them in place.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 NET_FILE_VERSION = 1
+BLOCK_STEPS = 32    # training steps whose stacked rows are gathered at once
 
 
 class DivergedLoss(RuntimeError):
@@ -335,10 +336,10 @@ def _residual_forward(net: Mlp, X: np.ndarray, F: np.ndarray):
     return acts, taus, vs, sigs, y, u
 
 
-def _residual_vjp(net: Mlp, states, ybar: np.ndarray,
-                  ubar: np.ndarray) -> _GradAccum:
-    """d/d theta of sum_i (ybar_i y_i + ubar_i u_i)."""
-    out = _GradAccum(net)
+def _residual_vjp(net: Mlp, states, ybar: np.ndarray, ubar: np.ndarray,
+                  out: _GradAccum) -> _GradAccum:
+    """d/d theta of sum_i (ybar_i y_i + ubar_i u_i), written into ``out``."""
+    out.flat.fill(0.0)
     acts, taus, vs, sigs, _, _ = states
     L = len(net.weights) - 1
     Wo = net.weights[L]
@@ -378,7 +379,7 @@ class _Terms(NamedTuple):
     phi: np.ndarray
     hinge: Optional[tuple]
 
-    def take(self, rows: np.ndarray) -> "_Terms":
+    def take(self, rows) -> "_Terms":
         hinge = None if self.hinge is None else tuple(a[rows] for a in self.hinge)
         return _Terms(self.f[rows], self.phi[rows], hinge)
 
@@ -398,7 +399,7 @@ def _mean(a: np.ndarray) -> float:
 def _loss_batch(net: Mlp, sys: dyn.SystemDef, cfg: TrainConfig,
                 Xc: np.ndarray, Xe: np.ndarray,
                 Xp: np.ndarray, wp: np.ndarray,
-                want_grad: bool, terms: Optional[_Terms] = None):
+                want_grad: bool, terms: Optional[_Terms] = None, stacked=None, grad=None):
     """Loss parts on one mini-batch, optionally with the parameter gradient
     of the weighted total.
 
@@ -406,16 +407,17 @@ def _loss_batch(net: Mlp, sys: dyn.SystemDef, cfg: TrainConfig,
     tangent f(x) on the collocation rows and 0 elsewhere, so every loss
     part reads the same outputs y (and u on the collocation rows).  The
     gradient is one reverse pass whose per-row cotangents sum the parts
-    that read each row.  ``terms`` are Xc's ``_collocation_terms`` if the
-    caller has them.
+    that read each row, written into ``grad`` if given.  ``terms`` (Xc's
+    ``_collocation_terms``) and ``stacked`` (X, T) are used if given.
     """
     if terms is None:
         terms = _collocation_terms(sys, cfg, Xc)
     B, M, D = Xc.shape[0], Xe.shape[0], Xp.shape[0]
     o = B + M                   # the origin row; exterior rows are B:o
-    X = np.concatenate([Xc, Xe, np.zeros((1, sys.dim)), Xp])
-    T = np.zeros(X.shape)
-    T[:B] = terms.f
+    if stacked is None:
+        X = np.concatenate([Xc, Xe, np.zeros((1, sys.dim)), Xp])
+        stacked = X, np.concatenate([terms.f, np.zeros((X.shape[0] - B, sys.dim))])
+    X, T = stacked
     states = _residual_forward(net, X, T)
     y, u = states[4], states[5]
     yc = y[:B]
@@ -460,7 +462,7 @@ def _loss_batch(net: Mlp, sys: dyn.SystemDef, cfg: TrainConfig,
         return parts
     ubar = np.zeros(u.shape)
     ubar[:B] = rbar
-    return parts, _residual_vjp(net, states, ybar, ubar)
+    return parts, _residual_vjp(net, states, ybar, ubar, grad or _GradAccum(net))
 
 
 def loss(net: Mlp, data: Dataset, sys: dyn.SystemDef, cfg: TrainConfig):
@@ -473,11 +475,6 @@ def loss(net: Mlp, data: Dataset, sys: dyn.SystemDef, cfg: TrainConfig):
 # ---------------------------------------------------------------------------
 # Training (Algorithm: mini-batch Adam on the weighted loss)
 # ---------------------------------------------------------------------------
-
-def _cycle_rows(perm: np.ndarray, start: int, count: int) -> np.ndarray:
-    """``count`` entries of ``perm`` from ``start`` on, wrapping around."""
-    return perm[(start + np.arange(count)) % perm.shape[0]]
-
 
 def train(net: Mlp, data: Dataset, sys: dyn.SystemDef, cfg: TrainConfig):
     """Mini-batch Adam with per-epoch reshuffling; deterministic per seed.
@@ -496,41 +493,55 @@ def train(net: Mlp, data: Dataset, sys: dyn.SystemDef, cfg: TrainConfig):
         return net, record
     rng = np.random.default_rng(cfg.seed)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    m, v, s1, s2 = (np.zeros_like(theta) for _ in range(4))
+    grad = _GradAccum(net)
     adam_t = 0
     terms = _collocation_terms(sys, cfg, data.collocation)
-    N = data.collocation.shape[0]
-    n_e = min(cfg.batch, data.exterior.shape[0])
-    n_p = min(cfg.batch, data.pair_x.shape[0])
-    steps = max(1, (N + cfg.batch - 1) // cfg.batch)
+    N, n, B = *data.collocation.shape, cfg.batch
+    n_e, n_p = (min(B, a.shape[0]) for a in (data.exterior, data.pair_x))
+    steps = max(1, (N + B - 1) // B)
+    # the rows [Xc; Xe; 0; Xp] and tangents of BLOCK_STEPS steps at a time, a
+    # slot per step; the origin rows and all but the collocation tangents stay
+    # 0, and exterior and pair rows cycle through their permutations
+    Xb, Tb = np.zeros((2, min(steps, BLOCK_STEPS), B + n_e + 1 + n_p, n))
+    wb = np.zeros((Xb.shape[0], n_p))
     stop_reason = "max_epochs"
     for epoch in range(cfg.max_epochs):
         perm_c = rng.permutation(N)
         perm_e = rng.permutation(max(1, data.exterior.shape[0]))
         perm_p = rng.permutation(max(1, data.pair_x.shape[0]))
         sums = np.zeros(4)
-        for s in range(steps):
-            lo = s * cfg.batch
-            rows = perm_c[lo:lo + cfg.batch]
-            Xe = data.exterior[_cycle_rows(perm_e, lo, n_e)]
-            pairs = _cycle_rows(perm_p, lo, n_p)
-            parts, grad = _loss_batch(net, sys, cfg, data.collocation[rows], Xe,
-                                      data.pair_x[pairs], data.pair_w[pairs],
-                                      want_grad=True, terms=terms.take(rows))
-            total = parts.total(cfg)
-            if not np.isfinite(total):
-                raise DivergedLoss(f"loss became non-finite at epoch {epoch}, step {s}")
-            sums += (total, parts.residual, parts.boundary, parts.data)
-            adam_t += 1
-            corr1 = 1.0 - beta1 ** adam_t
-            corr2 = 1.0 - beta2 ** adam_t
-            g = grad.flat
-            m *= beta1
-            m += (1 - beta1) * g
-            v *= beta2
-            v += (1 - beta2) * g * g
-            theta -= cfg.lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+        for s0 in range(0, steps, Xb.shape[0]):
+            k = min(Xb.shape[0], steps - s0)
+            lo = B * (s0 + np.arange(k))[:, None]
+            # a last, short step's Xc ends where the others' do: rows a:B of its slot
+            c = perm_c[(lo + np.arange(B) - np.maximum(lo + B - N, 0)) % N]
+            ordered = terms.take(c)
+            Xb[:k, :B], Tb[:k, :B] = data.collocation[c], ordered.f
+            Xb[:k, B:B + n_e] = data.exterior[perm_e[(lo + np.arange(n_e)) % perm_e.shape[0]]]
+            p = perm_p[(lo + np.arange(n_p)) % perm_p.shape[0]]
+            Xb[:k, B + n_e + 1:], wb[:k] = data.pair_x[p], data.pair_w[p]
+            for j, (X, T, wp) in enumerate(zip(Xb[:k], Tb[:k], wb[:k])):
+                a = max(0, (s0 + j + 1) * B - N)
+                parts, _ = _loss_batch(net, sys, cfg, X[a:B], X[B:B + n_e], X[B + n_e + 1:], wp,
+                                       want_grad=True, stacked=(X[a:], T[a:]), grad=grad,
+                                       terms=ordered.take((j, slice(a, None))))
+                total = parts.total(cfg)
+                if not np.isfinite(total):
+                    raise DivergedLoss(f"loss became non-finite at epoch {epoch}, step {s0 + j}")
+                sums += (total, parts.residual, parts.boundary, parts.data)
+                adam_t += 1
+                # in place: m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g  and
+                # theta -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+                g = grad.flat
+                m *= beta1
+                m += np.multiply(g, 1 - beta1, out=s1)
+                v *= beta2
+                v += np.multiply(np.multiply(g, 1 - beta2, out=s1), g, out=s1)
+                np.sqrt(np.divide(v, 1.0 - beta2 ** adam_t, out=s2), out=s2)
+                s2 += eps
+                np.divide(m, 1.0 - beta1 ** adam_t, out=s1)
+                theta -= np.divide(np.multiply(s1, cfg.lr, out=s1), s2, out=s1)
         means = sums / steps
         record.epochs.append(tuple(float(x) for x in means))
         record.epochs_run = epoch + 1

@@ -12,12 +12,14 @@ The stepper is vectorized over a pool of at most ``POOL_ROWS``
 trajectories: each keeps its own step size, the pool advances in
 lockstep, and a finished row's slot goes to the next waiting row, so a
 whole lattice runs as one batch in bounded memory.  Every operation is
-row-wise, so a row's bits do not depend on which rows share its steps.
-The tableau is first-same-as-last: the seventh stage is evaluated at the
-fifth-order solution itself, so each row keeps its next first stage
-(the last stage of its accepted step, or its old first stage after a
-rejection) and a step costs six field evaluations, not seven.  The
-results are bit-equal to recomputing the first stage.
+row-wise, so a row's bits do not depend on which rows share its steps;
+the (rows, d) states and stages are stored in Fortran order, so each
+per-component operation runs over contiguous memory.  The tableau is
+first-same-as-last: the seventh stage is evaluated at the fifth-order
+solution itself, so each row keeps its next first stage (the last stage
+of its accepted step, or its old first stage after a rejection) and a
+step costs six field evaluations, not seven.  The results are bit-equal
+to recomputing the first stage.
 
 Each run counts its accepted and rejected row-steps and the final
 status of every row (``IntegratorStats``).  Value data travels as the
@@ -216,7 +218,9 @@ def _advance(rhs, Y0: np.ndarray, cfg: IntegratorConfig,
     queue = np.flatnonzero(status == 0)
     rows, queue = queue[:POOL_ROWS], queue[POOL_ROWS:]
     h0 = min(cfg.h_max, 1e-2)
-    t, h, stop, Y = np.zeros(rows.size), np.full(rows.size, h0), stop_time[rows], Y_out[rows]
+    # np.take(a.T, idx, axis=-1).T is a[idx] as a Fortran-ordered copy
+    t, h, stop, Y = (np.zeros(rows.size), np.full(rows.size, h0), stop_time[rows],
+                     np.take(Y_out.T, rows, axis=-1).T)
     k1 = rhs(Y) if rows.size else Y
     while rows.size:
         remaining = stop - t
@@ -264,7 +268,8 @@ def _advance(rhs, Y0: np.ndarray, cfg: IntegratorConfig,
                 Y[slots], k1[slots] = Y_out[new], rhs(Y_out[new])
             if rest.size:
                 keep = np.delete(np.arange(rows.size), rest)
-                rows, t, Y, h, stop, k1 = (a[keep] for a in (rows, t, Y, h, stop, k1))
+                rows, t, Y, h, stop, k1 = (np.take(a.T, keep, axis=-1).T
+                                           for a in (rows, t, Y, h, stop, k1))
     return t_out, Y_out, status
 
 
@@ -284,14 +289,16 @@ def _sq_norm(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _augment_rhs(sys: dyn.SystemDef):
+def _augment_rhs(sys: dyn.SystemDef, cost: bool = True):
+    """The pool's rhs: f(x), then |x|^2 if ``cost``, in one Fortran-ordered array."""
     n = sys.dim
 
     def rhs(Ys: np.ndarray) -> np.ndarray:
         X = Ys[:, :n]
-        out = np.empty_like(Ys)
-        out[:, :n] = sys.f_many(X)
-        out[:, n] = _sq_norm(X)
+        out = np.empty((Ys.shape[0], n + cost), order="F")
+        sys.field.eval_many(X, out)
+        if cost:
+            out[:, n] = _sq_norm(X)
         return out
 
     return rhs
@@ -318,7 +325,7 @@ def integrate(sys: dyn.SystemDef, x0, t_end: float,
     def on_accept(idx, t, Y):
         path.append((float(t[0]), Y[0].copy()))
 
-    _, Yf, status = _advance(sys.f_many, x0[None, :], cfg,
+    _, Yf, status = _advance(_augment_rhs(sys, cost=False), x0[None, :], cfg,
                              stop_time=np.array([t_end]),
                              classify=classify, on_accept=on_accept)
     s = int(status[0])
@@ -346,7 +353,7 @@ def advance_batch(sys: dyn.SystemDef, X0: np.ndarray,
     ``cfg.t_max``.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-    return _advance(sys.f_many, X0, cfg,
+    return _advance(_augment_rhs(sys, cost=False), X0, cfg,
                     stop_time=np.full(X0.shape[0], cfg.t_max),
                     classify=classify, on_accept=on_accept)
 

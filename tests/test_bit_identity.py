@@ -2,11 +2,13 @@
 
 The references below are the straightforward forms of the two inner
 loops: a Dormand-Prince step that evaluates all seven stages, summed
-with Python's ``sum``; and a training loop that evaluates f(x) and the
-hinge envelopes of every mini-batch and runs Adam array by array.  The
-package's versions reuse the last stage as the next first stage, compute
-the collocation terms once per dataset and update one flat parameter
-vector; they must give the same bits.
+with Python's ``sum``, on row-major states; and a training loop that
+stacks and evaluates f(x) and the hinge envelopes of every mini-batch,
+runs its own copy of the forward and reverse passes and runs Adam array
+by array.  The package's versions reuse the last stage as the next first
+stage, keep the integrator's pool in Fortran order, gather each epoch's
+rows into one block and update one flat parameter vector in place; they
+must give the same bits.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from zubov import dynamics as dyn
 from zubov import net as nn
 from zubov import ode
+from zubov import verify as vf
 
 VDP = dyn.builtin("reversed_vdp")
 POLY = dyn.builtin("poly2d")
@@ -253,6 +256,36 @@ class TestIntegrator:
                 assert same_bits(ta, tb) and same_bits(xa, xb)
         assert {1, -1} <= set(got[2].tolist())
 
+    def test_simulation_callbacks(self, reference_integrator):
+        # classify (an einsum) reads the pool's Fortran-ordered states and
+        # on_accept (net.value_batch, a matmul) their accepted rows: both
+        # must decide as they do on the reference's row-major states
+        P = dyn.solve_lyapunov(VDP.linearization.A, np.eye(2)).P
+        local = vf.LocalCertificate("reversed_vdp", P, np.eye(2), 0.9999, 0.3, None, 1.0, 0.0)
+        net = nn.init_mlp([2, 8, 1], 3)
+        values, value_batch = [], net.value_batch
+
+        def recorded(X):
+            values[-1].append(value_batch(X))
+            return values[-1][-1]
+
+        net.value_batch = recorded
+
+        def run():
+            values.append([])
+            return vf.validate_roa_by_simulation(net, VDP, local, 0.0, 40,
+                                                 np.random.default_rng(1),
+                                                 ode.IntegratorConfig(t_max=20.0))
+
+        got = run()
+        reference_integrator()
+        want = run()
+        assert got == want
+        assert 0 < got["exited_sublevel"] < 40 and 0 < got["reached_ellipsoid"] < 40
+        assert len(values[0]) == len(values[1]) > 10
+        for a, b in zip(*values):
+            assert same_bits(a, b)
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_squared_norm(self, n):
         rng = np.random.default_rng(n)
@@ -266,13 +299,58 @@ class TestIntegrator:
 # Reference training loop
 # ---------------------------------------------------------------------------
 
+def ref_forward(net, X, F):
+    acts, taus, vs, sigs = [X], [F], [], []
+    a, tau = X, F
+    last = len(net.weights) - 1
+    for i, (W, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ W.T + b
+        v = tau @ W.T
+        if i < last:
+            a = np.tanh(z)
+            s = 1.0 - a * a
+            tau = s * v
+            acts.append(a)
+            taus.append(tau)
+            vs.append(v)
+            sigs.append(s)
+        else:
+            y, u = z[:, 0], v[:, 0]
+    return acts, taus, vs, sigs, y, u
+
+
+def ref_vjp(net, states, ybar, ubar):
+    """Per-layer weight and bias gradients of sum_i (ybar_i y_i + ubar_i u_i)."""
+    dW = [np.zeros_like(W) for W in net.weights]
+    db = [np.zeros_like(b) for b in net.biases]
+    acts, taus, vs, sigs, _, _ = states
+    L = len(net.weights) - 1
+    Wo = net.weights[L]
+    abar = ybar[:, None] * Wo
+    tbar = ubar[:, None] * Wo
+    dW[L] += ybar[None, :] @ acts[L] + ubar[None, :] @ taus[L]
+    db[L] += ybar.sum()
+    for l in range(L - 1, -1, -1):
+        s, v, a = sigs[l], vs[l], acts[l + 1]
+        vbar = tbar * s
+        sbar = tbar * v
+        abar = abar + sbar * (-2.0 * a)
+        zbar = abar * s
+        dW[l] += zbar.T @ acts[l] + vbar.T @ taus[l]
+        db[l] += zbar.sum(axis=0)
+        if l:
+            abar = zbar @ net.weights[l]
+            tbar = vbar @ net.weights[l]
+    return dW, db
+
+
 def ref_loss_batch(net, sys, cfg, Xc, Xe, Xp, wp):
     B, M, D = Xc.shape[0], Xe.shape[0], Xp.shape[0]
     o = B + M
     X = np.concatenate([Xc, Xe, np.zeros((1, sys.dim)), Xp])
     T = np.zeros_like(X)
     T[:B] = sys.f_many(Xc)
-    states = nn._residual_forward(net, X, T)
+    states = ref_forward(net, X, T)
     y, u = states[4], states[5]
     yc = y[:B]
     ybar = np.zeros_like(y)
@@ -306,7 +384,7 @@ def ref_loss_batch(net, sys, cfg, Xc, Xe, Xp, wp):
         ybar[o + 1:] = (2.0 * cfg.lambda_d / D) * d
     ubar = np.zeros_like(u)
     ubar[:B] = rbar
-    return nn.LossParts(L_r, L_b, L_d), nn._residual_vjp(net, states, ybar, ubar)
+    return nn.LossParts(L_r, L_b, L_d), ref_vjp(net, states, ybar, ubar)
 
 
 def ref_cycle_take(arr, perm, start, count):
@@ -341,14 +419,14 @@ def ref_train(net, data, sys, cfg):
             n_p = min(cfg.batch, data.pair_x.shape[0])
             Xp = ref_cycle_take(data.pair_x, perm_p, lo, n_p)
             wp = ref_cycle_take(data.pair_w, perm_p, lo, n_p)
-            parts, grad = ref_loss_batch(net, sys, cfg, Xc, Xe, Xp, wp)
+            parts, (dW, db) = ref_loss_batch(net, sys, cfg, Xc, Xe, Xp, wp)
             sums += (parts.total(cfg), parts.residual, parts.boundary, parts.data)
             adam_t += 1
             corr1 = 1.0 - beta1 ** adam_t
             corr2 = 1.0 - beta2 ** adam_t
             for l in range(len(net.weights)):
-                for p, g, m, v in ((net.weights[l], grad.dW[l], mW[l], vW[l]),
-                                   (net.biases[l], grad.db[l], mb[l], vb[l])):
+                for p, g, m, v in ((net.weights[l], dW[l], mW[l], vW[l]),
+                                   (net.biases[l], db[l], mb[l], vb[l])):
                     m *= beta1
                     m += (1 - beta1) * g
                     v *= beta2
@@ -381,6 +459,34 @@ class TestTrain:
         inside = nn._hinge_targets(cfg, data.collocation)[0]
         assert np.count_nonzero(inside) >= 5
         net0 = nn.init_mlp([2, 8, 8, 1], 11)
+        got, record = nn.train(net0, data, VDP, cfg)
+        want, epochs = ref_train(net0, data, VDP, cfg)
+        assert record.epochs == epochs and len(epochs) == 2
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.shape == b.shape and same_bits(a, b)
+
+    @pytest.mark.parametrize("case", ["no_pairs", "few_exterior", "no_exterior", "no_band",
+                                      "no_short_step", "one_short_step", "small_blocks"])
+    def test_matches_reference_on_edge_cases(self, vdp_data, case, monkeypatch):
+        # D = 0; fewer exterior rows than a batch, so they cycle within a
+        # step; M = 0; no hinge; N a multiple of the batch; N below it; the
+        # 8 steps gathered 3 at a time, the short one in a partial block
+        if case == "small_blocks":
+            monkeypatch.setattr(nn, "BLOCK_STEPS", 3)
+        samples, P = vdp_data
+        batch = {"no_short_step": 25, "one_short_step": 300}.get(case, 32)
+        cfg = nn.TrainConfig(alpha=0.1, batch=batch, max_epochs=2, loss_threshold=0.0,
+                             seed=5, local_P=P, c_local=1.5,
+                             use_local_band=case != "no_band")
+        data = nn.assemble_dataset(samples, cfg, pair_fraction=0.0 if case == "no_pairs" else 0.2)
+        if case in ("few_exterior", "no_exterior"):
+            data = nn.Dataset(data.collocation, data.exterior[:5 if case == "few_exterior" else 0],
+                              data.pair_x, data.pair_w)
+        M, D = data.exterior.shape[0], data.pair_x.shape[0]
+        assert (D == 0) == (case == "no_pairs") and D != batch
+        assert M == {"few_exterior": 5, "no_exterior": 0}.get(case, 148)
+        assert (data.collocation.shape[0] % batch == 0) == (case == "no_short_step")
+        net0 = nn.init_mlp([2, 6, 5, 1], 12)
         got, record = nn.train(net0, data, VDP, cfg)
         want, epochs = ref_train(net0, data, VDP, cfg)
         assert record.epochs == epochs and len(epochs) == 2

@@ -256,6 +256,43 @@ class TestBadInput:
         assert run("verify-local", "--system", "cubic1d", "--c", "0.2", "--delta", "nan",
                    "--out-dir", str(tmp_path)) == 1
 
+    @pytest.mark.parametrize("key, text", [
+        ("grid", "[3.9]"), ("grid", "[NaN]"), ("grid", "[Infinity]"), ("grid", "[true]"),
+        ("grid", '"3.9"'), ("grid", "[null]"), ("hidden", "[2.9]"), ("hidden", "[NaN, 4]"),
+        ("hidden", "[4, false]"),
+    ])
+    def test_count_that_is_not_a_whole_number_is_a_config_error(self, tmp_path, capsys,
+                                                               key, text):
+        # int() would cut 3.9 to a 3-point lattice and 2.9 to a width-2
+        # layer, and fail on NaN with a runtime error
+        section = f'"train": {{"hidden": {text}}}' if key == "hidden" else f'"grid": {text}'
+        cfg = tmp_path / "run.json"
+        cfg.write_text(f'{{"system": "cubic1d", {section}}}')
+        data = tmp_path / "d.csv"
+        assert run("gen-data", "--config", str(cfg), "--out", str(data)) == 1
+        assert not data.exists()
+        assert run("train", "--config", str(cfg), "--data", str(data),
+                   "--out-dir", str(tmp_path)) == 1
+        assert not (tmp_path / "net.json").exists()
+        err = capsys.readouterr().err
+        assert err.count(f"{'train.hidden' if key == 'hidden' else 'grid'} must be whole") == 2
+
+    @pytest.mark.parametrize("grid", ["3.9", "nan", "4x2.5", "inf", "-3", "True"])
+    def test_grid_flag_that_is_not_whole_is_a_config_error(self, tmp_path, grid):
+        assert run("gen-data", "--system", "cubic1d", "--grid", grid,
+                   "--out", str(tmp_path / "d.csv")) == 1
+
+    def test_whole_float_counts_are_accepted(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"system": "cubic1d", "grid": [5.0],
+                                   "train": {"hidden": [3.0], "max_epochs": 1}}))
+        data = tmp_path / "d.csv"
+        assert run("gen-data", "--config", str(cfg), "--out", str(data)) == 0
+        assert len(ode.load_samples(data)) == 5
+        assert run("train", "--config", str(cfg), "--data", str(data),
+                   "--out-dir", str(tmp_path)) == 0
+        assert nn.load_mlp(tmp_path / "net.json")[0].layer_sizes == (1, 3, 1)
+
 
 class TestGridCommand:
     def test_lattice_csv(self, cubic_run, tmp_path):

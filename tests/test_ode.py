@@ -108,6 +108,35 @@ class TestAdvanceBatch:
         assert status.tolist() == [7]
 
 
+class TestAugmentRhs:
+    @pytest.mark.parametrize("sys", [
+        CUBIC, VDP,
+        dyn.make_system("cubic3d", 3, ["-x1 + x2*x3", "x1 - x2^3", "-x3 + x1*x2"],
+                        [[-1, 1]] * 3),
+    ], ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_columns_match_the_field_and_squared_norm(self, sys, order):
+        # the pool's rhs writes f(x) and |x|^2 into the columns of one
+        # Fortran-ordered array; its bits are those of f_many and _sq_norm,
+        # also for signed zeros, infinities and NaN
+        n = sys.dim
+        rng = np.random.default_rng(n)
+        Y = rng.uniform(-2.0, 2.0, size=(40, n + 1))
+        Y[0, :n], Y[1, :n] = -0.0, 0.0
+        Y[2, 0], Y[3, n - 1], Y[4, :n] = -0.0, np.inf, np.nan
+        Y[5, 0], Y[6, :n] = -np.inf, [np.inf, -0.0, np.nan][:n]
+        Y = np.asarray(Y, order=order)
+        X = Y[:, :n]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = ode._augment_rhs(sys)(Y)
+            plain = ode._augment_rhs(sys, cost=False)(X)
+            want = np.column_stack([sys.f_many(X), ode._sq_norm(X)])
+        assert got.shape == (40, n + 1) and got.flags.f_contiguous
+        assert plain.shape == (40, n) and plain.flags.f_contiguous
+        assert same_bits(got, want) and same_bits(plain, want[:, :n])
+        assert np.isnan(got[4]).all() and got[3, n] == np.inf
+
+
 class TestEstimateV:
     def test_cubic_half(self):
         v, conv = estimate_V(CUBIC, [0.5])
