@@ -106,8 +106,8 @@ def resolve_config(overrides: dict) -> dict:
             if _is_number(default) and not _is_number(cfg[section][key]):
                 raise ConfigError(f"{section}.{key} must be a number, got {cfg[section][key]!r}")
     tr = cfg["train"]
-    for what, counts in (("grid", cfg["grid"]), ("train.hidden", tr["hidden"])):
-        _counts(counts, what)
+    _counts(cfg["grid"], "grid", 2)
+    _counts(tr["hidden"], "train.hidden", 1)
     for field, lo in (("batch", 1), ("max_epochs", 0)):
         if not isinstance(tr[field], int) or tr[field] < lo:
             raise ConfigError(f"train.{field} must be an integer >= {lo}")
@@ -147,18 +147,21 @@ def _train_config(cfg: dict, local: "vf.LocalCertificate | None") -> nn.TrainCon
     return nn.TrainConfig(**kwargs)
 
 
-def _counts(values, what: str) -> list:
-    """Whole numbers from a list or "300x300" text; bools, NaN and fractions are errors."""
+def _counts(values, what: str, least: int) -> list:
+    """Whole numbers >= ``least`` from a list or "300x300" text; bools, NaN, fractions fail."""
     if not isinstance(values, (list, tuple)):
         values = [p for p in str(values).replace(",", "x").split("x") if p]
     if not all(v.strip().isdecimal() if isinstance(v, str) else _is_number(v) and v == int(v)
                for v in values):
         raise ConfigError(f"{what} must be whole numbers, got {values!r}")
-    return [int(v) for v in values]
+    counts = [int(v) for v in values]
+    if any(c < least for c in counts):
+        raise ConfigError(f"{what} must be at least {least}, got {values!r}")
+    return counts
 
 
 def _parse_grid(text, dim: int):
-    counts = _counts(text, "grid")
+    counts = _counts(text, "grid", 2)
     if len(counts) == 1:
         counts = counts * dim
     if len(counts) != dim:
@@ -226,7 +229,7 @@ def _cmd_train(args) -> int:
     tc = _train_config(cfg, local)
     data = nn.assemble_dataset(samples, tc, pair_fraction=cfg["train"]["pair_fraction"],
                                rng=np.random.default_rng(cfg["seed"]))
-    hidden = _counts(cfg["train"]["hidden"], "train.hidden")
+    hidden = _counts(cfg["train"]["hidden"], "train.hidden", 1)
     net0 = nn.init_mlp([sysdef.dim, *hidden, 1], cfg["seed"])
     net, record = nn.train(net0, data, sysdef, tc)
     out_dir = Path(args.out_dir or cfg["out_dir"])

@@ -508,6 +508,15 @@ def _kdiv_loose(alo, ahi, blo, bhi):
     return np.where(spans, -_INF, qlo), np.where(spans, _INF, qhi)
 
 
+def _kdiv_const(vlo, vhi, p: float):
+    """`_kdiv_loose` by a point divisor p, bit for bit where vlo <= vhi: the
+    two quotients ordered by p's sign are `kdiv`'s bounds (division is
+    monotone) up to the sign of a zero, which the widening erases."""
+    if p == 0.0:
+        return np.full(vlo.shape, -_INF), np.full(vlo.shape, _INF)
+    return _widen(vlo / p, vhi / p) if p > 0.0 else _widen(vhi / p, vlo / p)
+
+
 def _nthroot(v, n):
     """Real n-th root, before outward rounding."""
     return np.sign(v) * np.abs(v) ** (1.0 / n)
@@ -558,8 +567,10 @@ def hc4_contract(tape, lo: np.ndarray, hi: np.ndarray,
                 _narrow(rng, a[0], *kadd(vlo, vhi, *st[a[1]]))
                 _narrow(rng, a[1], *ksub(*st[a[0]], vlo, vhi))
             elif op == ex.MUL:
-                _narrow(rng, a[0], *_kdiv_loose(vlo, vhi, *st[a[1]]))
-                _narrow(rng, a[1], *_kdiv_loose(vlo, vhi, *st[a[0]]))
+                for x, y in ((a[0], a[1]), (a[1], a[0])):
+                    yop, _, p = t.slots[y]
+                    _narrow(rng, x, *(_kdiv_const(vlo, vhi, p) if yop == ex.CONST
+                                      else _kdiv_loose(vlo, vhi, *st[y])))
             elif op == ex.DIV:
                 _narrow(rng, a[0], *kmul(vlo, vhi, *st[a[1]]))
                 _narrow(rng, a[1], *_kdiv_loose(*st[a[0]], vlo, vhi))

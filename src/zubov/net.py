@@ -29,13 +29,18 @@ Training does the weight-independent work once per dataset: f(x),
 |x|^2 and the hinge envelopes of every collocation point are computed
 up front; the stacked rows of ``BLOCK_STEPS`` steps at a time go into
 one block, so a step reads views.  The trained weights and biases are
-views into one flat parameter vector, each gradient is written into one
-flat vector laid out the same way, and Adam updates them in place.
+views into one flat parameter vector, which Adam updates in place.  The
+arrays a step writes (each layer's forward and reverse arrays, the
+cotangents and the gradient, laid out like theta) live in one workspace
+per run, written with ``out=``.  No two products are fused into one:
+BLAS results depend on the row count, and each keeps its own shape, so
+the trained bits are those of fresh arrays.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -304,69 +309,59 @@ def _layer_views(flat: np.ndarray, sizes) -> tuple:
     return weights, biases
 
 
-class _GradAccum:
-    """A parameter gradient: one flat vector and per-layer views into it."""
+class _Workspace:
+    """The arrays of a run's Adam steps, allocated once for up to R rows.
 
-    def __init__(self, net: Mlp):
+    ``flat`` is the gradient, with per-layer views ``dW``, ``db``.
+    ``rows(r)`` gives views of the first r rows of the loss's (ybar, ubar,
+    residual, scratch) and, per layer, of the forward pass's z (tanh'd in
+    place into a), v, s and tau and the reverse pass's abar, tbar, vbar,
+    sbar and scratch.
+    """
+
+    def __init__(self, net: Mlp, R: int):
         self.flat = np.zeros(param_count(net))
         self.dW, self.db = _layer_views(self.flat, net.layer_sizes)
+        self._cols, self._rows = np.zeros((4, R)), {}
+        self._layers = [np.empty((9, R, h)) for h in net.layer_sizes[1:]]
+
+    def rows(self, r: int):
+        if r not in self._rows:
+            self._rows[r] = tuple(self._cols[:, :r]), [tuple(a[:, :r]) for a in self._layers]
+        return self._rows[r]
 
 
-def _residual_forward(net: Mlp, X: np.ndarray, F: np.ndarray):
-    """Joint primal/tangent forward pass; row i's tangent direction is F_i.
-
-    Returns per-layer states and (y, u) with u_i = grad W_N(x_i) . F_i.
-    """
-    acts, taus, vs, sigs = [X], [F], [], []
-    a, tau = X, F
-    last = len(net.weights) - 1
-    for i, (W, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ W.T + b
-        v = tau @ W.T
-        if i < last:
-            a = np.tanh(z)
-            s = 1.0 - a * a
-            tau = s * v
-            acts.append(a)
-            taus.append(tau)
-            vs.append(v)
-            sigs.append(s)
-        else:
-            y, u = z[:, 0], v[:, 0]
-    return acts, taus, vs, sigs, y, u
-
-
-def _residual_vjp(net: Mlp, states, ybar: np.ndarray, ubar: np.ndarray,
-                  out: _GradAccum) -> _GradAccum:
-    """d/d theta of sum_i (ybar_i y_i + ubar_i u_i), written into ``out``."""
-    out.flat.fill(0.0)
-    acts, taus, vs, sigs, _, _ = states
+def _residual_vjp(net: Mlp, X: np.ndarray, F: np.ndarray, lay, ybar: np.ndarray,
+                  ubar: np.ndarray, ws: _Workspace) -> None:
+    """d/d theta of sum_i (ybar_i y_i + ubar_i u_i), written into ``ws``,
+    from the forward pass's arrays in ``lay``."""
     L = len(net.weights) - 1
-    Wo = net.weights[L]
-    abar = ybar[:, None] * Wo
-    tbar = ubar[:, None] * Wo
-    out.dW[L] += ybar[None, :] @ acts[L] + ubar[None, :] @ taus[L]
-    out.db[L] += ybar.sum()     # the tangent stream carries no bias
-    for l in range(L - 1, -1, -1):
-        s, v, a = sigs[l], vs[l], acts[l + 1]
-        vbar = tbar * s
-        sbar = tbar * v
-        abar = abar + sbar * (-2.0 * a)     # s = 1 - a^2
-        zbar = abar * s
-        out.dW[l] += zbar.T @ acts[l] + vbar.T @ taus[l]
-        out.db[l] += zbar.sum(axis=0)
-        if l:       # the input rows need no cotangent
-            abar = zbar @ net.weights[l]
-            tbar = vbar @ net.weights[l]
-    return out
+    acts, taus = [X, *(f[0] for f in lay[:L])], [F, *(f[3] for f in lay[:L])]
+    if L:
+        np.multiply(ybar[:, None], net.weights[L], lay[L - 1][4])
+        np.multiply(ubar[:, None], net.weights[L], lay[L - 1][5])
+    for l in range(L, -1, -1):
+        if l == L:
+            zbar, vbar = ybar[None, :], ubar[None, :]
+        else:
+            a, v, s, _, abar, tbar, vbar, sbar, tmp = lay[l]
+            np.multiply(tbar, s, vbar)
+            np.multiply(tbar, v, sbar)
+            abar += np.multiply(sbar, np.multiply(a, -2.0, tmp), tmp)    # s = 1 - a^2
+            zbar, vbar = np.multiply(abar, s, abar).T, vbar.T
+        np.dot(zbar, acts[l], ws.dW[l])
+        ws.dW[l] += np.dot(vbar, taus[l])
+        np.add.reduce(zbar, 1, None, ws.db[l])      # the tangent stream carries no bias
+        if 0 < l < L:       # the input rows need no cotangent
+            np.dot(zbar.T, net.weights[l], lay[l - 1][4])
+            np.dot(vbar.T, net.weights[l], lay[l - 1][5])
 
 
-def _hinge_targets(cfg: TrainConfig, X: np.ndarray):
+def _hinge_targets(cfg: TrainConfig, X: np.ndarray, n2: Optional[np.ndarray] = None):
     """Quadratic-rate envelopes beta(c1 |x|^2), beta(c2 |x|^2) and the
-    mask of points inside the local ellipsoid."""
-    q = np.einsum("ki,ij,kj->k", X, cfg.local_P, X)
-    inside = q <= cfg.c_local
-    n2 = np.sum(X * X, axis=1)
+    mask of points inside the local ellipsoid; ``n2`` is |x|^2 if given."""
+    inside = np.einsum("ki,ij,kj->k", X, cfg.local_P, X) <= cfg.c_local
+    n2 = np.add.reduce(np.multiply(X, X), axis=1) if n2 is None else n2
     b = cfg.beta()
     return inside, beta_transform(cfg.c1_local * n2, b), beta_transform(cfg.c2_local * n2, b)
 
@@ -385,21 +380,31 @@ class _Terms(NamedTuple):
 
 
 def _collocation_terms(sys: dyn.SystemDef, cfg: TrainConfig, Xc: np.ndarray) -> _Terms:
-    hinge = None
+    # f first, while nothing else is live: its temporaries are the largest
+    f, phi, hinge = sys.f_many(Xc), np.add.reduce(np.multiply(Xc, Xc), axis=1), None
     if cfg.use_local_band and cfg.local_P is not None and cfg.c_local is not None:
-        hinge = _hinge_targets(cfg, Xc)
-    return _Terms(sys.f_many(Xc), np.sum(Xc * Xc, axis=1), hinge)
+        hinge = _hinge_targets(cfg, Xc, phi)
+    return _Terms(f, phi, hinge)
 
 
 def _mean(a: np.ndarray) -> float:
     """np.mean of a 1-d array, bit for bit, without its dispatch cost."""
-    return float(a.sum()) / a.shape[0]
+    return float(np.add.reduce(a)) / a.shape[0]
+
+
+def _sq_term(y: np.ndarray, target, bar: np.ndarray, tmp: np.ndarray, weight: float) -> float:
+    """mean((y - target)^2); its cotangent times ``weight`` goes into ``bar``."""
+    d = np.subtract(y, target, bar)
+    L = _mean(np.multiply(d, d, tmp[:d.shape[0]]))
+    d *= 2.0 * weight / d.shape[0]
+    return L
 
 
 def _loss_batch(net: Mlp, sys: dyn.SystemDef, cfg: TrainConfig,
                 Xc: np.ndarray, Xe: np.ndarray,
                 Xp: np.ndarray, wp: np.ndarray,
-                want_grad: bool, terms: Optional[_Terms] = None, stacked=None, grad=None):
+                want_grad: bool, terms: Optional[_Terms] = None, stacked=None,
+                ws: Optional[_Workspace] = None):
     """Loss parts on one mini-batch, optionally with the parameter gradient
     of the weighted total.
 
@@ -407,8 +412,10 @@ def _loss_batch(net: Mlp, sys: dyn.SystemDef, cfg: TrainConfig,
     tangent f(x) on the collocation rows and 0 elsewhere, so every loss
     part reads the same outputs y (and u on the collocation rows).  The
     gradient is one reverse pass whose per-row cotangents sum the parts
-    that read each row, written into ``grad`` if given.  ``terms`` (Xc's
-    ``_collocation_terms``) and ``stacked`` (X, T) are used if given.
+    that read each row; it is returned as the workspace, whose ``flat``,
+    ``dW`` and ``db`` hold it.  ``terms`` (Xc's ``_collocation_terms``),
+    ``stacked`` (X, T) and ``ws`` (a `_Workspace` of at least as many
+    rows) are used if given.
     """
     if terms is None:
         terms = _collocation_terms(sys, cfg, Xc)
@@ -418,27 +425,38 @@ def _loss_batch(net: Mlp, sys: dyn.SystemDef, cfg: TrainConfig,
         X = np.concatenate([Xc, Xe, np.zeros((1, sys.dim)), Xp])
         stacked = X, np.concatenate([terms.f, np.zeros((X.shape[0] - B, sys.dim))])
     X, T = stacked
-    states = _residual_forward(net, X, T)
-    y, u = states[4], states[5]
-    yc = y[:B]
-    ybar = np.zeros(y.shape)
+    ws = _Workspace(net, X.shape[0]) if ws is None else ws
+    (ybar, ubar, r, tmp), lay = ws.rows(X.shape[0])
+    # the joint primal/tangent forward pass; u_i = grad W_N(x_i) . T_i
+    a, tau = X, T
+    for i, (W, b) in enumerate(zip(net.weights, net.biases)):
+        z, v, s, t = lay[i][:4]
+        np.add(np.dot(a, W.T, z), b, z)
+        np.dot(tau, W.T, v)
+        if i < len(net.weights) - 1:
+            a = np.tanh(z, z)
+            np.subtract(1.0, np.multiply(a, a, s), s)
+            tau = np.multiply(s, v, t)
+    y, u = z[:, 0], v[:, 0]
+    yc, yb, r = y[:B], ybar[:B], r[:B]
 
-    # residual term
+    # residual term r = u + psi (1 - y); its cotangent rbar goes into ubar
     phi = terms.phi
-    r = u[:B] + _psi(cfg, phi, yc) * (1.0 - yc)
-    L_r = _mean(r * r)
-    rbar = (2.0 * cfg.lambda_r / B) * r
     if cfg.psi_form == "exp":
-        ybar[:B] = rbar * (-cfg.alpha * phi)
+        np.multiply(phi, cfg.alpha, r)
+        np.multiply(phi, -cfg.alpha, yb)
     else:
-        ybar[:B] = rbar * (-2.0 * cfg.alpha * phi * yc)
+        np.multiply(np.add(yc, 1.0, r), cfg.alpha, r)
+        r *= phi
+        np.multiply(phi, -2.0 * cfg.alpha, yb)
+        yb *= yc
+    r *= np.subtract(1.0, yc, tmp[:B])
+    r += u[:B]
+    L_r = _mean(np.multiply(r, r, tmp[:B]))
+    yb *= np.multiply(r, 2.0 * cfg.lambda_r / B, ubar[:B])
 
     # boundary term: exterior pull to 1, origin pin, local envelope hinge
-    L_b = 0.0
-    if M:
-        d = y[B:o] - 1.0
-        L_b += _mean(d * d)
-        ybar[B:o] = (2.0 * cfg.lambda_b / M) * d
+    L_b = _sq_term(y[B:o], 1.0, ybar[B:o], tmp, cfg.lambda_b) if M else 0.0
     L_b += float(y[o] ** 2)
     ybar[o] = 2.0 * cfg.lambda_b * y[o]
     if terms.hinge is not None:
@@ -448,21 +466,17 @@ def _loss_batch(net: Mlp, sys: dyn.SystemDef, cfg: TrainConfig,
             under = np.maximum(lo_t[inside] - wi, 0.0)
             over = np.maximum(wi - hi_t[inside], 0.0)
             L_b += _mean(under ** 2 + over ** 2)
-            ybar[:B][inside] += (2.0 * cfg.lambda_b / wi.shape[0]) * (over - under)
+            yb[inside] += (2.0 * cfg.lambda_b / wi.shape[0]) * (over - under)
 
     # data term
-    L_d = 0.0
-    if D:
-        d = y[o + 1:] - wp
-        L_d = _mean(d * d)
-        ybar[o + 1:] = (2.0 * cfg.lambda_d / D) * d
+    L_d = _sq_term(y[o + 1:], wp, ybar[o + 1:], tmp, cfg.lambda_d) if D else 0.0
 
     parts = LossParts(residual=L_r, boundary=L_b, data=L_d)
     if not want_grad:
         return parts
-    ubar = np.zeros(u.shape)
-    ubar[:B] = rbar
-    return parts, _residual_vjp(net, states, ybar, ubar, grad or _GradAccum(net))
+    ubar[B:] = 0.0          # an earlier call with more collocation rows wrote here
+    _residual_vjp(net, X, T, lay, ybar, ubar, ws)
+    return parts, ws
 
 
 def loss(net: Mlp, data: Dataset, sys: dyn.SystemDef, cfg: TrainConfig):
@@ -494,7 +508,6 @@ def train(net: Mlp, data: Dataset, sys: dyn.SystemDef, cfg: TrainConfig):
     rng = np.random.default_rng(cfg.seed)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     m, v, s1, s2 = (np.zeros_like(theta) for _ in range(4))
-    grad = _GradAccum(net)
     adam_t = 0
     terms = _collocation_terms(sys, cfg, data.collocation)
     N, n, B = *data.collocation.shape, cfg.batch
@@ -505,6 +518,7 @@ def train(net: Mlp, data: Dataset, sys: dyn.SystemDef, cfg: TrainConfig):
     # 0, and exterior and pair rows cycle through their permutations
     Xb, Tb = np.zeros((2, min(steps, BLOCK_STEPS), B + n_e + 1 + n_p, n))
     wb = np.zeros((Xb.shape[0], n_p))
+    ws = _Workspace(net, Xb.shape[1])
     stop_reason = "max_epochs"
     for epoch in range(cfg.max_epochs):
         perm_c = rng.permutation(N)
@@ -524,16 +538,16 @@ def train(net: Mlp, data: Dataset, sys: dyn.SystemDef, cfg: TrainConfig):
             for j, (X, T, wp) in enumerate(zip(Xb[:k], Tb[:k], wb[:k])):
                 a = max(0, (s0 + j + 1) * B - N)
                 parts, _ = _loss_batch(net, sys, cfg, X[a:B], X[B:B + n_e], X[B + n_e + 1:], wp,
-                                       want_grad=True, stacked=(X[a:], T[a:]), grad=grad,
+                                       want_grad=True, stacked=(X[a:], T[a:]), ws=ws,
                                        terms=ordered.take((j, slice(a, None))))
                 total = parts.total(cfg)
-                if not np.isfinite(total):
+                if not math.isfinite(total):
                     raise DivergedLoss(f"loss became non-finite at epoch {epoch}, step {s0 + j}")
                 sums += (total, parts.residual, parts.boundary, parts.data)
                 adam_t += 1
                 # in place: m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g  and
                 # theta -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
-                g = grad.flat
+                g = ws.flat
                 m *= beta1
                 m += np.multiply(g, 1 - beta1, out=s1)
                 v *= beta2

@@ -153,26 +153,27 @@ def beta_transform(v, b: BetaKind):
         raise ValueError("beta transform expects v >= 0, got NaN")
     if np.any(v_arr < 0):
         raise ValueError("beta transform expects v >= 0")
+    # in place, so the only full-size array made is w itself
+    w = np.multiply(v_arr, -b.alpha if b.kind == "exp" else b.alpha, np.empty(v_arr.shape))
     with np.errstate(over="ignore"):
         if b.kind == "exp":
-            w = 1.0 - np.exp(-b.alpha * v_arr)
+            np.subtract(1.0, np.exp(w, w), w)
         else:
-            w = np.tanh(b.alpha * v_arr)
+            np.tanh(w, w)
     # a finite v maps strictly below 1; restore that when rounding hits 1.0
-    w = np.where(np.isfinite(v_arr) & (w >= 1.0), np.nextafter(1.0, 0.0), w)
-    w = np.where(np.isinf(v_arr), 1.0, w)
+    w[np.isfinite(v_arr) & (w >= 1.0)] = np.nextafter(1.0, 0.0)
+    w[np.isinf(v_arr)] = 1.0
     return float(w) if np.isscalar(v) or np.ndim(v) == 0 else w
 
 
-def _combine(coefs, k):
-    """sum_j coefs[j] k[j] over the non-zero coefficients, added left to right."""
-    acc = None
-    for c, kj in zip(coefs, k):
-        if c != 0.0:
-            if acc is None:
-                acc = c * kj
-            else:
-                acc += c * kj
+def _combine(coefs, k, tmp, scale):
+    """scale * sum_j coefs[j] k[j] over the non-zero coefficients, added
+    left to right; each product but the first is made in ``tmp``."""
+    (c0, k0), *rest = [(c, kj) for c, kj in zip(coefs, k) if c != 0.0]
+    acc = np.multiply(k0, c0)
+    for c, kj in rest:
+        acc += np.multiply(kj, c, tmp)
+    acc *= scale
     return acc
 
 
@@ -188,12 +189,13 @@ def _rk_step(rhs, Y, h, k1=None):
     # +0.0 turns a -0.0 coordinate into +0.0, which keeps every stage
     # point bit-equal to summing each stage from Python's int 0
     base = Y + 0.0
-    hc = h[:, None]
+    hc, tmp = h[:, None], np.empty_like(Y)
     for s in range(1, 7):
-        ys = base + hc * _combine(_A[s], k)
+        ys = _combine(_A[s], k, tmp, hc)
+        ys += base
         k.append(rhs(ys))
     # _A[6] == _B5, so the last stage point is y5
-    return ys, hc * _combine(_E, k), k[6]
+    return ys, _combine(_E, k, tmp, hc), k[6]
 
 
 def _advance(rhs, Y0: np.ndarray, cfg: IntegratorConfig,
@@ -435,13 +437,19 @@ def gen_dataset(sys: dyn.SystemDef, grid, cfg: IntegratorConfig, b: BetaKind,
 _BLOCK = 4096   # rows formatted at once by write_csv
 
 
+def _reprs(c: np.ndarray) -> list:
+    """``repr`` of each float, made once per distinct bit pattern (so -0.0 is not 0.0)."""
+    keys, inv = np.unique(c.view(np.int64), return_inverse=True)
+    return np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)[inv].tolist()
+
+
 def write_csv(path, header: list, columns: list) -> None:
     """Write equal-length columns of floats (each as its ``repr``) or strings as CSV."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for a in range(0, len(columns[0]), _BLOCK):
-            cells = [c[a:a + _BLOCK].tolist() for c in columns]
-            cells = [map(repr, c) if isinstance(c[0], float) else c for c in cells]
+            cells = [_reprs(c) if c.dtype == np.float64 else c.tolist()
+                     for c in (col[a:a + _BLOCK] for col in columns)]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

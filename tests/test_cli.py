@@ -282,6 +282,33 @@ class TestBadInput:
         assert run("gen-data", "--system", "cubic1d", "--grid", grid,
                    "--out", str(tmp_path / "d.csv")) == 1
 
+    @pytest.mark.parametrize("key, text", [
+        ("grid", "[1]"), ("grid", "[0]"), ("hidden", "[0]"), ("hidden", "[4, 0]"),
+    ])
+    def test_count_below_its_meaning_is_a_config_error(self, tmp_path, capsys, key, text):
+        # a hidden layer of no units makes W_N ignore x, and a lattice axis
+        # needs two points; both used to run (exit 0) or fail late (exit 2)
+        section = f'"train": {{"hidden": {text}}}' if key == "hidden" else f'"grid": {text}'
+        cfg = tmp_path / "run.json"
+        cfg.write_text(f'{{"system": "cubic1d", {section}}}')
+        data = tmp_path / "d.csv"
+        assert run("gen-data", "--config", str(cfg), "--out", str(data)) == 1
+        assert not data.exists()
+        assert run("train", "--config", str(cfg), "--data", str(data),
+                   "--out-dir", str(tmp_path)) == 1
+        assert not (tmp_path / "net.json").exists()
+        err = capsys.readouterr().err
+        what = "train.hidden must be at least 1" if key == "hidden" else "grid must be at least 2"
+        assert err.count(f"{what}, got {json.loads(text)!r}") == 2
+
+    @pytest.mark.parametrize("system, grid", [("cubic1d", "1"), ("cubic1d", "0"),
+                                              ("reversed_vdp", "5x1")])
+    def test_grid_flag_below_two_is_a_config_error(self, tmp_path, capsys, system, grid):
+        assert run("gen-data", "--system", system, "--grid", grid,
+                   "--out", str(tmp_path / "d.csv")) == 1
+        assert "grid must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
     def test_whole_float_counts_are_accepted(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"system": "cubic1d", "grid": [5.0],

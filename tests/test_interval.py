@@ -1,10 +1,16 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zubov import expr as ex
 from zubov import interval as iv
 from zubov import net as nn
 
+from test_bit_identity import same_bits
 from test_expr import random_expr, shared_expr
 
 
@@ -303,3 +309,24 @@ class TestBnb:
             iv.bnb_verify(cond, iv.Box([0.0], [1.0]), delta=float("nan"))
         with pytest.raises(ValueError):
             iv.bnb_verify(cond, iv.Box([0.0], [1.0]), budget=0)
+
+
+# every float64 but NaN, and the values the quotient is most delicate at
+_floats = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+    .filter(lambda v: not math.isnan(v)),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-300, -1e300, 1.0]))
+
+
+class TestKdivConst:
+    @settings(max_examples=300, deadline=None)
+    @given(p=_floats.filter(math.isfinite),
+           pairs=st.lists(st.tuples(_floats, _floats), min_size=1, max_size=10))
+    def test_is_kdiv_loose_bit_for_bit(self, p, pairs):
+        # hc4_contract's range (vlo, vhi) is ordered, and the divisor a
+        # finite point constant, which _kdiv_loose sees as [p, p]
+        vlo, vhi = np.sort(np.array(pairs), axis=1).T.copy()
+        with np.errstate(all="ignore"):
+            got = iv._kdiv_const(vlo, vhi, p)
+            want = iv._kdiv_loose(vlo, vhi, np.full(vlo.shape, p), np.full(vlo.shape, p))
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])

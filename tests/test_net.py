@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from zubov import dynamics as dyn
 from zubov import expr as ex
 from zubov import net as nn
 from zubov import ode
+
+from test_bit_identity import ref_train, same_bits
 
 CUBIC = dyn.builtin("cubic1d")
 VDP = dyn.builtin("reversed_vdp")
@@ -232,6 +236,29 @@ class TestParameterGradient:
             assert worst <= 1e-4
 
 
+class TestWorkspace:
+    def test_shorter_batch_on_a_used_workspace_gets_a_fresh_gradient(self):
+        # the rows a longer call filled past the shorter call's collocation
+        # rows must not reach its gradient, even where they hold the
+        # non-finite cotangents of points where f overflows
+        rng = np.random.default_rng(4)
+        net = nn.init_mlp([2, 5, 4, 1], rng)
+        cfg = nn.TrainConfig(alpha=0.1)
+        Xc = rng.uniform(-2, 2, size=(6, 2))
+        Xe, Xp = rng.uniform(-2, 2, size=(3, 2)), rng.uniform(-2, 2, size=(2, 2))
+        wp = rng.uniform(0, 1, size=2)
+        ws = nn._Workspace(net, 12)
+        big = Xc.copy()
+        big[4] = 1e120
+        with np.errstate(all="ignore"):
+            _, g = nn._loss_batch(net, VDP, cfg, big, Xe, Xp, wp, want_grad=True, ws=ws)
+        assert not np.all(np.isfinite(g.flat))
+        _, got = nn._loss_batch(net, VDP, cfg, Xc[:3], Xe, Xp, wp, want_grad=True, ws=ws)
+        _, want = nn._loss_batch(net, VDP, cfg, Xc[:3], Xe, Xp, wp, want_grad=True)
+        assert got is ws and want is not ws
+        assert np.all(np.isfinite(want.flat)) and same_bits(got.flat, want.flat)
+
+
 class TestTrain:
     def _band_cfg(self, **kw):
         P = dyn.solve_lyapunov(dyn.linearize(CUBIC).A, np.eye(1)).P
@@ -284,6 +311,29 @@ class TestTrain:
         _, rec = nn.train(nn.init_mlp([1, 6, 1], 1), data, CUBIC, cfg)
         assert rec.stop_reason == "loss_threshold"
         assert rec.epochs_run == 1
+
+    def test_no_workspace_state_leaks_between_runs(self):
+        # a run after a run, after loss() on the whole dataset, and after a
+        # run of another batch size (another workspace shape) each give the
+        # bits of the reference loop; each epoch ends in a one-row step
+        samples = ode.gen_dataset(VDP, [9, 9], ode.IntegratorConfig(), ode.BetaKind("tanh", 0.1))
+        P = dyn.solve_lyapunov(VDP.linearization.A, np.eye(2)).P
+        cfg = nn.TrainConfig(alpha=0.1, batch=16, max_epochs=2, loss_threshold=0.0, seed=2,
+                             local_P=P, c_local=1.5)
+        data = nn.assemble_dataset(samples, cfg, pair_fraction=0.2)
+        assert data.collocation.shape[0] % cfg.batch == 1 and data.exterior.shape[0] > 0
+        net0 = nn.init_mlp([2, 5, 4, 1], 9)
+        want, epochs = ref_train(net0, data, VDP, cfg)
+        runs = [nn.train(net0, data, VDP, cfg)]
+        runs.append(nn.train(net0, data, VDP, cfg))
+        nn.loss(runs[0][0], data, VDP, cfg)
+        runs.append(nn.train(net0, data, VDP, cfg))
+        nn.train(net0, data, VDP, dataclasses.replace(cfg, batch=7))
+        runs.append(nn.train(net0, data, VDP, cfg))
+        for got, record in runs:
+            assert record.epochs == epochs
+            for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+                assert same_bits(a, b)
 
     def test_diverged_loss_raises(self):
         data = self._cubic_data()

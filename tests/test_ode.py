@@ -379,6 +379,23 @@ class TestCsv:
         csv_writer_reference(tmp_path / "ref.csv", samples, 2)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 30), data=st.data())
+    def test_write_csv_matches_a_per_value_repr_writer(self, tmp_path_factory, rows, data):
+        # a few distinct values, so most cells repeat one; strided columns,
+        # as save_samples passes X's; -0.0 and 0.0 keep their own text
+        values = st.one_of(finite_bits, st.sampled_from(EXTREMES + [math.inf, -math.inf]))
+        pool = data.draw(st.lists(values, min_size=1, max_size=5))
+        cells = data.draw(st.lists(st.sampled_from(pool), min_size=3 * rows, max_size=3 * rows))
+        cols = [*np.array(cells).reshape(rows, 3).T]
+        cols.append(np.where(cols[0] > 0, "true", "false"))
+        path = tmp_path_factory.mktemp("csv") / "w.csv"
+        ode.write_csv(path, ["a", "b", "c", "flag"], cols)
+        want = "a,b,c,flag\n" + "".join(
+            ",".join([*(repr(float(c[i])) for c in cols[:3]), str(cols[3][i])]) + "\n"
+            for i in range(rows))
+        assert path.read_text() == want
+
     def test_header_only_rejected_by_name(self, tmp_path, recwarn):
         p = tmp_path / "header.csv"
         p.write_text("x1,x2,v_hat,w_hat,converged\n")
