@@ -145,7 +145,7 @@ def linearize(sys: SystemDef) -> Linearization:
     for i in range(n):
         lin = None
         for j in range(n):
-            a = A[i][j]
+            a = float(A[i][j])   # a plain float prints as parse reads it
             if a == 0.0:
                 continue
             term = ex.Mul(ex.Constant(a), ex.Var(j))

@@ -29,7 +29,7 @@ __all__ = [
     "Expr", "Constant", "Var", "Add", "Sub", "Mul", "Div", "Neg",
     "IntPow", "Tanh", "Exp", "Ln", "VectorField", "Tape",
     "ParseError", "DomainError",
-    "parse", "compile", "as_tape", "evaluate", "evaluate_many", "diff", "to_str",
+    "parse", "compile", "as_tape", "evaluate", "evaluate_many", "diff", "fold", "to_str",
 ]
 
 
@@ -329,7 +329,8 @@ def evaluate(e, x):
 # ---------------------------------------------------------------------------
 
 def diff(e: Expr, var: int) -> Expr:
-    """Symbolic partial derivative with respect to x_{var+1}. Unreduced."""
+    """Symbolic partial derivative with respect to x_{var+1}.  Unreduced
+    (`fold` reduces it), so the SMT-LIB export of W_N's gradient keeps its form."""
     if isinstance(e, Constant):
         return Constant(0.0)
     if isinstance(e, Var):
@@ -359,6 +360,37 @@ def diff(e: Expr, var: int) -> Expr:
     if isinstance(e, Ln):
         return Div(diff(e.arg, var), e.arg)
     raise TypeError(f"not an Expr node: {e!r}")
+
+
+def _is(e: Expr, v: float) -> bool:
+    return isinstance(e, Constant) and e.value == v   # 0.0 matches -0.0
+
+
+def fold(e: Expr) -> Expr:
+    """``e`` with 0*x = x*0 = 0, 1*x = x*1 = x, x + 0 = 0 + x = x - 0 = x,
+    0 - x = -x, x^1 = x and -0 = 0 applied bottom up.  Each holds for every
+    real x, so point values stay equal (``==``) where finite, and enclosures
+    only lose outward widening.  0/x is kept, and so its domain check."""
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        a, b = fold(e.left), fold(e.right)
+        if isinstance(e, Mul):
+            if _is(a, 0.0) or _is(b, 0.0):
+                return Constant(0.0)
+            if _is(a, 1.0) or _is(b, 1.0):
+                return b if _is(a, 1.0) else a
+        elif not isinstance(e, Div) and _is(b, 0.0):
+            return a
+        elif not isinstance(e, Div) and _is(a, 0.0):
+            return b if isinstance(e, Add) else Neg(b)
+        return type(e)(a, b)
+    if isinstance(e, Neg):
+        a = fold(e.arg)
+        return Constant(0.0) if _is(a, 0.0) else Neg(a)
+    if isinstance(e, IntPow):
+        return fold(e.base) if e.exponent == 1 else IntPow(fold(e.base), e.exponent)
+    if isinstance(e, (Tanh, Exp, Ln)):
+        return type(e)(fold(e.arg))
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +475,9 @@ class VectorField:
         return out
 
     def jacobian_exprs(self) -> list:
-        """Row-major list of lists: entry [i][j] = d f_i / d x_j."""
-        return [[diff(c, j) for j in range(self.dim)] for c in self.components]
+        """Row-major list of lists: entry [i][j] = d f_i / d x_j, folded
+        (`fold`), so its tapes carry no product with a constant 0 or 1."""
+        return [[fold(diff(c, j)) for j in range(self.dim)] for c in self.components]
 
     @cached_property
     def jacobian_tape(self) -> Tape:

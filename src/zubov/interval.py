@@ -10,8 +10,9 @@ Two layers live here:
   ulps for libm transcendentals, plus an accumulated-error bound for
   dot products, which lets the matrix products run on BLAS in any
   summation order.  Arrays let the branch-and-bound loop evaluate whole
-  chunks of boxes at once, which is what makes the verifier fast enough
-  in pure Python.
+  chunks of boxes at once, which makes the verifier fast enough in pure
+  Python; work that moves no bound, such as the input layer's products
+  with the identity Jacobian, runs once per chunk or not at all.
 
 * A public API: `Box`, enclosures of compiled expressions (`ex.Tape`)
   from one forward loop over their slots, HC4 contraction by that loop
@@ -98,11 +99,12 @@ def _down(a: np.ndarray, ulps: int) -> np.ndarray:
     the row empty, which is right because no real x satisfies it; NaN rows
     are marked empty too.
     """
-    m = np.minimum(a, _MAX)
+    m = np.minimum(a, _MAX)   # a new array (or scalar), so the step goes in place
     s = np.abs(m)
     s *= ulps * _REL
     s += ulps * _TINY
-    return m - s
+    m -= s
+    return m
 
 
 def _up(a: np.ndarray, ulps: int) -> np.ndarray:
@@ -112,7 +114,8 @@ def _up(a: np.ndarray, ulps: int) -> np.ndarray:
     s = np.abs(m)
     s *= ulps * _REL
     s += ulps * _TINY
-    return m + s
+    m += s
+    return m
 
 
 def _widen(lo, hi, ulps=_ULPS_ARITH):
@@ -141,18 +144,22 @@ def kmul(alo, ahi, blo, bhi):
 def kmul_nonneg(dlo, dhi, alo, ahi):
     """`kmul` for a factor known to be non-negative (0 <= dlo <= dhi).
 
-    The sign of each bound of a picks the product that is extreme, so two
-    products replace `kmul`'s four and its min/max trees.  Rounding is
-    monotone, so the bounds are `kmul`'s up to the sign of a zero, which
-    the widening erases: the result is `kmul`'s bit for bit.
+    The sign of each bound of a picks the factor whose product is extreme,
+    so one product per bound replaces `kmul`'s four and its min/max trees.
+    Rounding is monotone, so the bounds are `kmul`'s up to the sign of a
+    zero, which the widening erases: the result is `kmul`'s bit for bit.
     """
-    lo = np.where(alo >= 0.0, dlo * alo, dhi * alo)
-    hi = np.where(ahi >= 0.0, dhi * ahi, dlo * ahi)
+    lo = np.where(alo >= 0.0, dlo, dhi) * alo
+    hi = np.where(ahi >= 0.0, dhi, dlo) * ahi
     return _widen(lo, hi)
 
 
-def kscale(c: float, alo, ahi):
-    """Multiply by a point scalar."""
+def kscale(c, alo, ahi):
+    """Multiply by a point scalar, or by point scalars ``c`` (an array
+    broadcasting against a), each bound by the factor its sign picks."""
+    if np.ndim(c):
+        pos = c >= 0
+        return _widen(c * np.where(pos, alo, ahi), c * np.where(pos, ahi, alo))
     if c >= 0:
         return _widen(c * alo, c * ahi)
     return _widen(c * ahi, c * alo)
@@ -233,16 +240,17 @@ def _dot_err(absmax_sum: np.ndarray, k_terms: int) -> np.ndarray:
 def kaffine(W: np.ndarray, b: Optional[np.ndarray], alo, ahi):
     """Interval image of x -> W x + b for a point matrix W (out, in).
 
-    ``alo, ahi``: (..., in) -> returns (..., out).
+    ``alo, ahi``: (..., in) -> returns (..., out).  Points given as one
+    array (``alo is ahi``) make one product pair: addition commutes.
     """
     Wp = np.maximum(W, 0.0)
     Wn = np.minimum(W, 0.0)
     lo = alo @ Wp.T + ahi @ Wn.T
-    hi = ahi @ Wp.T + alo @ Wn.T
+    hi = lo if alo is ahi else ahi @ Wp.T + alo @ Wn.T
     if b is not None:
         lo = lo + b
-        hi = hi + b
-    absmax = np.maximum(np.abs(alo), np.abs(ahi))
+        hi = lo if alo is ahi else hi + b
+    absmax = np.abs(alo) if alo is ahi else np.maximum(np.abs(alo), np.abs(ahi))
     err = _dot_err(absmax @ np.abs(W).T + (np.abs(b) if b is not None else 0.0), W.shape[1])
     return lo - err, hi + err
 
@@ -375,6 +383,16 @@ def center_offsets(lo, hi):
     return (m, *ksub(lo, hi, m, m))
 
 
+def _times_j(W, jlo, jhi):
+    """W J for the Jacobian J of the layers below: `kmatmul_interval`, or,
+    while J is the identity (``jlo`` None), its bits, which are exact W
+    widened by `_dot_err`, in one (1, out, n) row for all boxes."""
+    if jlo is None:
+        err = _dot_err(np.abs(W), W.shape[1])
+        return (W - err)[None], (W + err)[None]
+    return kmatmul_interval(W, jlo, jhi)
+
+
 def _hessian_layer(W, alo, ahi, dlo, dhi, mlo, mhi, cols):
     """One hidden layer of the second-order stream: the entries p <= q
     (in `np.triu_indices` order) of
@@ -410,13 +428,12 @@ def _natural(net, lo: np.ndarray, hi: np.ndarray, order: int) -> tuple:
     One forward pass carries the value, the Jacobian J_k = s'(z) W J_{k-1}
     and the second-order stream T_k = s''(z) (WJ)(WJ)' + s'(z) W T_{k-1},
     s'' = -2 tanh s' (`_hessian_layer`), on the same outward-rounded
-    kernels; the diagonal squares go through `kpow`.
+    kernels; the diagonal squares go through `kpow`.  J_0 is the identity,
+    so the first layer's W J_0 and (WJ)_p (WJ)_q are one row (`_times_j`).
     """
     n_in = lo.shape[1]
     alo, ahi = lo, hi
-    if order:
-        eye = np.broadcast_to(np.eye(n_in), (lo.shape[0], n_in, n_in)).copy()
-        jlo, jhi = eye, eye.copy()
+    jlo = jhi = None   # J_0
     cols = None   # the Hessian stream, entry by entry; None while it is exactly 0
     last = len(net.weights) - 1
     for i, (W, b) in enumerate(zip(net.weights, net.biases)):
@@ -425,7 +442,7 @@ def _natural(net, lo: np.ndarray, hi: np.ndarray, order: int) -> tuple:
             break
         alo, ahi = ktanh(alo, ahi)
         if order:
-            mlo, mhi = kmatmul_interval(W, jlo, jhi)
+            mlo, mhi = _times_j(W, jlo, jhi)
             # tanh'(z) = 1 - tanh(z)^2, enclosed from the tanh enclosure
             s2lo, s2hi = kpow(alo, ahi, 2)
             dlo = np.clip(_down(1.0 - s2hi, _ULPS_ARITH), 0.0, 1.0)
@@ -434,9 +451,9 @@ def _natural(net, lo: np.ndarray, hi: np.ndarray, order: int) -> tuple:
                 cols = _hessian_layer(W, alo, ahi, dlo, dhi, mlo, mhi, cols)
             jlo, jhi = kmul_nonneg(dlo[:, :, None], dhi[:, :, None], mlo, mhi)
     out = (alo[:, 0], ahi[:, 0])
-    if order:
-        jlo, jhi = kmatmul_interval(net.weights[-1], jlo, jhi)
-        out += (jlo[:, 0, :], jhi[:, 0, :])
+    if order:   # one row for all boxes if there is no hidden layer
+        jlo, jhi = _times_j(net.weights[-1], jlo, jhi)
+        out += tuple(np.broadcast_to(j[:, 0, :], lo.shape).copy() for j in (jlo, jhi))
     if order == 2 and cols is None:   # no hidden layer: W_N is affine
         h = np.zeros((lo.shape[0], n_in * (n_in + 1) // 2))
         out += (h, h.copy())

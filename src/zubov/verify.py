@@ -303,18 +303,16 @@ class SegmentNormFn(iv.ScalarFn):
         self.dim = dim
 
     def _pdg_entries_interval(self, lo, hi):
+        """(P Dg)_ij = sum_k P_ik Dg_kj, (n, n, K): all (i, j) at once per k."""
         n = self.dim
         dg = iv.expr_interval_many(self.dg_tape, lo, hi)   # dg[k * n + j] = Dg_kj
-        mlo = np.empty((n, n, lo.shape[0]))
-        mhi = np.empty_like(mlo)
-        for i in range(n):
-            for j in range(n):
-                alo = np.zeros(lo.shape[0])
-                ahi = np.zeros(lo.shape[0])
-                for k in range(n):
-                    t = iv.kscale(self.P[i, k], *dg[k * n + j])
-                    alo, ahi = iv.kadd(alo, ahi, *t)
-                mlo[i, j], mhi[i, j] = alo, ahi
+        mlo = np.zeros((n, n, lo.shape[0]))
+        mhi = mlo.copy()
+        for k in range(n):
+            row = dg[k * n:(k + 1) * n]
+            t = iv.kscale(self.P[:, k, None, None], np.array([r[0] for r in row]),
+                          np.array([r[1] for r in row]))
+            mlo, mhi = iv.kadd(mlo, mhi, *t)
         return mlo, mhi
 
     def _norm_sq_interval(self, mlo, mhi):
@@ -424,8 +422,8 @@ def _local_condition(sys: dyn.SystemDef, P: np.ndarray, Q: np.ndarray,
                      r: float, c: float):
     """The local condition at level c and lambda_min(Q), once r and c are
     checked."""
-    if r <= 0 or c <= 0:
-        raise ValueError("r and c must be positive")
+    if not (r > 0 and 0 < c < np.inf):   # NaN fails too
+        raise ValueError(f"r must be positive and c positive and finite, got r = {r}, c = {c}")
     lam = dyn.lambda_min(Q)
     if not r < lam:
         raise RNotBelowLambdaMin(f"need r < lambda_min(Q) = {lam}, got r = {r}")

@@ -252,6 +252,14 @@ class TestBadInput:
         assert f"{section}.{key} must be a number" in capsys.readouterr().err
         assert not (tmp_path / "local_cert.json").exists()
 
+    @pytest.mark.parametrize("system", ["reversed_vdp", "poly2d"])
+    @pytest.mark.parametrize("c", ["inf", "nan", "-1"])
+    def test_level_outside_zero_inf_is_a_runtime_error(self, tmp_path, capsys, system, c):
+        assert run("verify-local", "--system", system, f"--c={c}",
+                   "--out-dir", str(tmp_path)) == 2
+        assert "c positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "local_cert.json").exists()
+
     def test_non_finite_flag_is_a_config_error(self, tmp_path):
         assert run("verify-local", "--system", "cubic1d", "--c", "0.2", "--delta", "nan",
                    "--out-dir", str(tmp_path)) == 1

@@ -63,6 +63,16 @@ class TestVerifyLocal:
         with pytest.raises(ValueError):
             vf.verify_local(VDP, lyap_P(VDP), np.eye(2), 0.9999, -1.0)
 
+    @pytest.mark.parametrize("sys", [VDP, POLY], ids=["reversed_vdp", "poly2d"])
+    @pytest.mark.parametrize("c", [np.inf, np.nan])
+    def test_non_finite_level_rejected(self, sys, c):
+        # HC4 turns x'Px - inf into NaN rows that it discards, which read as
+        # a proof; every finite level that large is falsified
+        with pytest.raises(ValueError, match="finite"):
+            vf.verify_local(sys, lyap_P(sys), np.eye(2), 0.9999, c)
+        assert isinstance(vf.verify_local(sys, lyap_P(sys), np.eye(2), 0.9999, 1e300).outcome,
+                          iv.Falsified)
+
 
 class TestFindMaxLocalC:
     def test_vdp_bracket(self):
