@@ -212,7 +212,8 @@ def _cmd_gen_data(args) -> int:
         "gen_seconds": seconds,
         "integrator": {"accepted_steps": stats.accepted,
                        "rejected_steps": stats.rejected,
-                       "status": stats.status},
+                       "status": stats.status,
+                       "workers": stats.workers},
     })
     print(f"wrote {len(samples)} samples ({n_conv} converged) to {out} "
           f"in {seconds:.1f}s")
@@ -391,7 +392,8 @@ def _cmd_report(args) -> int:
     counts = row["integrator"]
     if counts:
         print(f"integrator: {counts['accepted_steps']} accepted and {counts['rejected_steps']} "
-              "rejected steps; " + ", ".join(f"{n} {k}" for k, n in counts["status"].items()))
+              "rejected steps; " + ", ".join(f"{n} {k}" for k, n in counts["status"].items())
+              + (f"; workers: {counts['workers']}" if "workers" in counts else ""))
     return EXIT_OK
 
 

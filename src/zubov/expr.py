@@ -277,37 +277,70 @@ def _quiet(f, *args):
         return f(*args)
 
 
+# each op writes into ``o`` when it is given (an output column)
 _POINT_OPS = {
-    ADD: lambda k, a, b: a + b,
-    SUB: lambda k, a, b: a - b,
-    MUL: lambda k, a, b: a * b,
-    DIV: lambda k, a, b: _quiet(np.divide, a, b),
-    NEG: lambda k, a: -a,
-    POW: lambda k, a: a ** k,
-    TANH: lambda k, a: np.tanh(a),
-    EXP: lambda k, a: np.exp(a),
-    LN: lambda k, a: _quiet(np.log, a),
+    ADD: lambda k, a, b, o: np.add(a, b, o),
+    SUB: lambda k, a, b, o: np.subtract(a, b, o),
+    MUL: lambda k, a, b, o: np.multiply(a, b, o),
+    DIV: lambda k, a, b, o: _quiet(np.divide, a, b, o),
+    NEG: lambda k, a, o: np.negative(a, o),
+    # ``**`` picks its own kernel by exponent (a square is a * a): keep it
+    POW: lambda k, a, o: a ** k,
+    TANH: lambda k, a, o: np.tanh(a, o),
+    EXP: lambda k, a, o: np.exp(a, o),
+    LN: lambda k, a, o: _quiet(np.log, a, o),
 }
+# correctly rounded ops, whose bits do not depend on the memory layout; the
+# others may run a SIMD kernel on contiguous arrays and libm's on strided
+# ones, so they get contiguous operands and write only into a contiguous o
+_EXACT_OPS = {ADD, SUB, MUL, DIV, NEG}
 
 
-def _point_pass(tape: Tape, X: np.ndarray) -> list:
-    """The value of every slot over the points X of shape (K, n)."""
-    return tape.run(lambda op, k: np.full(X.shape[0], k) if op == CONST
-                    else X[:, k].astype(float, copy=True), _POINT_OPS)
+def _point_pass(tape: Tape, X: np.ndarray, out: "np.ndarray | None" = None) -> list:
+    """The value of every slot over the points X of shape (K, n).
+
+    VAR slots are views of X.  With ``out`` (K, outputs), output i is
+    written into ``out[:, i]``: an op slot straight, a CONST or VAR slot,
+    a power, a slot that is also an earlier output or (see _EXACT_OPS) an
+    inexact op into a strided column by a copy.  ``out`` must not overlap X.
+    """
+    X = np.asarray(X, dtype=float)
+    K = X.shape[0]
+    col = {} if out is None else {s: i for i, s in reversed(list(enumerate(tape.outputs)))}
+    v: list = []
+    for s, (op, a, k) in enumerate(tape.slots):
+        o = out[:, col[s]] if s in col else None
+        if op == CONST:
+            r = np.full(K, k)
+        elif op == VAR:
+            r = X[:, k]
+        elif op in _EXACT_OPS:
+            r = _POINT_OPS[op](k, *[v[j] for j in a], o)
+        else:
+            r = _POINT_OPS[op](k, *[np.ascontiguousarray(v[j]) for j in a],
+                               o if o is not None and o.flags.c_contiguous else None)
+        if o is not None and r is not o:
+            o[...] = r
+            r = o
+        v.append(r)
+    for i, s in enumerate(tape.outputs):
+        if col.get(s, i) != i:
+            out[:, i] = v[s]
+    return v
 
 
 def evaluate_many(e, X: np.ndarray):
     """Vectorized evaluation over points X of shape (K, n).
 
     ``e`` is an Expr, giving a (K,) array, or a Tape, giving a list of
-    (K,) arrays, one per output.  Unlike :func:`evaluate`, out-of-domain
-    points silently produce inf/nan so a batch is never aborted by a
-    single bad sample.
+    (K,) arrays, one per output (the rows of one array).  Unlike
+    :func:`evaluate`, out-of-domain points silently produce inf/nan so a
+    batch is never aborted by a single bad sample.
     """
     tape = as_tape(e)
-    v = _point_pass(tape, X)
-    out = [v[s] for s in tape.outputs]
-    return out if tape is e else out[0]
+    out = np.empty((len(tape.outputs), np.shape(X)[0]))
+    _point_pass(tape, X, out.T)
+    return list(out) if tape is e else out[0]
 
 
 def evaluate(e, x):
@@ -366,11 +399,35 @@ def _is(e: Expr, v: float) -> bool:
     return isinstance(e, Constant) and e.value == v   # 0.0 matches -0.0
 
 
+def _neg(a: Expr) -> Expr:
+    """-a, with -c of a constant folded (and -0 to 0)."""
+    if isinstance(a, Constant):
+        return Constant(-a.value if a.value != 0 else 0.0)
+    return Neg(a)
+
+
+def _excludes_zero(e: Expr) -> bool:
+    """True if ``e`` has no variables and its interval enclosure excludes 0."""
+    from . import interval as iv    # it builds on this module
+
+    t = compile([e])
+    if t.max_var_index >= 0:
+        return False
+    try:
+        with np.errstate(all="ignore"):
+            lo, hi = iv.expr_interval_many(t, np.zeros((1, 0)), np.zeros((1, 0)))[0]
+    except DomainError:
+        return False
+    return bool(lo[0] > 0 or hi[0] < 0)
+
+
 def fold(e: Expr) -> Expr:
     """``e`` with 0*x = x*0 = 0, 1*x = x*1 = x, x + 0 = 0 + x = x - 0 = x,
-    0 - x = -x, x^1 = x and -0 = 0 applied bottom up.  Each holds for every
-    real x, so point values stay equal (``==``) where finite, and enclosures
-    only lose outward widening.  0/x is kept, and so its domain check."""
+    0 - x = -x, x^1 = x, -c = (the constant -c), c - c = 0 for a finite
+    constant c, and 0/e = 0 for an ``e`` without variables whose enclosure
+    excludes 0, applied bottom up.  Each holds for every real x, so point
+    values stay equal (``==``) where finite, and enclosures only lose
+    outward widening.  0/x and x - x are kept: 0/x keeps its domain check."""
     if isinstance(e, (Add, Sub, Mul, Div)):
         a, b = fold(e.left), fold(e.right)
         if isinstance(e, Mul):
@@ -378,14 +435,19 @@ def fold(e: Expr) -> Expr:
                 return Constant(0.0)
             if _is(a, 1.0) or _is(b, 1.0):
                 return b if _is(a, 1.0) else a
-        elif not isinstance(e, Div) and _is(b, 0.0):
+        elif isinstance(e, Div):
+            if _is(a, 0.0) and _excludes_zero(b):
+                return Constant(0.0)
+        elif _is(b, 0.0):
             return a
-        elif not isinstance(e, Div) and _is(a, 0.0):
-            return b if isinstance(e, Add) else Neg(b)
+        elif _is(a, 0.0):
+            return b if isinstance(e, Add) else _neg(b)
+        elif (isinstance(e, Sub) and isinstance(a, Constant) and a == b
+              and np.isfinite(a.value)):
+            return Constant(0.0)
         return type(e)(a, b)
     if isinstance(e, Neg):
-        a = fold(e.arg)
-        return Constant(0.0) if _is(a, 0.0) else Neg(a)
+        return _neg(fold(e.arg))
     if isinstance(e, IntPow):
         return fold(e.base) if e.exponent == 1 else IntPow(fold(e.base), e.exponent)
     if isinstance(e, (Tanh, Exp, Ln)):
@@ -467,11 +529,10 @@ class VectorField:
         return np.array(evaluate(self.tape, x))
 
     def eval_many(self, X: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
-        """(K, n) points -> (K, n) field values, in the first n columns of ``out`` if given."""
-        cols = evaluate_many(self.tape, X)
+        """(K, n) points -> (K, n) field values, in the first n columns of
+        ``out`` if given (which must not overlap X)."""
         out = np.empty((X.shape[0], self.dim)) if out is None else out
-        for i, c in enumerate(cols):
-            out[:, i] = c
+        _point_pass(self.tape, X, out)
         return out
 
     def jacobian_exprs(self) -> list:

@@ -21,6 +21,22 @@ of its accepted step, or its old first stage after a rejection) and a
 step costs six field evaluations, not seven.  The results are bit-equal
 to recomputing the first stage.
 
+``estimate_V_batch`` splits a lattice into ``w`` interleaved shares (row
+i goes to share i mod w) and integrates share 0 in the calling process
+and the others in forked workers, one pool each, then scatters the rows
+back in lattice order; since every operation is row-wise, the data is
+the same bits for any ``w``.  ``w`` is the number of usable cores, but
+at most one share per two full pools, so lattices below 2 * POOL_ROWS
+rows stay in one process; where ``os.sched_getaffinity`` does not exist
+(macOS, Windows), and in a daemonic process such as a multiprocessing
+pool's worker, ``w`` is 1.  Workers run only the elementwise
+integrator, never BLAS or threads, and are always joined; an error in a
+share is raised again in the caller.  A tracer that wraps ``_rk_step``
+sees only the calling process's share, while ``IntegratorStats`` counts
+every row.  Python 3.12 and later may warn that forking a process with
+threads (OpenBLAS starts one per core) can deadlock the child; the
+workers never call BLAS.
+
 Each run counts its accepted and rejected row-steps and the final
 status of every row (``IntegratorStats``).  Value data travels as the
 columns of a ``ValueGrid``, and its CSV is written and read a block of
@@ -30,6 +46,8 @@ rows at a time.
 from __future__ import annotations
 
 import io
+import os
+import signal
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -46,6 +64,7 @@ __all__ = [
 ]
 
 BLOWUP_NORM = 1e6
+ESCAPE_NORM = 1e3    # a step underflow beyond this norm is a finite-time escape
 MIN_STEP = 1e-12
 POOL_ROWS = 4096     # rows in flight at once in _advance: bounds per-step memory
 
@@ -140,6 +159,7 @@ class IntegratorStats:
     accepted: int = 0       # accepted row-steps
     rejected: int = 0       # rejected row-steps
     status: dict = field(default_factory=lambda: dict.fromkeys(STATUS_NAMES.values(), 0))
+    workers: int = 0        # most processes one batch was integrated in
 
     def count_status(self, status: np.ndarray) -> None:
         for code, name in STATUS_NAMES.items():
@@ -334,7 +354,7 @@ def integrate(sys: dyn.SystemDef, x0, t_end: float,
     # chasing a finite-time escape collapses the step size long before the
     # norm threshold is reachable; a collapse at an already huge norm is the
     # blow-up signature, not an accuracy failure
-    if s == 2 or s == -2 or (s == -1 and np.linalg.norm(Yf[0]) > 1e3):
+    if s == 2 or s == -2 or (s == -1 and np.linalg.norm(Yf[0]) > ESCAPE_NORM):
         raise BlowUp(f"trajectory from {x0} exceeded norm {BLOWUP_NORM:g} "
                      "or escaped in finite time")
     if s == -1:
@@ -373,6 +393,85 @@ def _tail_quadratic(sys: dyn.SystemDef) -> Optional[np.ndarray]:
     return sol.P if sol.pos_def else None
 
 
+def _share_count(rows: int) -> int:
+    """Processes to integrate ``rows`` rows in: one per usable core, but
+    at least two full pools per share.  1 where the cores are unknown, and
+    in a daemonic process (a multiprocessing pool's worker), which may not
+    start processes."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    w = min(len(os.sched_getaffinity(0)), rows // (2 * POOL_ROWS))
+    if w < 2:
+        return 1
+    import multiprocessing as mp     # only here: it is slow to import
+    return 1 if mp.current_process().daemon else w
+
+
+def _in_shares(share: Callable[[int], tuple], w: int) -> list:
+    """``[share(0), ..., share(w - 1)]``: share 0 runs here, the others in
+    forked workers that send their result back through a pipe.  Every
+    worker is joined before this returns or raises; one still running
+    when a share fails (or on Ctrl-C) is terminated first."""
+    if w == 1:
+        return [share(0)]
+    import multiprocessing as mp
+
+    ctx = mp.get_context("fork")
+    workers, results = [], []
+    try:
+        for j in range(1, w):
+            recv, send = ctx.Pipe(duplex=False)
+            readers = [r for _, r in workers] + [recv]
+            p = ctx.Process(target=_share_worker, args=(share, j, readers, send), daemon=True)
+            try:
+                p.start()
+            finally:
+                send.close()
+            workers.append((p, recv))
+        results.append(share(0))
+        for p, recv in workers:
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                p.join()
+                raise RuntimeError(f"integrator worker ended with exit code {p.exitcode} "
+                                   "before sending its share") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for i, (p, recv) in enumerate(workers, 1):
+            if i >= len(results):       # its share was not received
+                p.terminate()
+            p.join()
+            recv.close()
+
+
+def _share_worker(share, j: int, readers: list, send) -> None:
+    """A forked worker's body: ``share(j)`` or the error it raised, sent
+    as ``(ok, value)``.  Ctrl-C is left to the parent, which ends it.
+
+    The worker closes the read ends it inherited, so that a send to a
+    parent that has died fails instead of waiting for a reader forever.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for r in readers:
+        r.close()
+    try:
+        msg = (True, share(j))
+    except Exception as e:          # re-raised in the parent
+        msg = (False, e)
+    try:
+        send.send(msg)
+    except BrokenPipeError:         # the parent is gone
+        pass
+    except Exception as e:          # an error that does not pickle
+        send.send((False, RuntimeError(f"integrator share {j} could not be sent: {e}")))
+    finally:
+        send.close()
+
+
 def estimate_V_batch(sys: dyn.SystemDef, X: np.ndarray,
                      cfg: IntegratorConfig = IntegratorConfig(),
                      tail_P: Optional[np.ndarray] = None,
@@ -380,15 +479,20 @@ def estimate_V_batch(sys: dyn.SystemDef, X: np.ndarray,
     """Estimate V over points X (K, n); returns (v_hat, converged).
 
     Non-converged entries carry v_hat = +inf.  Integrator failures mark
-    the affected sample non-converged instead of aborting the batch.
-    ``stats``, if given, gains the step counts and each row's final
-    status (``STATUS_NAMES``).
+    the affected sample non-converged instead of aborting the batch; a
+    step underflow beyond ``ESCAPE_NORM`` counts as a blow-up, as in
+    `integrate`.  The rows are integrated in ``_share_count`` interleaved
+    shares (see the module docstring), with the same bits for any count.
+    ``stats``, if given, gains the step counts, each row's final status
+    (``STATUS_NAMES``) and the number of processes.
     """
     n = sys.dim
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if tail_P is None:
         tail_P = _tail_quadratic(sys)
-    Y0 = np.concatenate([X, np.zeros((X.shape[0], 1))], axis=1)
+    K = X.shape[0]
+    Y0 = np.concatenate([X, np.zeros((K, 1))], axis=1)
+    rhs, stop_time, w = _augment_rhs(sys), np.full(K, cfg.t_max), _share_count(K)
 
     def classify(t, Y):
         out = np.zeros(t.shape, dtype=np.int8)
@@ -399,13 +503,24 @@ def estimate_V_batch(sys: dyn.SystemDef, X: np.ndarray,
         out[r <= cfg.stop_radius] = 1
         return out
 
-    _, Yf, status = _advance(_augment_rhs(sys), Y0, cfg,
-                             stop_time=np.full(X.shape[0], cfg.t_max),
-                             classify=classify, stats=stats)
+    def share(j):
+        counts = IntegratorStats()
+        _, Yf, status = _advance(rhs, Y0[j::w], cfg, stop_time[j::w], classify, stats=counts)
+        return Yf, status, counts.accepted, counts.rejected
+
+    shares = _in_shares(share, w)
+    Yf, status = np.empty_like(Y0), np.empty(K, dtype=np.int8)
+    for j, (Yj, sj, _, _) in enumerate(shares):
+        Yf[j::w], status[j::w] = Yj, sj
+    under = np.flatnonzero(status == -1)
+    status[under[np.sqrt(_sq_norm(Yf[under, :n])) > ESCAPE_NORM]] = 3
     if stats is not None:
+        stats.accepted += sum(sh[2] for sh in shares)
+        stats.rejected += sum(sh[3] for sh in shares)
         stats.count_status(status)
+        stats.workers = max(stats.workers, w)
     converged = status == 1
-    v = np.full(X.shape[0], np.inf)
+    v = np.full(K, np.inf)
     if np.any(converged):
         xs = Yf[converged, :n]
         tail = np.einsum("ki,ij,kj->k", xs, tail_P, xs) if tail_P is not None else 0.0

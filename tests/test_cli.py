@@ -43,6 +43,7 @@ class TestGenData:
         assert sum(counts["status"].values()) == 201
         assert counts["status"]["converged"] == meta["converged"]
         assert counts["accepted_steps"] > 0 and counts["rejected_steps"] >= 0
+        assert counts["workers"] == 1     # 201 rows stay in one process
 
     def test_grid_flag_overrides(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -372,6 +373,7 @@ class TestReport:
                                f"{counts['rejected_steps']} rejected steps;")
         for name, n in counts["status"].items():
             assert f"{n} {name}" in line
+        assert line.endswith("; workers: 1")
         assert counts["status"]["converged"] > 0
 
     def test_missing_net_is_config_error(self, tmp_path):

@@ -1,7 +1,8 @@
 """Folded derivative trees and the printed linearization.
 
 `ex.fold` removes products with a constant 0 or 1, additions and
-subtractions of 0, x^1 and -0 from the Jacobian trees.  Each identity
+subtractions of 0, x^1, negated constants, differences of equal constants
+and 0 divided by a constant away from 0 from the Jacobian trees.  Each identity
 holds for every real x, so the folded tree must be the same function:
 equal point values wherever the tree's are finite, and interval
 enclosures inside the tree's.  `linearize` builds its constants as plain
@@ -57,13 +58,50 @@ class TestRules:
         (ex.Add(X0, C(0.0)), X0), (ex.Add(C(-0.0), X0), X0), (ex.Sub(X0, C(0.0)), X0),
         (ex.Sub(C(0.0), X0), ex.Neg(X0)), (ex.IntPow(X0, 1), X0), (ex.Neg(C(0.0)), C(0.0)),
         (ex.Neg(C(-0.0)), C(0.0)),
-        (ex.Sub(C(1.0), ex.Add(ex.Mul(C(0.0), X1), ex.Mul(C(1.0), C(1.0)))), ex.Sub(C(1.0), C(1.0))),
+        (ex.Sub(C(1.0), ex.Add(ex.Mul(C(0.0), X1), ex.Mul(C(1.0), C(1.0)))), C(0.0)),
         # not identities: 0/x is undefined at x = 0, and x - x is kept
         (ex.Div(C(0.0), X0), ex.Div(C(0.0), X0)), (ex.Sub(X0, X0), ex.Sub(X0, X0)),
         (ex.IntPow(X0, 0), ex.IntPow(X0, 0)), (ex.Mul(C(-1.0), X0), ex.Mul(C(-1.0), X0)),
     ])
     def test_rule(self, tree, folded):
         assert ex.fold(tree) == folded
+
+    @pytest.mark.parametrize("tree, folded", [
+        # -c of a constant
+        (ex.Neg(C(1.5)), C(-1.5)), (ex.Neg(ex.Neg(C(2.0))), C(2.0)),
+        (ex.Sub(C(0.0), C(3.0)), C(-3.0)), (ex.Neg(X0), ex.Neg(X0)),
+        # c - c of equal finite constants
+        (ex.Sub(C(1.0), C(1.0)), C(0.0)), (ex.Sub(ex.Neg(C(1.0)), C(-1.0)), C(0.0)),
+        (ex.Sub(C(np.inf), C(np.inf)), ex.Sub(C(np.inf), C(np.inf))),
+        (ex.Sub(C(1.0), C(2.0)), ex.Sub(C(1.0), C(2.0))),
+        (ex.Sub(X0, X0), ex.Sub(X0, X0)),
+        # 0/e for e without variables whose enclosure excludes 0
+        (ex.Div(C(0.0), ex.IntPow(C(3.0), 2)), C(0.0)),
+        (ex.Div(C(-0.0), ex.Neg(ex.Exp(C(1.0)))), C(0.0)),
+        (ex.Mul(ex.Div(C(0.0), ex.IntPow(C(3.0), 2)), ex.IntPow(X0, 3)), C(0.0)),
+        (ex.Div(C(0.0), X0), ex.Div(C(0.0), X0)),
+        (ex.Div(C(0.0), ex.Sub(C(1.0), ex.Tanh(C(0.5)))), C(0.0)),
+        (ex.Div(C(0.0), ex.Sub(ex.Tanh(C(0.5)), ex.Tanh(C(0.5)))),
+         ex.Div(C(0.0), ex.Sub(ex.Tanh(C(0.5)), ex.Tanh(C(0.5))))),
+        (ex.Div(C(0.0), ex.Ln(C(-1.0))), ex.Div(C(0.0), ex.Ln(C(-1.0)))),
+        (ex.Div(C(1.0), C(3.0)), ex.Div(C(1.0), C(3.0))),
+    ])
+    def test_constant_rule(self, tree, folded):
+        assert ex.fold(tree) == folded
+
+    @pytest.mark.parametrize("name, before, after", [
+        ("poly2d", ["0.0", "1.0 - 1.0", "-2.0 + (0.0/3.0^2*x1^3 + 1.0/3.0*(3.0*x1^2)) - -2.0",
+                    "0.0/3.0^2*x1^3 - 1.0 - -1.0"],
+         ["0.0", "0.0", "-2.0 + 1.0/3.0*(3.0*x1^2) - -2.0", "0.0"]),
+        ("reversed_vdp", ["0.0", "-1.0 - -1.0", "1.0 - -(2.0*x1)*x2 - 1.0",
+                          "-(1.0 - x1^2) - -1.0"],
+         ["0.0", "0.0", "1.0 - -(2.0*x1)*x2 - 1.0", "-(1.0 - x1^2) - -1.0"]),
+    ])
+    def test_dead_constant_arithmetic_leaves_dg(self, name, before, after):
+        lin = dyn.builtin(name).linearization
+        assert [ex.to_str(e) for row in lin.dg for e in row] == after
+        for text, want in zip(before, after):
+            assert ex.to_str(ex.fold(ex.parse(text, 2))) == want
 
     def test_diff_stays_unreduced(self):
         d = ex.diff(ex.Mul(C(2.0), X0), 0)

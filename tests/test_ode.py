@@ -1,7 +1,13 @@
 import csv
 import math
+import multiprocessing
+import os
 import signal
 import struct
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +22,7 @@ from test_bit_identity import same_bits
 
 CUBIC = dyn.builtin("cubic1d")
 VDP = dyn.builtin("reversed_vdp")
+POLY = dyn.builtin("poly2d")
 
 
 def cubic_x_of_t(x0, t):
@@ -190,6 +197,208 @@ class TestEstimateV:
             checked += 1
 
 
+class TestEscapeLabel:
+    def test_finite_time_escape_is_a_blow_up(self):
+        # x' = x^3 escapes at t = 1 / (2 x0^2); the step collapses near
+        # |x| = 3.5e5, long before BLOWUP_NORM, and integrate() calls that
+        # a blow-up too
+        escape = dyn.make_system("escape", 1, ["x1^3"], [[-2.0, 2.0]])
+        X = np.array([[1.0], [-0.5], [0.0], [2.0], [-0.0]])
+        stats = ode.IntegratorStats()
+        v, conv = ode.estimate_V_batch(escape, X, stats=stats)
+        assert stats.status["blow_up"] == 3 and stats.status["step_underflow"] == 0
+        assert stats.status["converged"] == 2
+        assert conv.tolist() == [False, False, True, False, True]
+        assert np.isinf(v[~conv]).all() and (v[conv] == 0.0).all()
+        with pytest.raises(ode.BlowUp):
+            ode.integrate(escape, [1.0], 10.0)
+
+    def test_underflow_near_the_origin_keeps_its_label(self, monkeypatch):
+        # a collapse at a small norm is an accuracy failure, not an escape
+        monkeypatch.setattr(ode, "MIN_STEP", 1.0)
+        stats = ode.IntegratorStats()
+        v, conv = ode.estimate_V_batch(VDP, np.array([[0.5, 0.5]]), stats=stats)
+        assert stats.status["step_underflow"] == 1 and not conv[0] and np.isinf(v[0])
+
+
+def share_lattice():
+    """40 rows: signed-zero starts, the origin (done before a step), rows
+    that converge and rows that reach the value cap."""
+    rng = np.random.default_rng(8)
+    X = rng.uniform(-2.5, 2.5, size=(40, 2))
+    X[:3, 0], X[3, 1], X[4] = -0.0, -0.0, [-0.0, 0.0]
+    X[5] = 0.0
+    return X
+
+
+def _pool_job():
+    stats = ode.IntegratorStats()
+    grid = ode.gen_dataset(VDP, [12, 12], ode.IntegratorConfig(), ode.BetaKind("tanh", 0.1),
+                           stats=stats)
+    return stats.workers, grid.v
+
+
+def pinned_shares(monkeypatch, w):
+    monkeypatch.setattr(ode, "_share_count", lambda rows: w)
+
+
+def no_children():
+    """True if this process has no child, running or unreaped."""
+    if multiprocessing.active_children():
+        return False
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestShares:
+    @pytest.mark.parametrize("sys", [VDP, POLY], ids=["reversed_vdp", "poly2d"])
+    def test_same_bits_and_counts_for_any_share_count(self, sys, monkeypatch):
+        # a pool of 16: two shares of 20 rows refill it, three shares of
+        # 13 or 14 rows never fill it
+        monkeypatch.setattr(ode, "POOL_ROWS", 16)
+        X = share_lattice()
+        got = {}
+        for w in (1, 2, 3):
+            pinned_shares(monkeypatch, w)
+            stats = ode.IntegratorStats()
+            v, conv = ode.estimate_V_batch(sys, X, stats=stats)
+            assert stats.workers == w
+            got[w] = v, conv, stats
+        v1, conv1, s1 = got[1]
+        for w in (2, 3):
+            v, conv, s = got[w]
+            assert same_bits(v, v1) and np.array_equal(conv, conv1)
+            assert (s.accepted, s.rejected, s.status) == (s1.accepted, s1.rejected, s1.status)
+        assert v1[5] == 0.0 and conv1[:5].any()
+        assert s1.status["converged"] > 5 and s1.status["value_cap"] > 0
+        assert sum(s1.status.values()) == 40
+        assert no_children()
+
+    def test_gen_dataset_in_shares(self, monkeypatch):
+        monkeypatch.setattr(ode, "POOL_ROWS", 7)
+        beta = ode.BetaKind("tanh", 0.1)
+        pinned_shares(monkeypatch, 1)
+        want = ode.gen_dataset(VDP, [9, 9], ode.IntegratorConfig(), beta)
+        pinned_shares(monkeypatch, 2)
+        got = ode.gen_dataset(VDP, [9, 9], ode.IntegratorConfig(), beta)
+        for a, b in ((got.X, want.X), (got.v, want.v), (got.w, want.w)):
+            assert same_bits(a, b)
+        assert np.array_equal(got.converged, want.converged)
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_a_failing_share_raises_and_leaves_no_child(self, where, monkeypatch):
+        # the caller's own share failing while a worker still runs: the
+        # worker is ended, not waited for
+        caller, advance = os.getpid(), ode._advance
+
+        def failing(*args, **kwargs):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise FloatingPointError(f"share failed in the {where}")
+            if where == "caller":
+                time.sleep(60)
+            return advance(*args, **kwargs)
+
+        monkeypatch.setattr(ode, "_advance", failing)
+        pinned_shares(monkeypatch, 3)
+        t0 = time.perf_counter()
+        with pytest.raises(FloatingPointError, match=f"in the {where}"):
+            ode.estimate_V_batch(VDP, share_lattice())
+        assert time.perf_counter() - t0 < 30
+        assert no_children()
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_workers_end_with_their_share_when_the_caller_dies(self, tmp_path):
+        # a worker blocked on a send to a dead caller would live forever;
+        # each closes the read ends it inherits, so its send fails instead
+        script = """if True:
+            import multiprocessing, os, time
+            import numpy as np
+            from zubov import dynamics, ode
+            ode._share_count = lambda rows: 3
+            caller, advance = os.getpid(), ode._advance
+
+            def dying(*args, **kwargs):
+                if os.getpid() == caller:
+                    print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+                    os._exit(0)
+                time.sleep(0.5)
+                return advance(*args, **kwargs)
+
+            ode._advance = dying
+            # 4,000 rows per share: a result larger than a pipe's buffer
+            X = np.random.default_rng(8).uniform(-2.5, 2.5, size=(12000, 2))
+            ode.estimate_V_batch(dynamics.builtin("reversed_vdp"), X)
+        """
+        src = Path(ode.__file__).resolve().parents[1]
+        with open(tmp_path / "pids", "w") as out:
+            caller = subprocess.Popen([sys.executable, "-c", script], stdout=out,
+                                      env={**os.environ, "PYTHONPATH": str(src)},
+                                      start_new_session=True)
+        try:
+            caller.wait(timeout=60)
+            pids = [int(p) for p in (tmp_path / "pids").read_text().split()]
+            assert len(pids) == 2
+
+            def running(pid):
+                try:
+                    stat = Path(f"/proc/{pid}/stat").read_text()
+                except FileNotFoundError:
+                    return False
+                return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+            deadline = time.monotonic() + 30
+            while any(map(running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(running, pids))
+        finally:
+            try:        # the session holds the caller and its workers
+                os.killpg(caller.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+    def test_small_lattices_never_fork(self, monkeypatch):
+        def no_fork(method=None):
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(ode, "POOL_ROWS", 10)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        # 39 rows are below two pools of 10 per share; 40 make two shares
+        ode.estimate_V_batch(VDP, share_lattice()[:39])
+        with pytest.raises(AssertionError, match="forked"):
+            ode.estimate_V_batch(VDP, share_lattice())
+
+    def test_share_count(self, monkeypatch):
+        monkeypatch.setattr(ode, "POOL_ROWS", 10)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        assert [ode._share_count(k) for k in (0, 19, 20, 39, 40, 59, 60, 10_000)] == \
+            [1, 1, 1, 1, 2, 2, 3, 3]
+        # a pool's worker is daemonic and may not start processes
+        daemon = multiprocessing.current_process()
+        monkeypatch.setattr(multiprocessing, "current_process",
+                            lambda: type("Daemon", (), {"daemon": True})())
+        assert ode._share_count(10_000) == 1
+        monkeypatch.setattr(multiprocessing, "current_process", lambda: daemon)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert ode._share_count(10_000) == 1
+
+    def test_gen_dataset_in_a_pool_worker(self, monkeypatch):
+        # 144 rows make two shares of pools of 16, but a pool's worker may
+        # not start processes: it integrates them itself
+        monkeypatch.setattr(ode, "POOL_ROWS", 16)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply_async(_pool_job).get(timeout=120)
+        stats = ode.IntegratorStats()
+        want = ode.gen_dataset(VDP, [12, 12], ode.IntegratorConfig(), ode.BetaKind("tanh", 0.1),
+                               stats=stats)
+        assert got[0] == 1 and stats.workers == min(2, len(os.sched_getaffinity(0)))
+        assert same_bits(got[1], want.v)
+        assert no_children()
+
+
 class TestBeta:
     def test_zero(self):
         assert ode.beta_transform(0.0, ode.BetaKind("exp", 2.0)) == 0.0
@@ -284,6 +493,9 @@ class TestGenDataset:
 
         monkeypatch.setattr(ode, "_rk_step", counted)
         monkeypatch.setattr(ode, "POOL_ROWS", 20)
+        # one process, so that every _rk_step call is seen here (TestShares
+        # checks that the counts are the same in any number of shares)
+        monkeypatch.setattr(ode, "_share_count", lambda rows: 1)
         stats = ode.IntegratorStats()
         cfg = ode.IntegratorConfig(t_max=3.0)
         samples = ode.gen_dataset(VDP, [9, 9], cfg, ode.BetaKind("tanh", 0.1), stats=stats)

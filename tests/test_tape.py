@@ -182,6 +182,48 @@ class TestBitEquality:
             assert np.array_equal(got, ref, equal_nan=True), ex.to_str(e)
             assert np.array_equal(rows, ref[:3], equal_nan=True), ex.to_str(e)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_outputs_are_written_into_out(self, order):
+        # an op output is written by its op, a VAR, CONST or power output or
+        # a repeat of an earlier one is copied; X itself is never written
+        rng = np.random.default_rng(34)
+        X = np.vstack([rng.uniform(-2.0, 2.0, size=(20, 2)),
+                       [[-0.0, 0.0], [0.0, -0.0], [np.inf, -1.0], [np.nan, 2.0], [1e200, 3.0]]])
+        X = np.asarray(X, order=order)
+        keep = X.copy()
+        texts = ["x2", "-1.5", "x1^2", "x1*x2", "x1*x2", "-x2", "x2^3 - x1", "tanh(x1)",
+                 "x1/x2", "ln(x2)", "exp(x1) + x2", "x2"]
+        exprs = [ex.parse(t, 2) for t in texts]
+        tape = ex.compile(exprs)
+        out = np.full((X.shape[0], len(exprs) + 1), 7.0, order=order)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ex._point_pass(tape, X, out)
+            listed = ex.evaluate_many(tape, X)
+            refs = [ref_points(e, X) for e in exprs]
+        for i, (text, ref) in enumerate(zip(texts, refs)):
+            assert np.array_equal(out[:, i].view(np.int64), ref.view(np.int64)), text
+            assert np.array_equal(listed[i].view(np.int64), ref.view(np.int64)), text
+        assert (out[:, -1] == 7.0).all()
+        assert np.array_equal(X, keep, equal_nan=True)
+        assert not any(np.shares_memory(a, X) for a in listed)
+
+    @pytest.mark.parametrize("sys", BUILTINS, ids=dyn.BUILTIN_NAMES)
+    def test_field_into_a_wider_fortran_array(self, sys):
+        # the integrator's rhs: f(x) into the first n columns of an
+        # (K, n + 1) Fortran-ordered array, from a strided view of its states
+        n = sys.dim
+        rng = np.random.default_rng(35)
+        Y = np.asarray(rng.uniform(-2.0, 2.0, size=(30, n + 1)), order="F")
+        Y[0, :n], Y[1, 0], Y[2, 0] = -0.0, np.inf, np.nan
+        X = Y[:, :n]
+        out = np.zeros((30, n + 1), order="F")
+        with np.errstate(over="ignore", invalid="ignore"):
+            sys.field.eval_many(X, out)
+            refs = [ref_points(c, X) for c in sys.field.components]
+        for i, ref in enumerate(refs):
+            assert np.array_equal(out[:, i].view(np.int64), ref.view(np.int64))
+        assert (out[:, n] == 0.0).all()
+
     def test_intervals_match_the_tree_walk(self):
         rng = np.random.default_rng(32)
         lo = rng.uniform(-2.0, 1.0, size=(16, 2))
