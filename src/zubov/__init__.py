@@ -10,7 +10,7 @@ from .dynamics import SystemDef, builtin, linearize, solve_lyapunov, lambda_min
 from .expr import VectorField, parse
 from .interval import Box, Certified, Falsified, Unknown, bnb_verify
 from .net import Mlp, TrainConfig, init_mlp, train
-from .ode import BetaKind, IntegratorConfig, gen_dataset, integrate
+from .ode import BetaKind, IntegratorConfig, advance_batch, gen_dataset
 from .verify import (find_max_level, find_max_local_c, verify_local,
                      verify_roa, volume_fraction)
 

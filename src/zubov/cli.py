@@ -134,13 +134,10 @@ def _system_from_config(cfg: dict) -> dyn.SystemDef:
         raise ConfigError(f"inline system: {e}") from None
 
 
-def _integrator_from_config(cfg: dict) -> ode.IntegratorConfig:
-    return ode.IntegratorConfig(**cfg["integrator"])
-
-
 def _train_config(cfg: dict, local: "vf.LocalCertificate | None") -> nn.TrainConfig:
-    # every train key but the network's shape and the pair share is a TrainConfig field
-    kwargs = {k: v for k, v in cfg["train"].items() if k not in ("hidden", "pair_fraction")}
+    # every train key but these is a TrainConfig field; local is None with the band off
+    skip = ("hidden", "pair_fraction", "use_local_band")
+    kwargs = {k: v for k, v in cfg["train"].items() if k not in skip}
     kwargs["seed"] = cfg["seed"]
     if local is not None and local.certified:
         kwargs.update(local_P=local.P, c_local=local.c)
@@ -196,7 +193,7 @@ def _cmd_gen_data(args) -> int:
     beta = ode.BetaKind(kind=cfg["train"]["psi_form"], alpha=cfg["train"]["alpha"])
     stats = ode.IntegratorStats()
     t0 = time.perf_counter()
-    samples = ode.gen_dataset(sysdef, counts, _integrator_from_config(cfg), beta,
+    samples = ode.gen_dataset(sysdef, counts, ode.IntegratorConfig(**cfg["integrator"]), beta,
                               stats=stats)
     seconds = time.perf_counter() - t0
     out = Path(args.out or Path(cfg["out_dir"]) / "dataset.csv")
@@ -504,8 +501,7 @@ def run(argv) -> int:
         print(f"verification budget exhausted: {e}", file=sys.stderr)
         return EXIT_UNKNOWN
     except (vf.RNotBelowLambdaMin, vf.NoCertifiableC, vf.NoCertifiableLevel,
-            nn.DivergedLoss, ode.BlowUp, ode.StepUnderflow,
-            OSError, ValueError, ArithmeticError) as e:
+            nn.DivergedLoss, OSError, ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -53,9 +53,6 @@ class SystemDef:
         if not (np.all(self.domain.lo < eq) and np.all(eq < self.domain.hi)):
             raise ValueError("equilibrium must lie in the interior of the domain")
 
-    def f(self, x) -> np.ndarray:
-        return self.field(x)
-
     def f_many(self, X: np.ndarray) -> np.ndarray:
         return self.field.eval_many(X)
 

@@ -495,7 +495,7 @@ def net_interval_many(net, lo: np.ndarray, hi: np.ndarray, want_hess: bool = Fal
 
 
 # ---------------------------------------------------------------------------
-# HC4-revise: contract boxes against a constraint  rlo <= e(x) <= rhi.
+# HC4-revise: contract boxes against a constraint  e(x) <= 0.
 # One forward sweep stores every slot's enclosure; one backward sweep pushes
 # the restricted output range down through inverse operations.  All backward
 # computations round outward, so the contracted box is always a superset of
@@ -545,9 +545,8 @@ def _narrow(rng: list, s: int, lo, hi):
         (np.maximum(rng[s][0], lo), np.minimum(rng[s][1], hi))
 
 
-def hc4_contract(tape, lo: np.ndarray, hi: np.ndarray,
-                 rlo: float = -_INF, rhi: float = 0.0):
-    """Contract boxes against ``rlo <= e(x) <= rhi``.
+def hc4_contract(tape, lo: np.ndarray, hi: np.ndarray):
+    """Contract boxes against ``e(x) <= 0``.
 
     ``tape`` is an Expr or a one-output `ex.Tape` holding e.  Returns
     (lo2, hi2, infeasible).  The contracted boxes enclose every point of
@@ -567,7 +566,7 @@ def hc4_contract(tape, lo: np.ndarray, hi: np.ndarray,
     empty = np.zeros(K, dtype=bool)
     lo2, hi2 = lo.copy(), hi.copy()
     rng: list = [None] * len(st)
-    rng[t.outputs[0]] = (np.full(K, rlo), np.full(K, rhi))
+    rng[t.outputs[0]] = (np.full(K, -_INF), np.zeros(K))
     with np.errstate(all="ignore"):
         for s in range(len(st) - 1, -1, -1):
             if rng[s] is None:
@@ -658,11 +657,10 @@ class ScalarFn:
 
 
 class ExprFn(ScalarFn):
-    def __init__(self, e: ex.Expr, dim: int, name: str = ""):
+    def __init__(self, e: ex.Expr, dim: int):
         self.expr = e
         self.tape = ex.compile([e])
         self.dim = dim
-        self.name = name or ex.to_str(e)
 
     def eval_points(self, X):
         return ex.evaluate_many(self.tape, X)[0]
@@ -671,13 +669,13 @@ class ExprFn(ScalarFn):
         return expr_interval_many(self.tape, lo, hi)[0]
 
     def contract_boxes(self, lo, hi):
-        return hc4_contract(self.tape, lo, hi, -_INF, 0.0)
+        return hc4_contract(self.tape, lo, hi)
 
     def to_expr(self):
         return self.expr
 
     def __repr__(self):
-        return f"ExprFn({self.name})"
+        return f"ExprFn({ex.to_str(self.expr)})"
 
 
 @dataclass(frozen=True)
@@ -729,7 +727,7 @@ class BudgetExhausted(RuntimeError):
 _CHUNK = 512   # boxes per chunk: enough rows to amortize NumPy's call overhead
 
 
-def _bnb(cond: Condition, X: Box, delta: float, budget: int, chunk: int):
+def _bnb(cond: Condition, X: Box, delta: float, budget: int):
     """The depth-first branch-and-bound loop, as a generator.
 
     Each popped chunk of boxes is contracted against the antecedents (HC4
@@ -748,13 +746,13 @@ def _bnb(cond: Condition, X: Box, delta: float, budget: int, chunk: int):
         raise ValueError("budget must be >= 1")
     # the stack is two (capacity, n) arrays whose first `top` rows are live,
     # row top-1 being the top; a chunk pops its rows top first
-    slo = np.empty((max(2 * chunk, 64), X.dim))
+    slo = np.empty((max(2 * _CHUNK, 64), X.dim))
     shi = np.empty_like(slo)
     slo[0], shi[0] = X.lo, X.hi
     top = 1
     processed = 0
     while top:
-        take = min(chunk, top)
+        take = min(_CHUNK, top)
         if processed + take > budget:
             raise BudgetExhausted(processed, top)
         processed += take
@@ -789,7 +787,7 @@ def _bnb(cond: Condition, X: Box, delta: float, budget: int, chunk: int):
         # bisect each box along its widest axis; in stack order box j
         # pushes its left child (row 2j), then its right one (2j + 1)
         m = len(lo_s)
-        if top + 2 * m > len(slo):   # m <= chunk <= len(slo) / 2
+        if top + 2 * m > len(slo):   # m <= _CHUNK <= len(slo) / 2
             slo = np.concatenate([slo, np.empty_like(slo)])
             shi = np.concatenate([shi, np.empty_like(shi)])
         j = np.arange(m)
@@ -805,13 +803,13 @@ def _bnb(cond: Condition, X: Box, delta: float, budget: int, chunk: int):
 
 
 def bnb_verify(cond: Condition, X: Box, delta: float = 1e-3,
-               budget: int = 5_000_000, chunk: int = _CHUNK) -> VerifyOutcome:
+               budget: int = 5_000_000) -> VerifyOutcome:
     """Decide ``forall x in X: antecedents(x) => consequent(x)`` up to delta.
 
     ``Falsified`` at the first violating probe of `_bnb`, else ``Unknown``
     at its first delta-box; ``Certified`` when every box is discarded.
     """
-    n, probes, margins, dlo, dhi = next(_bnb(cond, X, delta, budget, chunk))
+    n, probes, margins, dlo, dhi = next(_bnb(cond, X, delta, budget))
     if len(probes):
         return Falsified(witness=probes[0].copy(), margin=float(margins[0]), boxes_processed=n)
     if len(dlo):
@@ -881,7 +879,7 @@ def bnb_minimize(make, level: float, X: Box, floor: float = 0.0, delta: float = 
     if level <= floor:
         return LevelSearch(make, level, 0, False, none, none)
     cond = make(level)
-    steps = _bnb(cond, X, delta, budget, _CHUNK)
+    steps = _bnb(cond, X, delta, budget)
     n, probes, _, dlo, dhi = next(steps)
     kept_lo, kept_hi = [dlo], [dhi]
     while len(probes) or len(dlo):

@@ -15,6 +15,10 @@ L_b pins the boundary behaviour (W -> 1 on points outside the basin,
 W(0) = O, and an optional hinge keeping W between two quadratic-rate
 envelopes near the origin), and L_d fits simulated value data.
 
+W_N is evaluated on rows of points only (``forward_batch``, and
+``input_grad_batch`` for its input gradient too); a point is a one-row
+batch.  Every hidden layer is tanh, the only activation a file may name.
+
 Gradients are computed by hand.  Each mini-batch stacks its collocation,
 exterior, origin and data rows into one array; one forward pass over it
 carries the directional derivative u = grad W_N . f as a tangent stream
@@ -53,7 +57,7 @@ from .ode import BetaKind, ValueGrid, beta_transform
 __all__ = [
     "Mlp", "TrainConfig", "Dataset", "TrainRecord", "LossParts",
     "DivergedLoss",
-    "init_mlp", "forward", "forward_batch", "input_grad", "input_grad_batch",
+    "init_mlp", "forward_batch", "input_grad_batch",
     "zubov_residual_batch", "loss", "train",
     "assemble_dataset", "save_mlp", "load_mlp", "param_count",
 ]
@@ -73,12 +77,9 @@ class Mlp:
     layer_sizes: tuple
     weights: list
     biases: list
-    activation: str = "tanh"
 
     def __post_init__(self):
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
-        if self.activation != "tanh":
-            raise ValueError("only tanh hidden activations are supported")
         if self.layer_sizes[-1] != 1:
             raise ValueError("output must be scalar")
         if len(self.weights) != len(self.layer_sizes) - 1:
@@ -132,10 +133,6 @@ def forward_batch(net: Mlp, X: np.ndarray) -> np.ndarray:
     return a[:, 0]
 
 
-def forward(net: Mlp, x) -> float:
-    return float(forward_batch(net, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def input_grad_batch(net: Mlp, X: np.ndarray):
     """W_N, (K,), and its exact gradient in x, (K, n), from one pass.
 
@@ -155,10 +152,6 @@ def input_grad_batch(net: Mlp, X: np.ndarray):
     return a[:, 0], J[:, 0, :]
 
 
-def input_grad(net: Mlp, x) -> np.ndarray:
-    return input_grad_batch(net, np.asarray(x, dtype=float)[None, :])[1][0]
-
-
 # ---------------------------------------------------------------------------
 # Configuration / data containers
 # ---------------------------------------------------------------------------
@@ -176,24 +169,16 @@ class TrainConfig:
     lambda_d: float = 1.0
     seed: int = 0
     # quadratic-envelope hinge near the origin: active inside x'Px <= c_local
-    use_local_band: bool = True
     local_P: Optional[np.ndarray] = None
     c_local: Optional[float] = None
-    c1_local: Optional[float] = None
-    c2_local: Optional[float] = None
 
     def __post_init__(self):
         if self.psi_form not in ("exp", "tanh"):
             raise ValueError(f"unknown psi form {self.psi_form!r}")
-        if self.alpha <= 0 or self.lr <= 0 or self.batch < 1:
+        if not (self.alpha > 0 and self.lr > 0) or self.batch < 1:    # NaN fails too
             raise ValueError("alpha, lr must be positive and batch >= 1")
-        if min(self.lambda_r, self.lambda_b, self.lambda_d) < 0:
+        if not all(lam >= 0 for lam in (self.lambda_r, self.lambda_b, self.lambda_d)):
             raise ValueError("loss weights must be non-negative")
-        if self.local_P is not None:
-            if self.c1_local is None:
-                self.c1_local = dyn.lambda_min(self.local_P)
-            if self.c2_local is None:
-                self.c2_local = float(np.linalg.eigvalsh(self.local_P)[-1])
 
     def beta(self) -> BetaKind:
         return BetaKind(kind=self.psi_form, alpha=self.alpha)
@@ -359,11 +344,13 @@ def _residual_vjp(net: Mlp, X: np.ndarray, F: np.ndarray, lay, ybar: np.ndarray,
 
 def _hinge_targets(cfg: TrainConfig, X: np.ndarray, n2: Optional[np.ndarray] = None):
     """Quadratic-rate envelopes beta(c1 |x|^2), beta(c2 |x|^2) and the
-    mask of points inside the local ellipsoid; ``n2`` is |x|^2 if given."""
-    inside = np.einsum("ki,ij,kj->k", X, cfg.local_P, X) <= cfg.c_local
+    mask of points inside the local ellipsoid; ``n2`` is |x|^2 if given.
+    c1, c2 are local_P's extreme eigenvalues: c1 |x|^2 <= x'Px <= c2 |x|^2."""
+    P = cfg.local_P
+    inside = np.einsum("ki,ij,kj->k", X, P, X) <= cfg.c_local
     n2 = np.add.reduce(np.multiply(X, X), axis=1) if n2 is None else n2
-    b = cfg.beta()
-    return inside, beta_transform(cfg.c1_local * n2, b), beta_transform(cfg.c2_local * n2, b)
+    c1, c2, b = dyn.lambda_min(P), float(np.linalg.eigvalsh(P)[-1]), cfg.beta()
+    return inside, beta_transform(c1 * n2, b), beta_transform(c2 * n2, b)
 
 
 class _Terms(NamedTuple):
@@ -382,7 +369,7 @@ class _Terms(NamedTuple):
 def _collocation_terms(sys: dyn.SystemDef, cfg: TrainConfig, Xc: np.ndarray) -> _Terms:
     # f first, while nothing else is live: its temporaries are the largest
     f, phi, hinge = sys.f_many(Xc), np.add.reduce(np.multiply(Xc, Xc), axis=1), None
-    if cfg.use_local_band and cfg.local_P is not None and cfg.c_local is not None:
+    if cfg.local_P is not None and cfg.c_local is not None:
         hinge = _hinge_targets(cfg, Xc, phi)
     return _Terms(f, phi, hinge)
 
@@ -500,7 +487,7 @@ def train(net: Mlp, data: Dataset, sys: dyn.SystemDef, cfg: TrainConfig):
     t0 = time.perf_counter()
     theta = np.concatenate([p.ravel() for W, b in zip(net.weights, net.biases)
                             for p in (W, b)])
-    net = Mlp(net.layer_sizes, *_layer_views(theta, net.layer_sizes), net.activation)
+    net = Mlp(net.layer_sizes, *_layer_views(theta, net.layer_sizes))
     record = TrainRecord()
     if cfg.max_epochs == 0:
         record.stop_reason = "max_epochs"
@@ -575,7 +562,7 @@ def save_mlp(net: Mlp, path, alpha: float, psi_form: str,
              extra: Optional[dict] = None) -> None:
     doc = {
         "version": NET_FILE_VERSION,
-        "activation": net.activation,
+        "activation": "tanh",
         "alpha": alpha,
         "psi_form": psi_form,
         "layer_sizes": list(net.layer_sizes),
@@ -590,16 +577,19 @@ def save_mlp(net: Mlp, path, alpha: float, psi_form: str,
 
 
 def load_mlp(path):
-    """Returns (net, alpha, psi_form). Rejects unknown file versions."""
+    """Returns (net, alpha, psi_form). Rejects unknown file versions and
+    any hidden activation but tanh."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("version") != NET_FILE_VERSION:
         raise ValueError(f"unsupported network file version {doc.get('version')!r}")
+    if doc.get("activation") != "tanh":
+        raise ValueError("only tanh hidden activations are supported")
     sizes = tuple(doc["layer_sizes"])
     weights, biases = [], []
     for i, layer in enumerate(doc["layers"]):
         shape = (sizes[i + 1], sizes[i])
         weights.append(np.array(layer["w"], dtype=float).reshape(shape))
         biases.append(np.array(layer["b"], dtype=float))
-    net = Mlp(sizes, weights, biases, activation=doc["activation"])
+    net = Mlp(sizes, weights, biases)
     return net, float(doc["alpha"]), str(doc["psi_form"])

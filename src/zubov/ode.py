@@ -30,17 +30,19 @@ at most one share per two full pools, so lattices below 2 * POOL_ROWS
 rows stay in one process; where ``os.sched_getaffinity`` does not exist
 (macOS, Windows), and in a daemonic process such as a multiprocessing
 pool's worker, ``w`` is 1.  Workers run only the elementwise
-integrator, never BLAS or threads, and are always joined; an error in a
-share is raised again in the caller.  A tracer that wraps ``_rk_step``
-sees only the calling process's share, while ``IntegratorStats`` counts
-every row.  Python 3.12 and later may warn that forking a process with
-threads (OpenBLAS starts one per core) can deadlock the child; the
-workers never call BLAS.
+integrator, never BLAS or threads, are always joined and die with a
+killed caller; an error in a share is raised again in the caller.  A
+tracer that wraps ``_rk_step`` sees only the calling process's share,
+while ``IntegratorStats`` counts every row.  Python 3.12 and later may
+warn that forking a process with threads (OpenBLAS starts one per core)
+can deadlock the child; the workers never call BLAS.
 
-Each run counts its accepted and rejected row-steps and the final
-status of every row (``IntegratorStats``).  Value data travels as the
-columns of a ``ValueGrid``, and its CSV is written and read a block of
-rows at a time.
+``advance_batch`` runs the same pool on the plain state ODE; one row
+with an ``on_accept`` recorder traces a single path.  Each run counts
+its accepted and rejected row-steps and the final status of every row
+(``IntegratorStats``).  Value data travels as the columns of a
+``ValueGrid``, and its CSV is written and read a block of rows at a
+time.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import io
 import os
 import signal
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,8 +60,7 @@ from . import dynamics as dyn
 
 __all__ = [
     "IntegratorConfig", "IntegratorStats", "ValueSample", "ValueGrid", "BetaKind",
-    "BlowUp", "StepUnderflow",
-    "integrate", "estimate_V_batch", "beta_transform",
+    "advance_batch", "estimate_V_batch", "beta_transform",
     "gen_dataset", "save_samples", "load_samples",
 ]
 
@@ -83,14 +84,6 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
-class BlowUp(RuntimeError):
-    pass
-
-
-class StepUnderflow(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class IntegratorConfig:
     rtol: float = 1e-6
@@ -101,8 +94,7 @@ class IntegratorConfig:
     value_cap: float = 200.0
 
     def __post_init__(self):
-        if min(self.rtol, self.atol, self.h_max, self.t_max,
-               self.stop_radius, self.value_cap) <= 0:
+        if not all(x > 0 for x in astuple(self)):     # NaN fails too
             raise ValueError("all integrator parameters must be positive")
         if self.stop_radius >= 1:
             raise ValueError("stop_radius must be < 1")
@@ -118,7 +110,7 @@ class BetaKind:
     def __post_init__(self):
         if self.kind not in ("exp", "tanh"):
             raise ValueError(f"unknown beta kind {self.kind!r}")
-        if self.alpha <= 0:
+        if not self.alpha > 0:      # NaN fails too
             raise ValueError("alpha must be positive")
 
 
@@ -326,42 +318,6 @@ def _augment_rhs(sys: dyn.SystemDef, cost: bool = True):
     return rhs
 
 
-def integrate(sys: dyn.SystemDef, x0, t_end: float,
-              cfg: IntegratorConfig = IntegratorConfig()):
-    """Integrate one trajectory to t_end; returns the accepted-step path.
-
-    Raises BlowUp when the state norm passes 1e6 and StepUnderflow when
-    the controller collapses below 1e-12.
-    """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    path = [(0.0, x0.copy())]
-
-    def classify(t, Y):
-        out = np.zeros(t.shape, dtype=np.int8)
-        out[np.linalg.norm(Y, axis=1) > BLOWUP_NORM] = 2
-        out[t >= t_end * (1 - 1e-12)] = 1
-        return out
-
-    def on_accept(idx, t, Y):
-        path.append((float(t[0]), Y[0].copy()))
-
-    _, Yf, status = _advance(_augment_rhs(sys, cost=False), x0[None, :], cfg,
-                             stop_time=np.array([t_end]),
-                             classify=classify, on_accept=on_accept)
-    s = int(status[0])
-    # chasing a finite-time escape collapses the step size long before the
-    # norm threshold is reachable; a collapse at an already huge norm is the
-    # blow-up signature, not an accuracy failure
-    if s == 2 or s == -2 or (s == -1 and np.linalg.norm(Yf[0]) > ESCAPE_NORM):
-        raise BlowUp(f"trajectory from {x0} exceeded norm {BLOWUP_NORM:g} "
-                     "or escaped in finite time")
-    if s == -1:
-        raise StepUnderflow(f"step size fell below {MIN_STEP:g}")
-    return path
-
-
 def advance_batch(sys: dyn.SystemDef, X0: np.ndarray,
                   classify: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   cfg: IntegratorConfig = IntegratorConfig(),
@@ -422,7 +378,8 @@ def _in_shares(share: Callable[[int], tuple], w: int) -> list:
         for j in range(1, w):
             recv, send = ctx.Pipe(duplex=False)
             readers = [r for _, r in workers] + [recv]
-            p = ctx.Process(target=_share_worker, args=(share, j, readers, send), daemon=True)
+            p = ctx.Process(target=_share_worker, args=(share, j, readers, send, os.getpid()),
+                            daemon=True)
             try:
                 p.start()
             finally:
@@ -448,14 +405,23 @@ def _in_shares(share: Callable[[int], tuple], w: int) -> list:
             recv.close()
 
 
-def _share_worker(share, j: int, readers: list, send) -> None:
+def _share_worker(share, j: int, readers: list, send, caller: int) -> None:
     """A forked worker's body: ``share(j)`` or the error it raised, sent
     as ``(ok, value)``.  Ctrl-C is left to the parent, which ends it.
 
-    The worker closes the read ends it inherited, so that a send to a
-    parent that has died fails instead of waiting for a reader forever.
+    On Linux the kernel kills the worker when its ``caller`` dies
+    (``PR_SET_PDEATHSIG``; a caller already gone is seen at once).  The
+    worker also closes the read ends it inherited, so that a send to a
+    dead parent fails instead of waiting for a reader forever.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if os.uname().sysname == "Linux":
+        import ctypes
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGKILL)        # 1 = PR_SET_PDEATHSIG
+        if os.getppid() != caller:
+            os._exit(0)
     for r in readers:
         r.close()
     try:
@@ -474,22 +440,21 @@ def _share_worker(share, j: int, readers: list, send) -> None:
 
 def estimate_V_batch(sys: dyn.SystemDef, X: np.ndarray,
                      cfg: IntegratorConfig = IntegratorConfig(),
-                     tail_P: Optional[np.ndarray] = None,
                      stats: Optional[IntegratorStats] = None):
     """Estimate V over points X (K, n); returns (v_hat, converged).
 
     Non-converged entries carry v_hat = +inf.  Integrator failures mark
     the affected sample non-converged instead of aborting the batch; a
-    step underflow beyond ``ESCAPE_NORM`` counts as a blow-up, as in
-    `integrate`.  The rows are integrated in ``_share_count`` interleaved
+    step underflow beyond ``ESCAPE_NORM`` counts as a blow-up, since
+    chasing a finite-time escape collapses the step size long before the
+    norm reaches ``BLOWUP_NORM``.  The rows are integrated in ``_share_count`` interleaved
     shares (see the module docstring), with the same bits for any count.
     ``stats``, if given, gains the step counts, each row's final status
     (``STATUS_NAMES``) and the number of processes.
     """
     n = sys.dim
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if tail_P is None:
-        tail_P = _tail_quadratic(sys)
+    tail_P = _tail_quadratic(sys)
     K = X.shape[0]
     Y0 = np.concatenate([X, np.zeros((K, 1))], axis=1)
     rhs, stop_time, w = _augment_rhs(sys), np.full(K, cfg.t_max), _share_count(K)
@@ -545,7 +510,7 @@ def gen_dataset(sys: dyn.SystemDef, grid, cfg: IntegratorConfig, b: BetaKind,
     ``stats``, if given, gains the integrator counts of the lattice.
     """
     X = grid_points(sys.domain, grid)
-    v, conv = estimate_V_batch(sys, X, cfg, tail_P=_tail_quadratic(sys), stats=stats)
+    v, conv = estimate_V_batch(sys, X, cfg, stats=stats)
     return ValueGrid(X, v, beta_transform(v, b), conv)
 
 

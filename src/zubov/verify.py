@@ -710,8 +710,7 @@ def _smt_slot(op: int, args: list, k) -> str:
     return f"({_SMT_OPS[op]} {' '.join(args)})"
 
 
-def export_smt2(cond: iv.Condition, X: iv.Box, tanh_mode: str = "native",
-                logic: str = "QF_NRA") -> str:
+def export_smt2(cond: iv.Condition, X: iv.Box, tanh_mode: str = "native") -> str:
     """SMT-LIB 2 script asserting the negation of the condition over X.
 
     The script is satisfiable exactly when a counterexample exists, so an
@@ -720,7 +719,9 @@ def export_smt2(cond: iv.Condition, X: iv.Box, tanh_mode: str = "native",
     compound subexpression that the text would repeat (each hidden unit
     appears in the value and in every gradient component) is bound once
     with define-fun.  ``tanh_mode`` is "native" for solvers with a
-    builtin tanh or "uninterpreted" to merely declare it.
+    builtin tanh or "uninterpreted" to merely declare it; a script that
+    declares tanh sets the logic QF_UFNRA, since QF_NRA has no
+    uninterpreted function symbols, and any other sets QF_NRA.
     """
     if tanh_mode not in ("native", "uninterpreted"):
         raise ValueError("tanh_mode must be 'native' or 'uninterpreted'")
@@ -731,9 +732,10 @@ def export_smt2(cond: iv.Condition, X: iv.Box, tanh_mode: str = "native",
             uses[s] += k if op == ex.POW else 1
     for s in tape.outputs:
         uses[s] += 1
-    lines = [f"(set-logic {logic})"]
     if tanh_mode == "uninterpreted" and any(op == ex.TANH for op, _, _ in tape.slots):
-        lines.append("(declare-fun tanh (Real) Real)")
+        lines = ["(set-logic QF_UFNRA)", "(declare-fun tanh (Real) Real)"]
+    else:
+        lines = ["(set-logic QF_NRA)"]
     for i in range(X.dim):
         lines.append(f"(declare-const x{i + 1} Real)")
     for i in range(X.dim):

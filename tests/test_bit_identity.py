@@ -77,8 +77,8 @@ def ref_advance(rhs, Y0, cfg, stop_time, classify, on_accept=None, stats=None):
     return t, Y, status
 
 
-def ref_estimate_V_batch(sys, X, cfg, tail_P=None, stats=None):
-    n = sys.dim
+def ref_estimate_V_batch(sys, X, cfg, stats=None):
+    n, tail_P = sys.dim, ode._tail_quadratic(sys)
     Y0 = np.concatenate([X, np.zeros((X.shape[0], 1))], axis=1)
 
     def rhs(Ys):
@@ -158,7 +158,8 @@ class TestIntegrator:
         monkeypatch.setattr(ode, "_rk_step", checked)
         monkeypatch.setattr(ode, "POOL_ROWS", 50)
         ode.gen_dataset(VDP, [12, 12], ode.IntegratorConfig(), ode.BetaKind("tanh", 0.1))
-        ode.integrate(VDP, [0.5, 0.5], 3.0)
+        ode.advance_batch(VDP, [[0.5, 0.5]], lambda t, X: np.zeros(t.shape, dtype=np.int8),
+                          ode.IntegratorConfig(t_max=3.0))
         assert len(steps) > 100
 
     @pytest.mark.parametrize("sys", [VDP, POLY], ids=["reversed_vdp", "poly2d"])
@@ -183,9 +184,17 @@ class TestIntegrator:
         (dyn.make_system("growth", 1, ["x1"], [[-1.0, 1.0]]), [-0.0], 1.0),
     ], ids=["reversed_vdp", "signed_zero"])
     def test_integrate(self, sys, x0, t_end, reference_integrator):
-        got = ode.integrate(sys, x0, t_end)
+        # one trajectory: one row of advance_batch with a path recorder
+        def run():
+            path = []
+            ode.advance_batch(sys, [x0], lambda t, X: (t >= t_end * (1 - 1e-12)).astype(np.int8),
+                              ode.IntegratorConfig(t_max=t_end),
+                              on_accept=lambda rows, t, X: path.append((t[0], X[0].copy())))
+            return path
+
+        got = run()
         reference_integrator()
-        want = ode.integrate(sys, x0, t_end)
+        want = run()
         assert len(got) == len(want) > 10
         for (ta, xa), (tb, xb) in zip(got, want):
             assert same_bits(ta, tb) and same_bits(xa, xb)
@@ -369,8 +378,12 @@ def ref_loss_batch(net, sys, cfg, Xc, Xe, Xp, wp):
         ybar[B:o] = (2.0 * cfg.lambda_b / M) * d
     L_b += float(y[o] ** 2)
     ybar[o] = 2.0 * cfg.lambda_b * y[o]
-    if cfg.use_local_band and cfg.local_P is not None and cfg.c_local is not None:
-        inside, lo_t, hi_t = nn._hinge_targets(cfg, Xc)
+    if cfg.local_P is not None and cfg.c_local is not None:
+        # envelopes beta(c |x|^2) at the extreme eigenvalues c of P
+        P, b = cfg.local_P, cfg.beta()
+        inside = np.einsum("ki,ij,kj->k", Xc, P, Xc) <= cfg.c_local
+        lo_t = ode.beta_transform(dyn.lambda_min(P) * phi, b)
+        hi_t = ode.beta_transform(float(np.linalg.eigvalsh(P)[-1]) * phi, b)
         if np.any(inside):
             wi = yc[inside]
             under = np.maximum(lo_t[inside] - wi, 0.0)
@@ -476,8 +489,7 @@ class TestTrain:
         samples, P = vdp_data
         batch = {"no_short_step": 25, "one_short_step": 300}.get(case, 32)
         cfg = nn.TrainConfig(alpha=0.1, batch=batch, max_epochs=2, loss_threshold=0.0,
-                             seed=5, local_P=P, c_local=1.5,
-                             use_local_band=case != "no_band")
+                             seed=5, local_P=None if case == "no_band" else P, c_local=1.5)
         data = nn.assemble_dataset(samples, cfg, pair_fraction=0.0 if case == "no_pairs" else 0.2)
         if case in ("few_exterior", "no_exterior"):
             data = nn.Dataset(data.collocation, data.exterior[:5 if case == "few_exterior" else 0],
@@ -496,7 +508,7 @@ class TestTrain:
     @pytest.mark.parametrize("epochs", [0, 1])
     def test_returned_net_shares_no_memory(self, vdp_data, epochs):
         samples, _ = vdp_data
-        cfg = nn.TrainConfig(max_epochs=epochs, use_local_band=False)
+        cfg = nn.TrainConfig(max_epochs=epochs)
         data = nn.assemble_dataset(samples, cfg)
         net0 = nn.init_mlp([2, 6, 1], 0)
         before = [a.copy() for a in net0.weights + net0.biases]

@@ -189,8 +189,9 @@ _CASES = [
 
 @pytest.mark.parametrize("case", range(len(_CASES)))
 @pytest.mark.parametrize("chunk", [1, 3, 64, 512])
-def test_array_stack_matches_list_stack(case, chunk):
+def test_array_stack_matches_list_stack(case, chunk, monkeypatch):
     make, box, delta, budget = _CASES[case]
-    got = _run(iv.bnb_verify, make(), box, delta, budget, chunk)
+    monkeypatch.setattr(iv, "_CHUNK", chunk)
+    got = _run(iv.bnb_verify, make(), box, delta, budget)
     want = _run(_list_stack_bnb, make(), box, delta, budget, chunk)
     assert _same(got, want), (got, want)

@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from zubov import cli
+from zubov import dynamics as dyn
 from zubov import net as nn
 from zubov import ode
+from zubov import verify as vf
 
 
 def run(*argv):
@@ -103,6 +106,30 @@ class TestTrain:
                    "--data", str(tmp_path / "dataset.csv"),
                    "--out-dir", str(tmp_path)) == 0
         assert (tmp_path / "net.json").read_bytes() == (d / "net.json").read_bytes()
+
+
+    def test_band_off_runs_no_local_search(self, cubic_run, tmp_path, monkeypatch):
+        # with "use_local_band": false the command searches no local level,
+        # and its network is the one nn.train gives without local_P
+        d, cfgfile = cubic_run
+        searches, search = [], vf.find_max_local_c
+        monkeypatch.setattr(vf, "find_max_local_c",
+                            lambda *a, **k: searches.append(a) or search(*a, **k))
+        doc = json.loads(cfgfile.read_text())
+        doc["train"]["max_epochs"] = 3
+        for band in (True, False):
+            doc["train"]["use_local_band"] = band
+            (tmp_path / "run.json").write_text(json.dumps(doc))
+            assert run("train", "--config", str(tmp_path / "run.json"), "--data",
+                       str(d / "dataset.csv"), "--out-dir", str(tmp_path / str(band))) == 0
+        assert len(searches) == 1       # the run with the band on
+        cfg = nn.TrainConfig(alpha=2.0, psi_form="exp", max_epochs=3, seed=7)
+        data = nn.assemble_dataset(ode.load_samples(d / "dataset.csv"), cfg, pair_fraction=0.05,
+                                   rng=np.random.default_rng(7))
+        want, _ = nn.train(nn.init_mlp([1, 10, 10, 1], 7), data, dyn.builtin("cubic1d"), cfg)
+        got = nn.load_mlp(tmp_path / "False" / "net.json")[0]
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestVerifyLocal:
@@ -341,7 +368,7 @@ class TestGridCommand:
         assert len(lines) == 22
         net, _, _ = nn.load_mlp(d / "net.json")
         x0, w0 = [float(v) for v in lines[1].split(",")]
-        assert w0 == pytest.approx(nn.forward(net, [x0]), abs=1e-12)
+        assert w0 == pytest.approx(net.value_batch([[x0]])[0], abs=1e-12)
 
     def test_dimension_mismatch(self, cubic_run, tmp_path):
         d, _ = cubic_run

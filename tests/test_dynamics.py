@@ -32,7 +32,7 @@ class TestBuiltins:
     def test_equilibrium_is_zero_of_field(self):
         for name in dyn.BUILTIN_NAMES:
             s = dyn.builtin(name)
-            assert np.max(np.abs(s.f(s.equilibrium))) <= 1e-12
+            assert np.max(np.abs(s.field(s.equilibrium))) <= 1e-12
 
 
 class TestLinearize:
@@ -134,7 +134,7 @@ class TestSystemDef:
     def test_custom_from_strings(self):
         s = dyn.make_system("osc", 2, ["x2", "-x1 - 0.5*x2"], [[-2, 2], [-2, 2]])
         assert s.dim == 2
-        assert np.allclose(s.f([1.0, 0.0]), [0.0, -1.0])
+        assert np.allclose(s.field([1.0, 0.0]), [0.0, -1.0])
 
     def test_nonzero_equilibrium_rejected(self):
         with pytest.raises(ValueError):

@@ -113,7 +113,7 @@ class TestNetInterval:
             net = nn.init_mlp([2, 8, 6, 1], rng)
             x = rng.uniform(-2, 2, size=2)
             lo, hi = _net_encl(net, x, x)
-            v = nn.forward(net, x)
+            v = net.value_batch(x[None, :])[0]
             assert lo <= v <= hi
             assert hi - lo <= 1e-11 * max(1.0, abs(v))
 

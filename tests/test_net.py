@@ -58,21 +58,21 @@ class TestForward:
         net = zero_net([2, 5, 1])
         rng = np.random.default_rng(0)
         for _ in range(10):
-            assert nn.forward(net, rng.normal(size=2)) == 0.0
+            assert net.value_batch(rng.normal(size=(1, 2)))[0] == 0.0
 
     def test_single_neuron_is_tanh(self):
         net = nn.Mlp((2, 1, 1),
                      [np.array([[1.0, 0.0]]), np.array([[1.0]])],
                      [np.zeros(1), np.zeros(1)])
         for x1 in (-2.0, -0.3, 0.0, 1.7):
-            assert nn.forward(net, [x1, 5.0]) == pytest.approx(np.tanh(x1), abs=1e-15)
+            assert net.value_batch([[x1, 5.0]])[0] == pytest.approx(np.tanh(x1), abs=1e-15)
 
     def test_matches_duplicate_evaluator(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             net = nn.init_mlp([3, 7, 5, 1], rng)
             x = rng.normal(size=3)
-            assert abs(nn.forward(net, x) - reference_forward(net, x)) <= 1e-12
+            assert abs(net.value_batch(x[None, :])[0] - reference_forward(net, x)) <= 1e-12
 
     def test_batch_matches_scalar(self):
         # BLAS may reorder the accumulation between batch shapes, so allow ulps
@@ -80,31 +80,29 @@ class TestForward:
         net = nn.init_mlp([2, 6, 1], rng)
         X = rng.normal(size=(30, 2))
         batch = nn.forward_batch(net, X)
-        assert np.allclose(batch, [nn.forward(net, row) for row in X],
+        assert np.allclose(batch, [net.value_batch(row[None, :])[0] for row in X],
                            rtol=0, atol=1e-12)
 
 
 class TestInputGrad:
     def test_zero_net(self):
         net = zero_net([3, 4, 1])
-        assert np.array_equal(nn.input_grad(net, [1.0, 2.0, 3.0]), np.zeros(3))
+        assert np.array_equal(nn.input_grad_batch(net, [[1.0, 2.0, 3.0]])[1], np.zeros((1, 3)))
 
     def test_tanh_neuron_grad_at_zero(self):
         net = nn.Mlp((2, 1, 1),
                      [np.array([[1.0, 0.0]]), np.array([[1.0]])],
                      [np.zeros(1), np.zeros(1)])
-        assert np.allclose(nn.input_grad(net, [0.0, 0.0]), [1.0, 0.0], atol=1e-15)
+        assert np.allclose(nn.input_grad_batch(net, [[0.0, 0.0]])[1], [[1.0, 0.0]], atol=1e-15)
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             net = nn.init_mlp([2, 8, 6, 1], rng)
             x = rng.normal(size=2)
-            g = nn.input_grad(net, x)
-            h = 1e-6
-            fd = np.array([
-                (nn.forward(net, x + h * e) - nn.forward(net, x - h * e)) / (2 * h)
-                for e in np.eye(2)])
+            g = nn.input_grad_batch(net, x[None, :])[1][0]
+            h = 1e-6 * np.eye(2)
+            fd = (net.value_batch(x + h) - net.value_batch(x - h)) / 2e-6
             assert np.max(np.abs(g - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
 
@@ -174,14 +172,18 @@ class TestLoss:
     def test_hinge_active_inside_ellipsoid(self):
         P = dyn.solve_lyapunov(dyn.linearize(VDP).A, np.eye(2)).P
         cfg = nn.TrainConfig(local_P=P, c_local=0.28)
-        assert cfg.c1_local == pytest.approx(dyn.lambda_min(P))
-        assert cfg.c2_local == pytest.approx(np.linalg.eigvalsh(P)[-1])
+        # the envelopes' rates are the extreme eigenvalues of P
+        c1, c2 = dyn.lambda_min(P), float(np.linalg.eigvalsh(P)[-1])
+        X = np.array([[0.1, 0.1], [2.0, 2.0]])
+        inside, lo, hi = nn._hinge_targets(cfg, X)
+        assert inside.tolist() == [True, False]
+        assert same_bits(lo, ode.beta_transform(c1 * np.sum(X * X, axis=1), cfg.beta()))
+        assert same_bits(hi, ode.beta_transform(c2 * np.sum(X * X, axis=1), cfg.beta()))
         net = zero_net([2, 4, 1])  # W = 0 violates the lower envelope inside
-        data = nn.Dataset(collocation=np.array([[0.1, 0.1], [2.0, 2.0]]),
-                          exterior=np.empty((0, 2)),
+        data = nn.Dataset(collocation=X, exterior=np.empty((0, 2)),
                           pair_x=np.empty((0, 2)), pair_w=np.empty(0))
         _, parts = nn.loss(net, data, VDP, cfg)
-        b = ode.beta_transform(cfg.c1_local * 0.02, cfg.beta())
+        b = ode.beta_transform(c1 * 0.02, cfg.beta())
         assert parts.boundary == pytest.approx(b * b, abs=1e-15)
 
 
@@ -343,6 +345,15 @@ class TestTrain:
                 nn.train(nn.init_mlp([1, 8, 1], 0), data, CUBIC, cfg)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, bad", [
+        ("alpha", 0.0), ("alpha", float("nan")), ("lr", -1.0), ("lr", float("nan")),
+        ("lambda_r", -1.0), ("lambda_b", float("nan")), ("lambda_d", float("nan"))])
+    def test_bad_values_rejected(self, field, bad):
+        with pytest.raises(ValueError):
+            nn.TrainConfig(**{field: bad})
+
+
 class TestDatasetAssembly:
     def test_consistency_enforced(self):
         samples = ode.gen_dataset(CUBIC, [21], ode.IntegratorConfig(),
@@ -395,6 +406,18 @@ class TestSerialization:
         doc["version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
+            nn.load_mlp(path)
+
+    @pytest.mark.parametrize("activation", ["relu", None])
+    def test_other_activation_rejected(self, tmp_path, activation):
+        import json
+        path = tmp_path / "net.json"
+        nn.save_mlp(nn.init_mlp([1, 2, 1], 0), path, alpha=1.0, psi_form="exp")
+        doc = json.loads(path.read_text())
+        assert doc["activation"] == "tanh"
+        doc["activation"] = activation
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="tanh"):
             nn.load_mlp(path)
 
     def test_param_count_formula(self):

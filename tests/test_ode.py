@@ -42,35 +42,59 @@ def cubic_V(x):
     return -0.5 * np.log(1 - np.asarray(x) ** 2)
 
 
+def one_path(sys, x0, t_end):
+    """One trajectory from x0 to t_end through `advance_batch`: the
+    accepted-step path [(t, x), ...] and the row's final status."""
+    path = [(0.0, np.array(x0, dtype=float))]
+
+    def never(t, X):
+        return np.zeros(t.shape, dtype=np.int8)
+
+    def on_accept(rows, t, X):
+        path.append((float(t[0]), X[0].copy()))
+
+    status = ode.advance_batch(sys, [x0], never, ode.IntegratorConfig(t_max=t_end), on_accept)[2]
+    return path, int(status[0])
+
+
 class TestIntegrate:
+    """One trajectory, integrated as a one-row batch."""
+
     def test_bernoulli_closed_form(self):
-        path = ode.integrate(CUBIC, [0.5], 1.0)
+        path, status = one_path(CUBIC, [0.5], 1.0)
         t_end, x_end = path[-1]
-        assert t_end == pytest.approx(1.0, abs=1e-9)
+        assert status == -3 and t_end == pytest.approx(1.0, abs=1e-9)
         assert abs(x_end[0] - cubic_x_of_t(0.5, 1.0)) <= 1e-5
 
     def test_equilibrium_stays_put(self):
-        path = ode.integrate(VDP, [0.0, 0.0], 5.0)
+        path, status = one_path(VDP, [0.0, 0.0], 5.0)
+        assert status == -3 and len(path) > 10
         for _, x in path:
             assert np.max(np.abs(x)) == 0.0
 
     def test_blowup_outside_basin(self):
-        with pytest.raises(ode.BlowUp):
-            ode.integrate(CUBIC, [1.5], 50.0)
+        # the step collapses on the way to the finite-time escape, far out
+        # but long before BLOWUP_NORM, and the value data counts a blow-up
+        path, status = one_path(CUBIC, [1.5], 50.0)
+        assert status == -1 and ode.ESCAPE_NORM < abs(path[-1][1][0]) < ode.BLOWUP_NORM
+        stats = ode.IntegratorStats()
+        v, conv = ode.estimate_V_batch(CUBIC, np.array([[1.5]]), stats=stats)
+        assert stats.status["blow_up"] == 1 and not conv[0] and np.isinf(v[0])
 
     def test_path_monotone_in_t(self):
-        path = ode.integrate(VDP, [1.0, 0.5], 3.0)
+        path, _ = one_path(VDP, [1.0, 0.5], 3.0)
         ts = [t for t, _ in path]
         assert all(b > a for a, b in zip(ts, ts[1:]))
 
     def test_accuracy_along_path(self):
-        path = ode.integrate(CUBIC, [0.8], 4.0)
+        path, _ = one_path(CUBIC, [0.8], 4.0)
         for t, x in path[1:]:
             assert abs(x[0] - cubic_x_of_t(0.8, t)) <= 1e-5
 
     def test_rejects_nonpositive_horizon(self):
-        with pytest.raises(ValueError):
-            ode.integrate(CUBIC, [0.1], 0.0)
+        for t_max in (0.0, -0.0):
+            with pytest.raises(ValueError):
+                ode.IntegratorConfig(t_max=t_max)
 
 
 class _Timeout(Exception):
@@ -102,8 +126,9 @@ class TestAdvanceBatch:
         assert t.tolist() == [0.05, 0.05]
         assert np.all(np.isfinite(X))
         assert len(calls) < 100
-        ref = ode.integrate(VDP, [0.5, 0.5], 0.05, cfg)
-        assert np.array_equal(X[0], ref[-1][1])
+        # a row's bits do not depend on the rows that share its steps
+        alone = ode.advance_batch(VDP, [[0.5, 0.5]], classify, cfg)[1]
+        assert same_bits(X[0], alone[0])
 
     def test_classified_rows_keep_their_status(self):
         cfg = ode.IntegratorConfig(t_max=0.05)
@@ -168,12 +193,12 @@ class TestEstimateV:
         # d/dt V(phi(t,x)) = -|x|^2 along converged trajectories
         for x0 in ([0.7], [-0.5]):
             h = 0.05
-            xp = ode.integrate(CUBIC, x0, h)[-1][1]
+            xp = one_path(CUBIC, x0, h)[0][-1][1]
             v0, _ = estimate_V(CUBIC, x0)
             vp, _ = estimate_V(CUBIC, xp)
             lhs = (vp - v0) / h
             # midpoint state for the comparison
-            xm = ode.integrate(CUBIC, x0, h / 2)[-1][1]
+            xm = one_path(CUBIC, x0, h / 2)[0][-1][1]
             rhs = -float(xm[0] ** 2)
             assert abs(lhs - rhs) <= 1e-3 * max(1.0, abs(rhs))
 
@@ -190,7 +215,7 @@ class TestEstimateV:
             v0, conv = estimate_V(VDP, x0)
             if not conv:
                 continue
-            end = ode.integrate(aug, [x0[0], x0[1], 0.0], 1.0)[-1][1]
+            end = one_path(aug, [x0[0], x0[1], 0.0], 1.0)[0][-1][1]
             v1, conv1 = estimate_V(VDP, end[:2])
             assert conv1
             assert v0 == pytest.approx(end[2] + v1, abs=1e-3)
@@ -200,8 +225,7 @@ class TestEstimateV:
 class TestEscapeLabel:
     def test_finite_time_escape_is_a_blow_up(self):
         # x' = x^3 escapes at t = 1 / (2 x0^2); the step collapses near
-        # |x| = 3.5e5, long before BLOWUP_NORM, and integrate() calls that
-        # a blow-up too
+        # |x| = 3.5e5, long before BLOWUP_NORM
         escape = dyn.make_system("escape", 1, ["x1^3"], [[-2.0, 2.0]])
         X = np.array([[1.0], [-0.5], [0.0], [2.0], [-0.0]])
         stats = ode.IntegratorStats()
@@ -210,8 +234,6 @@ class TestEscapeLabel:
         assert stats.status["converged"] == 2
         assert conv.tolist() == [False, False, True, False, True]
         assert np.isinf(v[~conv]).all() and (v[conv] == 0.0).all()
-        with pytest.raises(ode.BlowUp):
-            ode.integrate(escape, [1.0], 10.0)
 
     def test_underflow_near_the_origin_keeps_its_label(self, monkeypatch):
         # a collapse at a small norm is an accuracy failure, not an escape
@@ -240,6 +262,38 @@ def _pool_job():
 
 def pinned_shares(monkeypatch, w):
     monkeypatch.setattr(ode, "_share_count", lambda rows: w)
+
+
+def running(pid):
+    """True while process ``pid`` runs (read from /proc): a zombie has ended."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def workers_left(script, tmp_path, seconds):
+    """Run ``script``, a caller that prints its workers' pids and dies, in
+    a session of its own; returns the pids and those still running
+    ``seconds`` after the caller ended."""
+    src = Path(ode.__file__).resolve().parents[1]
+    with open(tmp_path / "pids", "w") as out:
+        caller = subprocess.Popen([sys.executable, "-c", script], stdout=out,
+                                  env={**os.environ, "PYTHONPATH": str(src)},
+                                  start_new_session=True)
+    try:
+        caller.wait(timeout=60)
+        pids = [int(p) for p in (tmp_path / "pids").read_text().split()]
+        deadline = time.monotonic() + seconds
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        return pids, [p for p in pids if running(p)]
+    finally:
+        try:        # the session holds the caller and its workers
+            os.killpg(caller.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 def no_children():
@@ -312,12 +366,14 @@ class TestShares:
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
     def test_workers_end_with_their_share_when_the_caller_dies(self, tmp_path):
         # a worker blocked on a send to a dead caller would live forever;
-        # each closes the read ends it inherits, so its send fails instead
+        # each closes the read ends it inherits, so its send fails instead.
+        # The script hides Linux, so the kernel does not end the workers first
         script = """if True:
             import multiprocessing, os, time
             import numpy as np
             from zubov import dynamics, ode
             ode._share_count = lambda rows: 3
+            os.uname = lambda: type("Uname", (), {"sysname": "other"})()
             caller, advance = os.getpid(), ode._advance
 
             def dying(*args, **kwargs):
@@ -332,32 +388,51 @@ class TestShares:
             X = np.random.default_rng(8).uniform(-2.5, 2.5, size=(12000, 2))
             ode.estimate_V_batch(dynamics.builtin("reversed_vdp"), X)
         """
-        src = Path(ode.__file__).resolve().parents[1]
-        with open(tmp_path / "pids", "w") as out:
-            caller = subprocess.Popen([sys.executable, "-c", script], stdout=out,
-                                      env={**os.environ, "PYTHONPATH": str(src)},
-                                      start_new_session=True)
-        try:
-            caller.wait(timeout=60)
-            pids = [int(p) for p in (tmp_path / "pids").read_text().split()]
-            assert len(pids) == 2
+        pids, left = workers_left(script, tmp_path, 30)
+        assert len(pids) == 2 and left == []
 
-            def running(pid):
-                try:
-                    stat = Path(f"/proc/{pid}/stat").read_text()
-                except FileNotFoundError:
-                    return False
-                return stat.rsplit(")", 1)[1].split()[0] != "Z"
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_workers_die_with_a_killed_caller(self, tmp_path):
+        # a SIGKILLed caller closes nothing and terminates nobody: the
+        # kernel must end its worker, whose share would sleep for 60 s
+        script = """if True:
+            import multiprocessing, os, signal, time
+            import numpy as np
+            from zubov import dynamics, ode
+            ode._share_count = lambda rows: 2
+            caller = os.getpid()
 
-            deadline = time.monotonic() + 30
-            while any(map(running, pids)) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert not any(map(running, pids))
-        finally:
-            try:        # the session holds the caller and its workers
-                os.killpg(caller.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+            def killed(*args, **kwargs):
+                if os.getpid() == caller:
+                    print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+                    time.sleep(0.5)     # the worker is asleep in its share by now
+                    os.kill(caller, signal.SIGKILL)
+                time.sleep(60)
+
+            ode._advance = killed
+            X = np.random.default_rng(8).uniform(-2.5, 2.5, size=(100, 2))
+            ode.estimate_V_batch(dynamics.builtin("reversed_vdp"), X)
+        """
+        pids, left = workers_left(script, tmp_path, 5)
+        assert len(pids) == 1 and left == []
+
+    def test_a_worker_that_sends_nothing_raises(self, monkeypatch):
+        # a worker that exits without a result is an error in the caller
+        # that names its exit code, not a hang
+        caller, advance = os.getpid(), ode._advance
+
+        def vanishing(*args, **kwargs):
+            if os.getpid() != caller:
+                os._exit(9)
+            return advance(*args, **kwargs)
+
+        monkeypatch.setattr(ode, "_advance", vanishing)
+        pinned_shares(monkeypatch, 3)
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="exit code 9"):
+            ode.estimate_V_batch(VDP, share_lattice())
+        assert time.perf_counter() - t0 < 10
+        assert no_children()
 
     def test_small_lattices_never_fork(self, monkeypatch):
         def no_fork(method=None):
@@ -443,6 +518,11 @@ class TestBeta:
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
             ode.BetaKind("sigmoid", 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+    def test_alpha_must_be_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            ode.BetaKind("tanh", alpha)
 
 
 class TestGenDataset:
@@ -658,9 +738,12 @@ class TestCsv:
 
 
 class TestIntegratorConfig:
-    def test_positive_fields_enforced(self):
-        with pytest.raises(ValueError):
-            ode.IntegratorConfig(rtol=-1.0)
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_positive_fields_enforced(self, bad):
+        # NaN too: with rtol = NaN every row would end as a step underflow
+        for name in ("rtol", "atol", "h_max", "t_max", "stop_radius", "value_cap"):
+            with pytest.raises(ValueError, match="positive"):
+                ode.IntegratorConfig(**{name: bad})
         with pytest.raises(ValueError):
             ode.IntegratorConfig(stop_radius=1.5)
 

@@ -207,7 +207,7 @@ class TestVerifyRoa:
         w = cert.decrease.outcome.witness
         wn = net.value_batch(w[None, :])[0]
         assert c1 <= wn <= c2
-        lie = float(nn.input_grad(net, w) @ VDP.f(w))
+        lie = float(nn.input_grad_batch(net, w[None, :])[1][0] @ VDP.field(w))
         assert lie > -10.0
 
     def test_local_must_be_certified(self, vdp_local):
@@ -455,7 +455,7 @@ class TestExportSmt2:
 
     def test_structure(self):
         text = vf.export_smt2(self._toy(), iv.Box([-3.0], [3.0]))
-        assert text.startswith("(set-logic")
+        assert text.startswith("(set-logic QF_NRA)\n")
         assert "(declare-const x1 Real)" in text
         assert "(check-sat)" in text
         # negation form: antecedent asserted <= 0, consequent asserted > 0
@@ -506,7 +506,13 @@ class TestExportSmt2:
         cond = iv.Condition(antecedents=(),
                             consequent=vf.NetValueFn(cache, 0.5, +1, 1))
         text = vf.export_smt2(cond, iv.Box([-1.0], [1.0]), tanh_mode="uninterpreted")
-        assert "(declare-fun tanh (Real) Real)" in text
+        # QF_NRA has no uninterpreted function symbols: declaring tanh needs QF_UFNRA
+        assert text.startswith("(set-logic QF_UFNRA)\n(declare-fun tanh (Real) Real)\n")
+        native = vf.export_smt2(cond, iv.Box([-1.0], [1.0]))
+        assert native.startswith("(set-logic QF_NRA)\n") and "declare-fun" not in native
+        # a script without tanh declares nothing and stays in QF_NRA
+        plain = vf.export_smt2(self._toy(), iv.Box([-3.0], [3.0]), tanh_mode="uninterpreted")
+        assert plain.startswith("(set-logic QF_NRA)\n") and "declare-fun" not in plain
 
     def test_unsupported_primitive(self, vdp_local):
         cond = iv.Condition(
