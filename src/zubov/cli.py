@@ -111,6 +111,8 @@ def resolve_config(overrides: dict) -> dict:
     for field, lo in (("batch", 1), ("max_epochs", 0)):
         if not isinstance(tr[field], int) or tr[field] < lo:
             raise ConfigError(f"train.{field} must be an integer >= {lo}")
+    if not 0 <= tr["pair_fraction"] <= 1:
+        raise ConfigError(f"train.pair_fraction must lie in [0, 1], got {tr['pair_fraction']!r}")
     if tr["psi_form"] not in ("exp", "tanh"):
         raise ConfigError("train.psi_form must be 'exp' or 'tanh'")
     if not (isinstance(cfg["seed"], int) and cfg["seed"] >= 0):

@@ -48,7 +48,7 @@ class SystemDef:
         object.__setattr__(self, "equilibrium", eq)
         if self.field.dim != self.dim or eq.shape != (self.dim,) or self.domain.dim != self.dim:
             raise ValueError("dimension mismatch between field, equilibrium, and domain")
-        if np.max(np.abs(self.field(eq))) > 1e-12:
+        if not np.max(np.abs(self.field.eval_many(eq[None, :]))) <= 1e-12:   # NaN fails too
             raise ValueError("equilibrium does not satisfy f(x*) = 0 within 1e-12")
         if not (np.all(self.domain.lo < eq) and np.all(eq < self.domain.hi)):
             raise ValueError("equilibrium must lie in the interior of the domain")
@@ -136,7 +136,7 @@ class Linearization:
 
 def linearize(sys: SystemDef) -> Linearization:
     n = sys.dim
-    A = np.array(ex.evaluate(sys.field.jacobian_tape, np.zeros(n))).reshape(n, n)
+    A = np.array(ex.evaluate_many(sys.field.jacobian_tape, np.zeros((1, n)))).reshape(n, n)
     # g_i = f_i - sum_j A[i][j] x_j, kept symbolic so Dg can be interval-evaluated
     g_comps = []
     for i in range(n):

@@ -29,7 +29,7 @@ __all__ = [
     "Expr", "Constant", "Var", "Add", "Sub", "Mul", "Div", "Neg",
     "IntPow", "Tanh", "Exp", "Ln", "VectorField", "Tape",
     "ParseError", "DomainError",
-    "parse", "compile", "as_tape", "evaluate", "evaluate_many", "diff", "fold", "to_str",
+    "parse", "compile", "as_tape", "evaluate_many", "diff", "fold", "to_str",
 ]
 
 
@@ -42,7 +42,8 @@ class ParseError(ValueError):
 
 
 class DomainError(ArithmeticError):
-    """Point evaluation hit ln of a non-positive value or division by zero."""
+    """Interval evaluation met ln over values <= 0 or division by an
+    interval containing zero."""
 
 
 @dataclass(frozen=True)
@@ -296,17 +297,17 @@ _POINT_OPS = {
 _EXACT_OPS = {ADD, SUB, MUL, DIV, NEG}
 
 
-def _point_pass(tape: Tape, X: np.ndarray, out: "np.ndarray | None" = None) -> list:
-    """The value of every slot over the points X of shape (K, n).
+def _point_pass(tape: Tape, X: np.ndarray, out: np.ndarray) -> None:
+    """Evaluate the tape over the points X of shape (K, n) into ``out``.
 
-    VAR slots are views of X.  With ``out`` (K, outputs), output i is
-    written into ``out[:, i]``: an op slot straight, a CONST or VAR slot,
-    a power, a slot that is also an earlier output or (see _EXACT_OPS) an
-    inexact op into a strided column by a copy.  ``out`` must not overlap X.
+    Output i goes to ``out[:, i]`` of the (K, outputs) array ``out``,
+    which must not overlap X: an op slot straight, a CONST or VAR slot, a
+    power, a slot that is also an earlier output or (see _EXACT_OPS) an
+    inexact op into a strided column by a copy.  VAR slots are views of X.
     """
     X = np.asarray(X, dtype=float)
     K = X.shape[0]
-    col = {} if out is None else {s: i for i, s in reversed(list(enumerate(tape.outputs)))}
+    col = {s: i for i, s in reversed(list(enumerate(tape.outputs)))}
     v: list = []
     for s, (op, a, k) in enumerate(tape.slots):
         o = out[:, col[s]] if s in col else None
@@ -324,37 +325,22 @@ def _point_pass(tape: Tape, X: np.ndarray, out: "np.ndarray | None" = None) -> l
             r = o
         v.append(r)
     for i, s in enumerate(tape.outputs):
-        if col.get(s, i) != i:
+        if col[s] != i:
             out[:, i] = v[s]
-    return v
 
 
 def evaluate_many(e, X: np.ndarray):
     """Vectorized evaluation over points X of shape (K, n).
 
     ``e`` is an Expr, giving a (K,) array, or a Tape, giving a list of
-    (K,) arrays, one per output (the rows of one array).  Unlike
-    :func:`evaluate`, out-of-domain points silently produce inf/nan so a
-    batch is never aborted by a single bad sample.
+    (K,) arrays, one per output (the rows of one array).  Out-of-domain
+    points silently produce inf/nan, so a batch is never aborted by a
+    single bad sample.
     """
     tape = as_tape(e)
     out = np.empty((len(tape.outputs), np.shape(X)[0]))
     _point_pass(tape, X, out.T)
     return list(out) if tape is e else out[0]
-
-
-def evaluate(e, x):
-    """Evaluate at a single point: a float for an Expr, a list of floats
-    for a Tape.  Raises DomainError on ln(<=0) or x/0."""
-    tape = as_tape(e)
-    v = _point_pass(tape, np.asarray(x, dtype=float)[None, :])
-    for op, a, _ in tape.slots:
-        if op == DIV and v[a[1]][0] == 0.0:
-            raise DomainError("division by zero")
-        if op == LN and v[a[0]][0] <= 0.0:
-            raise DomainError(f"ln of non-positive value {v[a[0]][0]}")
-    out = [float(v[s][0]) for s in tape.outputs]
-    return out if tape is e else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +510,6 @@ class VectorField:
         k = self.tape.max_var_index
         if k >= self.dim:
             raise IndexError(f"the field references x{k + 1} beyond dimension {self.dim}")
-
-    def __call__(self, x) -> np.ndarray:
-        return np.array(evaluate(self.tape, x))
 
     def eval_many(self, X: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
         """(K, n) points -> (K, n) field values, in the first n columns of

@@ -637,8 +637,6 @@ class ScalarFn:
     (used by the SMT-LIB exporter).
     """
 
-    dim: int
-
     def eval_points(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -657,10 +655,9 @@ class ScalarFn:
 
 
 class ExprFn(ScalarFn):
-    def __init__(self, e: ex.Expr, dim: int):
+    def __init__(self, e: ex.Expr):
         self.expr = e
         self.tape = ex.compile([e])
-        self.dim = dim
 
     def eval_points(self, X):
         return ex.evaluate_many(self.tape, X)[0]

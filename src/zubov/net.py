@@ -577,19 +577,27 @@ def save_mlp(net: Mlp, path, alpha: float, psi_form: str,
 
 
 def load_mlp(path):
-    """Returns (net, alpha, psi_form). Rejects unknown file versions and
-    any hidden activation but tanh."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("version") != NET_FILE_VERSION:
-        raise ValueError(f"unsupported network file version {doc.get('version')!r}")
-    if doc.get("activation") != "tanh":
-        raise ValueError("only tanh hidden activations are supported")
-    sizes = tuple(doc["layer_sizes"])
-    weights, biases = [], []
-    for i, layer in enumerate(doc["layers"]):
-        shape = (sizes[i + 1], sizes[i])
-        weights.append(np.array(layer["w"], dtype=float).reshape(shape))
-        biases.append(np.array(layer["b"], dtype=float))
-    net = Mlp(sizes, weights, biases)
-    return net, float(doc["alpha"]), str(doc["psi_form"])
+    """Returns (net, alpha, psi_form). Rejects unknown file versions, any
+    hidden activation but tanh and a malformed document, each with a
+    ValueError that names the file."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("the root must be an object")
+        if doc.get("version") != NET_FILE_VERSION:
+            raise ValueError(f"unsupported network file version {doc.get('version')!r}")
+        if doc.get("activation") != "tanh":
+            raise ValueError("only tanh hidden activations are supported")
+        sizes = tuple(doc["layer_sizes"])
+        weights, biases = [], []
+        for i, layer in enumerate(doc["layers"]):
+            shape = (sizes[i + 1], sizes[i])
+            weights.append(np.array(layer["w"], dtype=float).reshape(shape))
+            biases.append(np.array(layer["b"], dtype=float))
+        net = Mlp(sizes, weights, biases)
+        return net, float(doc["alpha"]), str(doc["psi_form"])
+    except KeyError as e:
+        raise ValueError(f"network file {path}: no key {e}") from None
+    except (IndexError, TypeError, ValueError) as e:
+        raise ValueError(f"network file {path}: {e}") from None

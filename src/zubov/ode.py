@@ -211,15 +211,15 @@ def _rk_step(rhs, Y, h, k1=None):
 
 
 def _advance(rhs, Y0: np.ndarray, cfg: IntegratorConfig,
-             stop_time: np.ndarray,
              classify: Callable[[np.ndarray, np.ndarray], np.ndarray],
              on_accept: Optional[Callable] = None,
              stats: Optional[IntegratorStats] = None):
-    """Drive a batch of trajectories until each is classified non-zero.
+    """Drive a batch of trajectories, each from t = 0 over at most
+    ``cfg.t_max``, until each is classified non-zero.
 
     ``classify(t, Y) -> int8`` per row, from the row's own (t, Y): 0 keep
     going, otherwise a caller status code.  Rows also stop with status -1
-    (step underflow), -2 (non-finite state) or -3 (``stop_time`` reached
+    (step underflow), -2 (non-finite state) or -3 (``cfg.t_max`` reached
     while ``classify`` still says 0: the last step is clipped to it, and a
     step of 0 would be accepted forever).  ``on_accept(rows, t, Y)`` sees
     the accepted steps by batch row index.  Returns (t, Y, status);
@@ -227,17 +227,16 @@ def _advance(rhs, Y0: np.ndarray, cfg: IntegratorConfig,
     """
     t_out, Y_out = np.zeros(Y0.shape[0]), Y0.astype(float)
     status = classify(t_out, Y_out).astype(np.int8)
-    # the pool: batch row indices, t, Y, h, stop time and each row's next
-    # first stage rhs(Y); a finished row's slot goes to the next waiting row
+    # the pool: batch row indices, t, Y, h and each row's next first stage
+    # rhs(Y); a finished row's slot goes to the next waiting row
     queue = np.flatnonzero(status == 0)
     rows, queue = queue[:POOL_ROWS], queue[POOL_ROWS:]
     h0 = min(cfg.h_max, 1e-2)
     # np.take(a.T, idx, axis=-1).T is a[idx] as a Fortran-ordered copy
-    t, h, stop, Y = (np.zeros(rows.size), np.full(rows.size, h0), stop_time[rows],
-                     np.take(Y_out.T, rows, axis=-1).T)
+    t, h, Y = np.zeros(rows.size), np.full(rows.size, h0), np.take(Y_out.T, rows, axis=-1).T
     k1 = rhs(Y) if rows.size else Y
     while rows.size:
-        remaining = stop - t
+        remaining = cfg.t_max - t
         clipped = remaining < h
         h_try = np.where(clipped, remaining, h)
         y5, err, k7 = _rk_step(rhs, Y, h_try, k1)
@@ -257,7 +256,7 @@ def _advance(rhs, Y0: np.ndarray, cfg: IntegratorConfig,
         # a step clipped to the endpoint says nothing about accuracy limits,
         # so keep the controller value in that case
         h_prop = np.minimum(h_try * factor, cfg.h_max)
-        landed = accept & clipped       # accepted steps that end at stop_time
+        landed = accept & clipped       # accepted steps that end at t_max
         h = np.where(landed, h, h_prop)
         # whole-pool updates: a rejected row keeps its (t, Y), for which
         # classify has already said 0
@@ -277,13 +276,13 @@ def _advance(rhs, Y0: np.ndarray, cfg: IntegratorConfig,
             t_out[out], Y_out[out], status[out] = t[done], Y[done], st[done]
             new, queue = queue[:done.size], queue[done.size:]
             slots, rest = done[:new.size], done[new.size:]
-            rows[slots], t[slots], h[slots], stop[slots] = new, 0.0, h0, stop_time[new]
+            rows[slots], t[slots], h[slots] = new, 0.0, h0
             if new.size:
                 Y[slots], k1[slots] = Y_out[new], rhs(Y_out[new])
             if rest.size:
                 keep = np.delete(np.arange(rows.size), rest)
-                rows, t, Y, h, stop, k1 = (np.take(a.T, keep, axis=-1).T
-                                           for a in (rows, t, Y, h, stop, k1))
+                rows, t, Y, h, k1 = (np.take(a.T, keep, axis=-1).T
+                                     for a in (rows, t, Y, h, k1))
     return t_out, Y_out, status
 
 
@@ -322,7 +321,8 @@ def advance_batch(sys: dyn.SystemDef, X0: np.ndarray,
                   classify: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   cfg: IntegratorConfig = IntegratorConfig(),
                   on_accept: Optional[Callable] = None):
-    """Advance many trajectories of the plain state ODE at once.
+    """Advance many trajectories of the plain state ODE at once, each
+    over at most ``cfg.t_max``.
 
     ``classify(t, X) -> int8`` per row decides when each trajectory is
     done (0 keeps going); ``on_accept(rows, t, X)`` observes accepted
@@ -331,9 +331,7 @@ def advance_batch(sys: dyn.SystemDef, X0: np.ndarray,
     ``cfg.t_max``.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-    return _advance(_augment_rhs(sys, cost=False), X0, cfg,
-                    stop_time=np.full(X0.shape[0], cfg.t_max),
-                    classify=classify, on_accept=on_accept)
+    return _advance(_augment_rhs(sys, cost=False), X0, cfg, classify, on_accept=on_accept)
 
 
 def _tail_quadratic(sys: dyn.SystemDef) -> Optional[np.ndarray]:
@@ -457,7 +455,7 @@ def estimate_V_batch(sys: dyn.SystemDef, X: np.ndarray,
     tail_P = _tail_quadratic(sys)
     K = X.shape[0]
     Y0 = np.concatenate([X, np.zeros((K, 1))], axis=1)
-    rhs, stop_time, w = _augment_rhs(sys), np.full(K, cfg.t_max), _share_count(K)
+    rhs, w = _augment_rhs(sys), _share_count(K)
 
     def classify(t, Y):
         out = np.zeros(t.shape, dtype=np.int8)
@@ -470,7 +468,7 @@ def estimate_V_batch(sys: dyn.SystemDef, X: np.ndarray,
 
     def share(j):
         counts = IntegratorStats()
-        _, Yf, status = _advance(rhs, Y0[j::w], cfg, stop_time[j::w], classify, stats=counts)
+        _, Yf, status = _advance(rhs, Y0[j::w], cfg, classify, stats=counts)
         return Yf, status, counts.accepted, counts.rejected
 
     shares = _in_shares(share, w)

@@ -28,7 +28,8 @@ Level searches lower a level with `iv.bnb_minimize` to where its
 condition first fails or stays undecided, then certify it there or on
 the first of eight rungs a little below (`_prove_near`).  The search
 tree itself proves the rungs (`iv.LevelSearch.proves`): of the local
-condition in `find_max_local_c`, of (a) and (b) in `find_max_level`.
+condition in `find_max_local_c`, of (a), (b) and, by the face searches
+that start c2, (c) in `find_max_level`.
 """
 
 from __future__ import annotations
@@ -188,11 +189,10 @@ class NetValueFn(iv.ScalarFn):
     """sign=+1: W_N(x) - level <= 0 encodes W <= level;
     sign=-1: level - W_N(x) <= 0 encodes W >= level."""
 
-    def __init__(self, cache: _NetBoxCache, level: float, sign: int, dim: int):
+    def __init__(self, cache: _NetBoxCache, level: float, sign: int):
         self.cache = cache
         self.level = float(level)
         self.sign = int(sign)
-        self.dim = dim
 
     def eval_points(self, X):
         w, _ = self.cache.points(X)
@@ -296,15 +296,14 @@ class SegmentNormFn(iv.ScalarFn):
 
     _TGRID = np.array([0.25, 0.5, 0.75, 1.0])
 
-    def __init__(self, lin: dyn.Linearization, P: np.ndarray, r: float, dim: int):
+    def __init__(self, lin: dyn.Linearization, P: np.ndarray, r: float):
         self.P = np.asarray(P, dtype=float)
         self.dg_tape = lin.dg_tape
         self.r = float(r)
-        self.dim = dim
 
     def _pdg_entries_interval(self, lo, hi):
         """(P Dg)_ij = sum_k P_ik Dg_kj, (n, n, K): all (i, j) at once per k."""
-        n = self.dim
+        n = len(self.P)
         dg = iv.expr_interval_many(self.dg_tape, lo, hi)   # dg[k * n + j] = Dg_kj
         mlo = np.zeros((n, n, lo.shape[0]))
         mhi = mlo.copy()
@@ -316,7 +315,7 @@ class SegmentNormFn(iv.ScalarFn):
         return mlo, mhi
 
     def _norm_sq_interval(self, mlo, mhi):
-        n = self.dim
+        n = len(self.P)
         if n == 2:
             sq = {(i, j): iv.kpow(mlo[i, j], mhi[i, j], 2)
                   for i in range(2) for j in range(2)}
@@ -429,7 +428,7 @@ def _local_condition(sys: dyn.SystemDef, P: np.ndarray, Q: np.ndarray,
         raise RNotBelowLambdaMin(f"need r < lambda_min(Q) = {lam}, got r = {r}")
     cond = iv.Condition(
         antecedents=(QuadFormFn(P, c),),
-        consequent=SegmentNormFn(sys.linearization, P, r, sys.dim),
+        consequent=SegmentNormFn(sys.linearization, P, r),
         name=f"local-ellipsoid c={c:g}",
     )
     return cond, lam
@@ -452,16 +451,12 @@ def _prove_near(prove, level: float, floor: float):
     ``floor`` at which ``prove`` certifies, with its report; None if none.
 
     A searched level can miss the provable one by the width of a
-    delta-box, so the rungs back off from 15 ppm to 25 %.  A proof that
-    runs out of budget counts as not certified.
+    delta-box, so the rungs back off from 15 ppm to 25 %.
     """
     for rung in [level] + [level * (1.0 - 4.0 ** k * 2.0 ** -16) for k in range(8)]:
         if rung <= floor:
             return None
-        try:
-            report = prove(rung)
-        except iv.BudgetExhausted:
-            continue
+        report = prove(rung)
         if report.certified:
             return rung, report
     return None
@@ -521,10 +516,10 @@ def _face_boxes(box: iv.Box):
 
 
 def _inclusion_condition(cache: _NetBoxCache, local: LocalCertificate,
-                         c1: float, dim: int) -> iv.Condition:
+                         c1: float) -> iv.Condition:
     """W_N <= c1  =>  x'Px <= c: the sublevel set sits in the ellipsoid."""
     return iv.Condition(
-        antecedents=(NetValueFn(cache, c1, +1, dim),),
+        antecedents=(NetValueFn(cache, c1, +1),),
         consequent=QuadFormFn(local.P, local.c),
         name=f"sublevel {c1:g} inside ellipsoid",
     )
@@ -534,7 +529,7 @@ def _band_condition(cache: _NetBoxCache, sys: dyn.SystemDef, c1: float, c2: floa
                     epsilon: float) -> iv.Condition:
     """c1 <= W_N <= c2  =>  grad W_N . f <= -epsilon."""
     return iv.Condition(
-        antecedents=(NetValueFn(cache, c2, +1, sys.dim), NetValueFn(cache, c1, -1, sys.dim)),
+        antecedents=(NetValueFn(cache, c2, +1), NetValueFn(cache, c1, -1)),
         consequent=NetLieFn(cache, sys, epsilon),
         name=f"decrease band [{c1:g}, {c2:g}]",
     )
@@ -554,7 +549,7 @@ def _boundary_reports(cache: _NetBoxCache, sys: dyn.SystemDef, c2: float,
     for face_name, face in _face_boxes(sys.domain):
         cond = iv.Condition(
             antecedents=(),
-            consequent=NetValueFn(cache, c2 + STRICT_SLACK, -1, sys.dim),
+            consequent=NetValueFn(cache, c2 + STRICT_SLACK, -1),
             name=f"boundary {face_name}: W > c2",
         )
         reports.append(_timed_bnb(f"boundary {face_name}", cond, face, delta, budget))
@@ -572,7 +567,7 @@ def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate,
         raise ValueError("need 0 < c1 < c2 < 1")
     cache = _NetBoxCache(net)
     band = _band_condition(_NetBoxCache(net, hessian=True), sys, c1, c2, epsilon)
-    inclusion = _inclusion_condition(cache, local, c1, sys.dim)
+    inclusion = _inclusion_condition(cache, local, c1)
     return RoaCertificate(c1=c1, c2=c2, epsilon=epsilon,
                           decrease=_timed_bnb("decrease", band, sys.domain, delta, budget),
                           inclusion=_timed_bnb("inclusion", inclusion, sys.domain, delta, budget),
@@ -585,43 +580,43 @@ def find_max_level(net, sys: dyn.SystemDef, local: LocalCertificate,
     """The largest (c1, c2) that `verify_roa` proves, and its certificate.
 
     `iv.bnb_minimize` lowers c1 from 1 to where {W_N <= c1} first leaves
-    the local ellipsoid.  c2 starts at the least W_N over the domain
-    faces (a search whose consequent always fails), kept below 1, and is
-    lowered to where the decrease band first fails.  At each level the
-    search's own tree proves the condition a little below it
-    (`iv.LevelSearch.proves`), so `_prove_near` walks down its rungs
-    without a second search; only the four boundary proofs run afresh,
-    at the c2 rungs.  Unlike the ellipsoid in `find_max_local_c`, these
-    antecedents do not contract, so here the tree also picks the rung a
-    fresh `verify_roa` would.  The rungs lie above their floors, 0 and
-    c1, and c2 starts below 1, so 0 < c1 < c2 < 1 as `verify_roa`
-    requires.  Returns (c1, c2, RoaCertificate).
+    the local ellipsoid.  c2 starts below 1, drops to the least W_N over
+    each domain face in turn (a search per face whose consequent always
+    fails) and then to where the decrease band first fails.  Each level's
+    search tree proves its condition a little below it
+    (`iv.LevelSearch.proves`), so `_prove_near` walks down the rungs
+    without a second search: a face search that proves u proves W_N > u
+    on its face, and a c2 rung asks it at c2 + ``STRICT_SLACK``.  Unlike
+    the ellipsoid in `find_max_local_c`, these antecedents do not
+    contract, so here the trees also pick the rung a fresh `verify_roa`
+    would.  The rungs lie above their floors, 0 and c1, and c2 starts
+    below 1, so 0 < c1 < c2 < 1.  Returns (c1, c2, RoaCertificate).
     """
     _check_roa_args(local, epsilon)
     cache = _NetBoxCache(net)
     search = functools.partial(_searched, box=sys.domain, delta=delta, budget=budget)
-    level, inclusion = search("inclusion",
-                              functools.partial(_inclusion_condition, cache, local, dim=sys.dim),
+    level, inclusion = search("inclusion", functools.partial(_inclusion_condition, cache, local),
                               1.0, floor=0.0)
     found = _prove_near(inclusion, level, 0.0)
     if found is None:
         raise NoCertifiableLevel("no c1 level set fits inside the local ellipsoid")
     c1, inclusion_rep = found
-    fails = iv.ExprFn(ex.Constant(1.0), sys.dim)
-    c2 = float(np.nextafter(1.0, 0.0))
-    for _, face in _face_boxes(sys.domain):
-        c2 = iv.bnb_minimize(lambda c: iv.Condition((NetValueFn(cache, c, +1, sys.dim),), fails),
-                             c2, face, c1, delta=delta, budget=budget).level
+    fails = iv.ExprFn(ex.Constant(1.0))
+    c2, faces = float(np.nextafter(1.0, 0.0)), []
+    for face_name, face in _face_boxes(sys.domain):
+        c2, boundary = search(f"boundary {face_name}",
+                              lambda c: iv.Condition((NetValueFn(cache, c, +1),), fails),
+                              c2, box=face, floor=c1)
+        faces.append(boundary)
     band_cache = _NetBoxCache(net, hessian=True)
     level, decrease = search("decrease",
                              lambda c: _band_condition(band_cache, sys, c1, c, epsilon),
                              c2, floor=c1)
 
     def prove(c2):
-        decrease_rep = decrease(c2)
-        boundary = (_boundary_reports(cache, sys, c2, delta, budget)
-                    if decrease_rep.certified else [])
-        return RoaCertificate(c1, c2, epsilon, decrease_rep, inclusion_rep, boundary, local)
+        rep = decrease(c2)
+        boundary = [face(c2 + STRICT_SLACK) for face in faces] if rep.certified else []
+        return RoaCertificate(c1, c2, epsilon, rep, inclusion_rep, boundary, local)
 
     found = _prove_near(prove, level, c1)
     if found is None:

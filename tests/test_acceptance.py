@@ -135,7 +135,7 @@ def test_c4b_local_certificate_poly2d():
     genuine = False
     if isinstance(at_two, iv.Falsified):
         w = np.asarray(at_two.witness, float)
-        segment = vf.SegmentNormFn(dyn.linearize(POLY), P, r, POLY.dim)
+        segment = vf.SegmentNormFn(dyn.linearize(POLY), P, r)
         genuine = bool(w @ P @ w <= 2.0 and segment.eval_points(w[None, :])[0] > 0)
     verdict = type(at_two).__name__ + ("" if genuine else " (no genuine witness)")
     report("4b", cert.certified and floor <= c <= ceiling and genuine and elapsed <= 120,
@@ -239,8 +239,8 @@ def test_c7_soundness_suite():
     falsified = [vf.verify_local(POLY, P, np.eye(2), 0.9999, c, delta=1e-3).outcome
                  for c in (2.0, 2.4)]
     toy = iv.Condition(
-        antecedents=(iv.ExprFn(ex.parse("x1^2 - 1", 1), 1),),
-        consequent=iv.ExprFn(ex.parse("x1 - 0.5", 1), 1))
+        antecedents=(iv.ExprFn(ex.parse("x1^2 - 1", 1)),),
+        consequent=iv.ExprFn(ex.parse("x1 - 0.5", 1)))
     falsified.append(iv.bnb_verify(toy, iv.Box([-3.0], [3.0]), delta=1e-3))
     for out in falsified:
         assert isinstance(out, iv.Falsified)
@@ -250,7 +250,7 @@ def test_c7_soundness_suite():
     P_vdp = dyn.solve_lyapunov(dyn.linearize(VDP).A, np.eye(2)).P
     lin = dyn.linearize(VDP)
     cond = iv.Condition(antecedents=(vf.QuadFormFn(P_vdp, 0.2),),
-                        consequent=vf.SegmentNormFn(lin, P_vdp, 0.9999, 2))
+                        consequent=vf.SegmentNormFn(lin, P_vdp, 0.9999))
     assert isinstance(iv.bnb_verify(cond, VDP.domain, delta=1e-3), iv.Certified)
     g = np.linspace(-2.5, 2.5, 100)
     h = np.linspace(-3.5, 3.5, 100)

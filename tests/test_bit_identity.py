@@ -38,7 +38,7 @@ def ref_rk_step(rhs, Y, h):
     return y5, err
 
 
-def ref_advance(rhs, Y0, cfg, stop_time, classify, on_accept=None, stats=None):
+def ref_advance(rhs, Y0, cfg, classify, on_accept=None, stats=None):
     Y = Y0.astype(float).copy()
     t = np.zeros(Y0.shape[0])
     h = np.full(Y0.shape[0], min(cfg.h_max, 1e-2))
@@ -46,7 +46,7 @@ def ref_advance(rhs, Y0, cfg, stop_time, classify, on_accept=None, stats=None):
     active = status == 0
     while np.any(active):
         idx = np.where(active)[0]
-        remaining = stop_time[idx] - t[idx]
+        remaining = cfg.t_max - t[idx]
         clipped = remaining < h[idx]
         h_try = np.where(clipped, remaining, h[idx])
         y5, err = ref_rk_step(rhs, Y[idx], h_try)
@@ -96,7 +96,7 @@ def ref_estimate_V_batch(sys, X, cfg, stats=None):
         out[r <= cfg.stop_radius] = 1
         return out
 
-    _, Yf, status = ref_advance(rhs, Y0, cfg, np.full(X.shape[0], cfg.t_max), classify)
+    _, Yf, status = ref_advance(rhs, Y0, cfg, classify)
     converged = status == 1
     v = np.full(X.shape[0], np.inf)
     if np.any(converged):

@@ -31,14 +31,14 @@ def _lyap_P(sys):
 
 
 def _expr_cond(g_texts, h_text, dim):
-    ants = tuple(iv.ExprFn(ex.parse(t, dim), dim) for t in g_texts)
-    return iv.Condition(antecedents=ants, consequent=iv.ExprFn(ex.parse(h_text, dim), dim))
+    ants = tuple(iv.ExprFn(ex.parse(t, dim)) for t in g_texts)
+    return iv.Condition(antecedents=ants, consequent=iv.ExprFn(ex.parse(h_text, dim)))
 
 
 def _net_band():
     net = nn.init_mlp([2, 3, 1], 3)
     cache = vf._NetBoxCache(net, hessian=True)
-    return iv.Condition(antecedents=(vf.NetValueFn(cache, 0.2, -1, 2),),
+    return iv.Condition(antecedents=(vf.NetValueFn(cache, 0.2, -1),),
                         consequent=vf.NetLieFn(cache, VDP, 1e-4))
 
 

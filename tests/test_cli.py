@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,8 +220,10 @@ class TestConfigErrors:
 class TestBadInput:
     """Malformed input ends in its documented exit code, never a traceback."""
 
+    # the last three are undefined at the origin: f(0) is -inf, inf and NaN
     @pytest.mark.parametrize("components", [["x2", "x3"], ["x1 +", "x2"], ["sin(x1)", "x2"],
-                                            ["x1^2^3", "x2"], "x1", ["-" * 2000 + "x1", "x2"]])
+                                            ["x1^2^3", "x2"], "x1", ["-" * 2000 + "x1", "x2"],
+                                            ["ln(x1)", "x2"], ["1/x1", "x2"], ["0/x1", "x2"]])
     def test_malformed_inline_system_is_a_config_error(self, tmp_path, components):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
@@ -344,6 +347,50 @@ class TestBadInput:
                    "--out", str(tmp_path / "d.csv")) == 1
         assert "grid must be at least 2" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("fraction, code", [(1.5, 1), (-0.1, 1), (0, 0), (1, 0)])
+    def test_pair_fraction_must_lie_in_zero_one(self, cubic_run, tmp_path, capsys,
+                                                fraction, code):
+        d, cfgfile = cubic_run
+        doc = json.loads(cfgfile.read_text())
+        doc["train"].update(pair_fraction=fraction, max_epochs=1)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        assert run("train", "--config", str(cfg), "--data", str(d / "dataset.csv"),
+                   "--out-dir", str(tmp_path)) == code
+        rejected = "train.pair_fraction must lie in [0, 1]" in capsys.readouterr().err
+        assert rejected == (code == 1)
+        assert (tmp_path / "net.json").exists() == (code == 0)
+
+    @pytest.mark.parametrize("fault", ["no layers", "alpha null", "layers object",
+                                       "layer_sizes int", "list root", "no psi_form"])
+    def test_malformed_network_file_is_a_runtime_error(self, tmp_path, capsys, fault):
+        doc = json.loads((Path(__file__).parents[1] / "bench" / "net_vdp.json").read_text())
+        if fault == "no layers":
+            del doc["layers"]
+        elif fault == "alpha null":
+            doc["alpha"] = None
+        elif fault == "layers object":
+            doc["layers"] = dict(enumerate(doc["layers"]))
+        elif fault == "layer_sizes int":
+            doc["layer_sizes"] = 2
+        elif fault == "list root":
+            doc = [doc]
+        else:
+            del doc["psi_form"]
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["verify-roa", "--system", "reversed_vdp", "--net", str(path),
+                      "--out-dir", str(tmp_path)],
+                     ["report", str(tmp_path)],
+                     ["grid", "--system", "reversed_vdp", "--net", str(path), "--grid", "3",
+                      "--out", str(tmp_path / "w.csv")]):
+            assert run(*argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert err.splitlines() == [err.strip()] and err.startswith("error: network file ")
+            assert str(path) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json"]
 
     def test_whole_float_counts_are_accepted(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -86,7 +86,7 @@ class TestExprInterval:
     def test_point_box_tight(self):
         e = ex.parse("x1^3 - 2*x1 + tanh(x1)", 1)
         lo, hi = _expr_encl(e, [0.7], [0.7])
-        v = ex.evaluate(e, [0.7])
+        v = ex.evaluate_many(e, np.array([[0.7]]))[0]
         assert lo <= v <= hi
         assert hi - lo <= 1e-13
 
@@ -178,8 +178,8 @@ class TestNetInterval:
 
 
 def _expr_cond(g_texts, h_text, dim):
-    ants = tuple(iv.ExprFn(ex.parse(t, dim), dim) for t in g_texts)
-    return iv.Condition(antecedents=ants, consequent=iv.ExprFn(ex.parse(h_text, dim), dim))
+    ants = tuple(iv.ExprFn(ex.parse(t, dim)) for t in g_texts)
+    return iv.Condition(antecedents=ants, consequent=iv.ExprFn(ex.parse(h_text, dim)))
 
 
 class TestBnb:

@@ -221,7 +221,7 @@ _REF_OPS = {
 def ref_segment_norm(fn: vf.SegmentNormFn, lo, hi):
     """`SegmentNormFn.eval_boxes` with (P Dg)_ij accumulated entry by entry."""
     lo, hi = np.minimum(lo, 0.0), np.maximum(hi, 0.0)
-    n = fn.dim
+    n = len(fn.P)
     st = fn.dg_tape.run(lambda op, k: (np.full(lo.shape[0], k), np.full(lo.shape[0], k))
                         if op == ex.CONST else (lo[:, k].copy(), hi[:, k].copy()), _REF_OPS)
     dg = [st[s] for s in fn.dg_tape.outputs]
@@ -392,7 +392,7 @@ class TestSegmentNorm:
         n = sys.dim
         for trial in range(5):
             P = random_P(rng, n) if trial else dyn.solve_lyapunov(sys.linearization.A, np.eye(n)).P
-            fn = vf.SegmentNormFn(sys.linearization, P, 0.5, n)
+            fn = vf.SegmentNormFn(sys.linearization, P, 0.5)
             lo, hi = random_boxes(rng, n, 30)
             got = fn.eval_boxes(lo, hi)
             ref = ref_segment_norm(fn, lo, hi)

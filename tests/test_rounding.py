@@ -219,7 +219,7 @@ class TestCertificateGaps:
         cache = vf._NetBoxCache(net)
         lo = np.zeros((1, 2))
         for sign in (+1, -1):
-            fn = vf.NetValueFn(cache, 0.3, sign, 2)
+            fn = vf.NetValueFn(cache, 0.3, sign)
             hlo, hhi = fn.eval_boxes(lo, lo.copy())
             vlo, vhi, _, _ = cache.boxes(lo, lo)
             exact = [(Fraction(float(v)) - Fraction(0.3)) * sign for v in (vlo[0], vhi[0])]
@@ -230,7 +230,7 @@ class TestCertificateGaps:
         vdp = dyn.builtin("reversed_vdp")
         P = dyn.solve_lyapunov(vdp.linearization.A, np.eye(2)).P
         r = 0.1
-        fn = vf.SegmentNormFn(vdp.linearization, P, r, 2)
+        fn = vf.SegmentNormFn(vdp.linearization, P, r)
         lo = np.array([[0.3, -0.2]])
         hi = np.array([[0.4, 0.1]])
         hlo, hhi = fn.eval_boxes(lo, hi)

@@ -207,7 +207,7 @@ class TestVerifyRoa:
         w = cert.decrease.outcome.witness
         wn = net.value_batch(w[None, :])[0]
         assert c1 <= wn <= c2
-        lie = float(nn.input_grad_batch(net, w[None, :])[1][0] @ VDP.field(w))
+        lie = float(nn.input_grad_batch(net, w[None, :])[1][0] @ VDP.f_many(w[None, :])[0])
         assert lie > -10.0
 
     def test_local_must_be_certified(self, vdp_local):
@@ -233,15 +233,15 @@ def fresh_levels(net, local, epsilon=1e-4, delta=1e-3, budget=5_000_000):
     """(c1, c2) as fresh proofs pick them: the searched levels, then the
     rungs below each proved from scratch by `bnb_verify` and `verify_roa`."""
     cache = vf._NetBoxCache(net)
-    inclusion = functools.partial(vf._inclusion_condition, cache, local, dim=VDP.dim)
+    inclusion = functools.partial(vf._inclusion_condition, cache, local)
     c1, _ = vf._prove_near(
         lambda c: vf._timed_bnb("inclusion", inclusion(c), VDP.domain, delta, budget),
         iv.bnb_minimize(inclusion, 1.0, VDP.domain, delta=delta, budget=budget).level, 0.0)
-    fails = iv.ExprFn(ex.Constant(1.0), VDP.dim)
+    fails = iv.ExprFn(ex.Constant(1.0))
     c2 = float(np.nextafter(1.0, 0.0))
     for _, face in vf._face_boxes(VDP.domain):
         c2 = iv.bnb_minimize(
-            lambda c: iv.Condition((vf.NetValueFn(cache, c, +1, VDP.dim),), fails),
+            lambda c: iv.Condition((vf.NetValueFn(cache, c, +1),), fails),
             c2, face, c1, delta=delta, budget=budget).level
     band_cache = vf._NetBoxCache(net, hessian=True)
     c2 = iv.bnb_minimize(lambda c: vf._band_condition(band_cache, VDP, c1, c, epsilon),
@@ -262,7 +262,7 @@ class _LooseLevel(iv.ExprFn):
     delta-boxes near the searched level feasible a little below it."""
 
     def __init__(self, u, slack):
-        super().__init__(ex.Sub(ex.parse("x1 + 2", 2), ex.Constant(u)), 2)
+        super().__init__(ex.Sub(ex.parse("x1 + 2", 2), ex.Constant(u)))
         self.slack = slack
 
     def contract_boxes(self, lo, hi):
@@ -271,13 +271,25 @@ class _LooseLevel(iv.ExprFn):
 
 
 def _loose_search(h_text, slack, floor=0.0):
-    consequent = iv.ExprFn(ex.parse(h_text, 2), 2)
+    consequent = iv.ExprFn(ex.parse(h_text, 2))
 
     def make(u):
         return iv.Condition((_LooseLevel(u, slack),), consequent)
 
     box = iv.Box.from_bounds([[-1, 1], [-1, 1]])
     return make, box, iv.bnb_minimize(make, 10.0, box, floor, delta=1e-3)
+
+
+def _record_searches(monkeypatch) -> list:
+    """(box, LevelSearch) of every `iv.bnb_minimize` call from now on."""
+    searches, minimize = [], iv.bnb_minimize
+
+    def recorded(make, level, box, *args, **kwargs):
+        searches.append((box, minimize(make, level, box, *args, **kwargs)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(iv, "bnb_minimize", recorded)
+    return searches
 
 
 class TestFindMaxLevel:
@@ -320,6 +332,44 @@ class TestFindMaxLevel:
         for report in (cert.decrease, cert.inclusion):
             assert report.outcome.boxes_processed > 0 and report.seconds > 0.0
         assert cert.decrease.outcome.boxes_processed > cert.inclusion.outcome.boxes_processed
+
+    def test_boundary_is_proved_by_the_face_searches(self, bench_net, bench_local,
+                                                     bench_level, monkeypatch):
+        def no_fresh_proof(*args, **kwargs):
+            raise AssertionError("find_max_level ran bnb_verify")
+
+        monkeypatch.setattr(iv, "bnb_verify", no_fresh_proof)
+        searches = _record_searches(monkeypatch)
+        c1, c2, cert = vf.find_max_level(bench_net, VDP, bench_local)
+        assert (c1, c2) == bench_level[:2] and cert.certified
+        faces = [s for box, s in searches if np.any(box.lo == box.hi)]
+        assert [b.name for b in cert.boundary] == [
+            "boundary x1=-2.5", "boundary x1=2.5", "boundary x2=-3.5", "boundary x2=3.5"]
+        assert [b.outcome for b in cert.boundary] == [iv.Certified(s.boxes_processed)
+                                                      for s in faces]
+
+    def test_face_search_refusing_the_first_rung_lowers_c2(self, bench_net, bench_local,
+                                                            bench_level, monkeypatch):
+        # the band search proves the second c2 rung, level * (1 - 2^-16),
+        # where bench_level stops; the face searches are first asked there,
+        # and with all four refusing it c2 steps down to the third rung
+        proves, refused = iv.LevelSearch.proves, []
+
+        def refuse_first_rung(self, level):
+            consequent = self.make(level).consequent
+            if (isinstance(consequent, iv.ExprFn) and consequent.expr == ex.Constant(1.0)
+                    and not any(s is self for s in refused)):
+                refused.append(self)
+                return False
+            return proves(self, level)
+
+        monkeypatch.setattr(iv.LevelSearch, "proves", refuse_first_rung)
+        searches = _record_searches(monkeypatch)
+        c1, c2, cert = vf.find_max_level(bench_net, VDP, bench_local)
+        level = searches[-1][1].level
+        assert bench_level[1] == level * (1.0 - 2.0 ** -16)
+        assert (c1, c2) == (bench_level[0], level * (1.0 - 4.0 * 2.0 ** -16))
+        assert len(refused) == 4 and cert.certified
 
     def test_steps_down_past_delta_boxes_feasible_at_the_first_rungs(self):
         # h = x1 - 0.5 straddles 0 on the delta-boxes at x1 = 0.5, where
@@ -450,8 +500,8 @@ class TestNetBoxCache:
 class TestExportSmt2:
     def _toy(self):
         return iv.Condition(
-            antecedents=(iv.ExprFn(ex.parse("x1^2 - 1", 1), 1),),
-            consequent=iv.ExprFn(ex.parse("x1 - 2", 1), 1))
+            antecedents=(iv.ExprFn(ex.parse("x1^2 - 1", 1)),),
+            consequent=iv.ExprFn(ex.parse("x1 - 2", 1)))
 
     def test_structure(self):
         text = vf.export_smt2(self._toy(), iv.Box([-3.0], [3.0]))
@@ -469,7 +519,7 @@ class TestExportSmt2:
 
     def test_exact_rational_constants(self):
         cond = iv.Condition(antecedents=(),
-                            consequent=iv.ExprFn(ex.parse("x1 - 0.1", 1), 1))
+                            consequent=iv.ExprFn(ex.parse("x1 - 0.1", 1)))
         text = vf.export_smt2(cond, iv.Box([0.0], [1.0]))
         # 0.1 is not exact in binary; the export must carry the true ratio
         assert "3602879701896397" in text
@@ -478,22 +528,22 @@ class TestExportSmt2:
         net = nn.init_mlp([2, 1, 1], 3)  # single hidden unit
         cache = vf._NetBoxCache(net, hessian=True)
         cond = iv.Condition(
-            antecedents=(vf.NetValueFn(cache, 0.2, -1, 2),
-                         vf.NetValueFn(cache, 0.8, +1, 2)),
+            antecedents=(vf.NetValueFn(cache, 0.2, -1),
+                         vf.NetValueFn(cache, 0.8, +1)),
             consequent=vf.NetLieFn(cache, VDP, 1e-4))
         text = vf.export_smt2(cond, VDP.domain)
         assert text.count("(tanh") == 1
         net3 = nn.init_mlp([2, 3, 1], 3)
         cache3 = vf._NetBoxCache(net3, hessian=True)
         cond3 = iv.Condition(
-            antecedents=(vf.NetValueFn(cache3, 0.2, -1, 2),),
+            antecedents=(vf.NetValueFn(cache3, 0.2, -1),),
             consequent=vf.NetLieFn(cache3, VDP, 1e-4))
         assert vf.export_smt2(cond3, VDP.domain).count("(tanh") == 3
 
     def test_repeated_subexpression_defined_once(self):
         cond = iv.Condition(
-            antecedents=(iv.ExprFn(ex.parse("(x1 + 1)^2 - 4", 1), 1),),
-            consequent=iv.ExprFn(ex.parse("(x1 + 1)*x1 - tanh(x1)", 1), 1))
+            antecedents=(iv.ExprFn(ex.parse("(x1 + 1)^2 - 4", 1)),),
+            consequent=iv.ExprFn(ex.parse("(x1 + 1)*x1 - tanh(x1)", 1)))
         text = vf.export_smt2(cond, iv.Box([-3.0], [3.0]))
         assert text.count("(+ x1 1)") == 1
         name = re.search(r"\(define-fun (\w+) \(\) Real \(\+ x1 1\)\)", text).group(1)
@@ -504,7 +554,7 @@ class TestExportSmt2:
         net = nn.init_mlp([1, 2, 1], 0)
         cache = vf._NetBoxCache(net)
         cond = iv.Condition(antecedents=(),
-                            consequent=vf.NetValueFn(cache, 0.5, +1, 1))
+                            consequent=vf.NetValueFn(cache, 0.5, +1))
         text = vf.export_smt2(cond, iv.Box([-1.0], [1.0]), tanh_mode="uninterpreted")
         # QF_NRA has no uninterpreted function symbols: declaring tanh needs QF_UFNRA
         assert text.startswith("(set-logic QF_UFNRA)\n(declare-fun tanh (Real) Real)\n")
@@ -517,7 +567,7 @@ class TestExportSmt2:
     def test_unsupported_primitive(self, vdp_local):
         cond = iv.Condition(
             antecedents=(vf.QuadFormFn(vdp_local.P, vdp_local.c),),
-            consequent=vf.SegmentNormFn(dyn.linearize(VDP), vdp_local.P, 0.9999, 2))
+            consequent=vf.SegmentNormFn(dyn.linearize(VDP), vdp_local.P, 0.9999))
         with pytest.raises(iv.UnsupportedPrimitive):
             vf.export_smt2(cond, VDP.domain)
 
