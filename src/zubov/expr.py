@@ -217,6 +217,19 @@ class Tape:
         """Largest Var index on the tape, or -1 if there are no variables."""
         return max((k for op, _, k in self.slots if op == VAR), default=-1)
 
+    @cached_property
+    def _point_plan(self) -> tuple:
+        """For `_point_pass`: the last slot that reads each slot (-1 if
+        none), and the set of slots that no op but a correctly rounded one
+        (`_EXACT_OPS`) reads."""
+        last, inexact = [-1] * len(self.slots), set()
+        for s, (op, a, _) in enumerate(self.slots):
+            for j in a:
+                last[j] = s
+                if op not in _EXACT_OPS:
+                    inexact.add(j)
+        return last, set(range(len(self.slots))) - inexact
+
     def run(self, leaf, ops: dict) -> list:
         """The value of every slot, in slot order: ``leaf(op, k)`` for a
         CONST or VAR, ``ops[op](k, *args)`` from the arguments' values for
@@ -304,19 +317,26 @@ def _point_pass(tape: Tape, X: np.ndarray, out: np.ndarray) -> None:
     which must not overlap X: an op slot straight, a CONST or VAR slot, a
     power, a slot that is also an earlier output or (see _EXACT_OPS) an
     inexact op into a strided column by a copy.  VAR slots are views of X.
+    A slot's value is dropped after its last reader.  A CONST that only
+    correctly rounded ops read stays a scalar, which gives the same bits;
+    any other slot that would be a scalar is filled out to (K,), so that
+    tanh, exp, ln and powers run on the arrays they always did.
     """
     X = np.asarray(X, dtype=float)
     K = X.shape[0]
     col = {s: i for i, s in reversed(list(enumerate(tape.outputs)))}
+    last, exact_only = tape._point_plan
     v: list = []
     for s, (op, a, k) in enumerate(tape.slots):
         o = out[:, col[s]] if s in col else None
         if op == CONST:
-            r = np.full(K, k)
+            r = k if s in exact_only else np.full(K, k)
         elif op == VAR:
             r = X[:, k]
         elif op in _EXACT_OPS:
             r = _POINT_OPS[op](k, *[v[j] for j in a], o)
+            if np.ndim(r) == 0 and s not in exact_only:
+                r = np.full(K, r)
         else:
             r = _POINT_OPS[op](k, *[np.ascontiguousarray(v[j]) for j in a],
                                o if o is not None and o.flags.c_contiguous else None)
@@ -324,6 +344,9 @@ def _point_pass(tape: Tape, X: np.ndarray, out: np.ndarray) -> None:
             o[...] = r
             r = o
         v.append(r)
+        for j in a:
+            if last[j] == s and j not in col:
+                v[j] = None
     for i, s in enumerate(tape.outputs):
         if col[s] != i:
             out[:, i] = v[s]

@@ -24,6 +24,11 @@ Two layers live here:
   `bnb_minimize` lowers the level of such an implication to about the
   least one at which it fails, keeping the tree's open leaves so that
   the same search proves the implication a little below that level.
+  `bnb_verify` deals the open boxes of a large tree to one share per
+  usable core (`zubov.shares`) and gives what one process gives;
+  `bnb_minimize` stays in one process, since the level it reaches
+  depends on the order in which it meets the boxes.  A tracer that
+  wraps a kernel sees only the calling process's share.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import expr as ex
+from . import shares
 
 __all__ = [
     "Box", "Condition", "ScalarFn", "ExprFn",
@@ -720,12 +726,17 @@ class BudgetExhausted(RuntimeError):
         self.processed = processed
         self.pending = pending
 
+    def __reduce__(self):       # so that it crosses a pipe from a worker
+        return BudgetExhausted, (self.processed, self.pending)
+
 
 _CHUNK = 512   # boxes per chunk: enough rows to amortize NumPy's call overhead
 
 
-def _bnb(cond: Condition, X: Box, delta: float, budget: int):
-    """The depth-first branch-and-bound loop, as a generator.
+def _bnb(cond: Condition, lo: np.ndarray, hi: np.ndarray, delta: float, budget: int,
+         pause: int = 0):
+    """The depth-first branch-and-bound loop, as a generator, from the
+    stack of boxes ``lo``, ``hi`` (m, n), row m-1 on top.
 
     Each popped chunk of boxes is contracted against the antecedents (HC4
     for expressions, a feasibility test otherwise).  A box found empty is
@@ -736,6 +747,8 @@ def _bnb(cond: Condition, X: Box, delta: float, budget: int):
     dhi)`` and resumes with the condition sent back, dropping those
     delta-boxes and bisecting the other survivors.  An empty stack yields
     the box count alone.  Raises ``BudgetExhausted`` past ``budget`` boxes.
+    With ``pause`` > 0 it yields ``(processed, stack lo, stack hi)`` once,
+    the first time its stack holds ``pause`` boxes, and then goes on.
     """
     if not delta > 0:   # NaN fails too
         raise ValueError("delta must be positive")
@@ -743,12 +756,15 @@ def _bnb(cond: Condition, X: Box, delta: float, budget: int):
         raise ValueError("budget must be >= 1")
     # the stack is two (capacity, n) arrays whose first `top` rows are live,
     # row top-1 being the top; a chunk pops its rows top first
-    slo = np.empty((max(2 * _CHUNK, 64), X.dim))
+    top = len(lo)
+    slo = np.empty((max(2 * _CHUNK, 64, top), lo.shape[1]))
     shi = np.empty_like(slo)
-    slo[0], shi[0] = X.lo, X.hi
-    top = 1
+    slo[:top], shi[:top] = lo, hi
     processed = 0
     while top:
+        if top >= pause > 0:
+            pause = 0
+            yield processed, slo[:top], shi[:top]
         take = min(_CHUNK, top)
         if processed + take > budget:
             raise BudgetExhausted(processed, top)
@@ -784,7 +800,7 @@ def _bnb(cond: Condition, X: Box, delta: float, budget: int):
         # bisect each box along its widest axis; in stack order box j
         # pushes its left child (row 2j), then its right one (2j + 1)
         m = len(lo_s)
-        if top + 2 * m > len(slo):   # m <= _CHUNK <= len(slo) / 2
+        if top + 2 * m > len(slo):   # top <= len(slo), 2 * m <= 2 * _CHUNK <= len(slo)
             slo = np.concatenate([slo, np.empty_like(slo)])
             shi = np.concatenate([shi, np.empty_like(shi)])
         j = np.arange(m)
@@ -795,7 +811,7 @@ def _bnb(cond: Condition, X: Box, delta: float, budget: int):
         shi[top + 2 * j, axis] = mid
         slo[top + 2 * j + 1, axis] = mid
         top += 2 * m
-    none = np.empty((0, X.dim))
+    none = np.empty((0, lo.shape[1]))
     yield processed, none, np.empty(0), none, none
 
 
@@ -805,13 +821,57 @@ def bnb_verify(cond: Condition, X: Box, delta: float = 1e-3,
 
     ``Falsified`` at the first violating probe of `_bnb`, else ``Unknown``
     at its first delta-box; ``Certified`` when every box is discarded.
+
+    On w = `shares.count` >= 2 cores, `_bnb` pauses once its stack holds
+    half a chunk per share (smaller trees never fork) and deals the open
+    boxes to w shares (box i to share i mod w), each proved by `_bnb` from
+    its boxes with the budget left, share 0 here and the others in forked
+    workers (`shares.run`).  Each box's fate depends on that box alone, so
+    a certified tree holds the same boxes in any order: if every share
+    certifies and their boxes fit the budget, the count is the paused
+    run's plus theirs.  (Only a BLAS product, whose last bit can change
+    with the rows around it, could tip a box at the very edge of a
+    decision the other way; either way the enclosures are sound.)
+    Otherwise the paused `_bnb` goes on from its own stack, so the
+    outcome, witness, count and ``BudgetExhausted`` are those of one
+    process.
     """
-    n, probes, margins, dlo, dhi = next(_bnb(cond, X, delta, budget))
+    w = shares.count(budget // _CHUNK)
+    steps = _bnb(cond, X.lo[None], X.hi[None], delta, budget, w * _CHUNK // 2 if w > 1 else 0)
+    step = next(steps)
+    if len(step) == 3:      # paused with half a chunk of open boxes per share
+        done, lo, hi = step
+        n = _certified_in_shares(cond, lo, hi, delta, budget - done, w)
+        if n is not None:
+            return Certified(boxes_processed=done + n)
+        step = next(steps)
+    n, probes, margins, dlo, dhi = step
     if len(probes):
         return Falsified(witness=probes[0].copy(), margin=float(margins[0]), boxes_processed=n)
     if len(dlo):
         return Unknown(box=Box(dlo[0], dhi[0]), delta=delta, boxes_processed=n)
     return Certified(boxes_processed=n)
+
+
+class _Open(Exception):
+    """A share of `bnb_verify`'s boxes met a violating probe or a delta-box."""
+
+
+def _certified_in_shares(cond, lo, hi, delta, budget, w):
+    """The boxes processed to certify the stack ``lo``, ``hi`` in w
+    interleaved shares, or None if a share does not certify (or fails)
+    or they process more than ``budget`` boxes."""
+    def share(j):
+        n, probes, _, dlo, _ = next(_bnb(cond, lo[j::w], hi[j::w], delta, budget))
+        if len(probes) or len(dlo):
+            raise _Open
+        return n
+
+    try:
+        n = sum(shares.run(share, w))
+    except Exception:       # the paused run finds out what went wrong
+        return None
+    return n if n <= budget else None
 
 
 @dataclass(frozen=True)
@@ -876,7 +936,7 @@ def bnb_minimize(make, level: float, X: Box, floor: float = 0.0, delta: float = 
     if level <= floor:
         return LevelSearch(make, level, 0, False, none, none)
     cond = make(level)
-    steps = _bnb(cond, X, delta, budget)
+    steps = _bnb(cond, X.lo[None], X.hi[None], delta, budget)
     n, probes, _, dlo, dhi = next(steps)
     kept_lo, kept_hi = [dlo], [dhi]
     while len(probes) or len(dlo):

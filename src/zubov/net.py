@@ -578,8 +578,9 @@ def save_mlp(net: Mlp, path, alpha: float, psi_form: str,
 
 def load_mlp(path):
     """Returns (net, alpha, psi_form). Rejects unknown file versions, any
-    hidden activation but tanh and a malformed document, each with a
-    ValueError that names the file."""
+    hidden activation but tanh, a psi_form but "exp" or "tanh", an alpha
+    that is not positive and finite, and a malformed document, each with
+    a ValueError that names the file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -596,7 +597,12 @@ def load_mlp(path):
             weights.append(np.array(layer["w"], dtype=float).reshape(shape))
             biases.append(np.array(layer["b"], dtype=float))
         net = Mlp(sizes, weights, biases)
-        return net, float(doc["alpha"]), str(doc["psi_form"])
+        alpha, psi_form = float(doc["alpha"]), doc["psi_form"]
+        if psi_form not in ("exp", "tanh"):
+            raise ValueError(f"unknown psi_form {psi_form!r}")
+        if not 0 < alpha < math.inf:    # NaN fails too
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
+        return net, alpha, psi_form
     except KeyError as e:
         raise ValueError(f"network file {path}: no key {e}") from None
     except (IndexError, TypeError, ValueError) as e:

@@ -23,19 +23,15 @@ to recomputing the first stage.
 
 ``estimate_V_batch`` splits a lattice into ``w`` interleaved shares (row
 i goes to share i mod w) and integrates share 0 in the calling process
-and the others in forked workers, one pool each, then scatters the rows
-back in lattice order; since every operation is row-wise, the data is
-the same bits for any ``w``.  ``w`` is the number of usable cores, but
-at most one share per two full pools, so lattices below 2 * POOL_ROWS
-rows stay in one process; where ``os.sched_getaffinity`` does not exist
-(macOS, Windows), and in a daemonic process such as a multiprocessing
-pool's worker, ``w`` is 1.  Workers run only the elementwise
-integrator, never BLAS or threads, are always joined and die with a
-killed caller; an error in a share is raised again in the caller.  A
-tracer that wraps ``_rk_step`` sees only the calling process's share,
-while ``IntegratorStats`` counts every row.  Python 3.12 and later may
-warn that forking a process with threads (OpenBLAS starts one per core)
-can deadlock the child; the workers never call BLAS.
+and the others in forked workers (`zubov.shares`), one pool each, then
+scatters the rows back in lattice order; since every operation is
+row-wise, the data is the same bits for any ``w``.  ``w`` is the number
+of usable cores, but at most one share per two full pools, so lattices
+below 2 * POOL_ROWS rows stay in one process, as does every lattice
+where `shares.count` allows one process only (one usable core, no
+``os.sched_getaffinity``, a daemonic process).  A tracer that wraps
+``_rk_step`` sees only the calling process's share, while
+``IntegratorStats`` counts every row.
 
 ``advance_batch`` runs the same pool on the plain state ODE; one row
 with an ``on_accept`` recorder traces a single path.  Each run counts
@@ -48,8 +44,6 @@ time.
 from __future__ import annotations
 
 import io
-import os
-import signal
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, field
 from typing import Callable, Optional
@@ -57,6 +51,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dynamics as dyn
+from . import shares
 
 __all__ = [
     "IntegratorConfig", "IntegratorStats", "ValueSample", "ValueGrid", "BetaKind",
@@ -347,95 +342,6 @@ def _tail_quadratic(sys: dyn.SystemDef) -> Optional[np.ndarray]:
     return sol.P if sol.pos_def else None
 
 
-def _share_count(rows: int) -> int:
-    """Processes to integrate ``rows`` rows in: one per usable core, but
-    at least two full pools per share.  1 where the cores are unknown, and
-    in a daemonic process (a multiprocessing pool's worker), which may not
-    start processes."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    w = min(len(os.sched_getaffinity(0)), rows // (2 * POOL_ROWS))
-    if w < 2:
-        return 1
-    import multiprocessing as mp     # only here: it is slow to import
-    return 1 if mp.current_process().daemon else w
-
-
-def _in_shares(share: Callable[[int], tuple], w: int) -> list:
-    """``[share(0), ..., share(w - 1)]``: share 0 runs here, the others in
-    forked workers that send their result back through a pipe.  Every
-    worker is joined before this returns or raises; one still running
-    when a share fails (or on Ctrl-C) is terminated first."""
-    if w == 1:
-        return [share(0)]
-    import multiprocessing as mp
-
-    ctx = mp.get_context("fork")
-    workers, results = [], []
-    try:
-        for j in range(1, w):
-            recv, send = ctx.Pipe(duplex=False)
-            readers = [r for _, r in workers] + [recv]
-            p = ctx.Process(target=_share_worker, args=(share, j, readers, send, os.getpid()),
-                            daemon=True)
-            try:
-                p.start()
-            finally:
-                send.close()
-            workers.append((p, recv))
-        results.append(share(0))
-        for p, recv in workers:
-            try:
-                ok, value = recv.recv()
-            except EOFError:
-                p.join()
-                raise RuntimeError(f"integrator worker ended with exit code {p.exitcode} "
-                                   "before sending its share") from None
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for i, (p, recv) in enumerate(workers, 1):
-            if i >= len(results):       # its share was not received
-                p.terminate()
-            p.join()
-            recv.close()
-
-
-def _share_worker(share, j: int, readers: list, send, caller: int) -> None:
-    """A forked worker's body: ``share(j)`` or the error it raised, sent
-    as ``(ok, value)``.  Ctrl-C is left to the parent, which ends it.
-
-    On Linux the kernel kills the worker when its ``caller`` dies
-    (``PR_SET_PDEATHSIG``; a caller already gone is seen at once).  The
-    worker also closes the read ends it inherited, so that a send to a
-    dead parent fails instead of waiting for a reader forever.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if os.uname().sysname == "Linux":
-        import ctypes
-        prctl = ctypes.CDLL(None).prctl
-        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-        prctl(1, signal.SIGKILL)        # 1 = PR_SET_PDEATHSIG
-        if os.getppid() != caller:
-            os._exit(0)
-    for r in readers:
-        r.close()
-    try:
-        msg = (True, share(j))
-    except Exception as e:          # re-raised in the parent
-        msg = (False, e)
-    try:
-        send.send(msg)
-    except BrokenPipeError:         # the parent is gone
-        pass
-    except Exception as e:          # an error that does not pickle
-        send.send((False, RuntimeError(f"integrator share {j} could not be sent: {e}")))
-    finally:
-        send.close()
-
-
 def estimate_V_batch(sys: dyn.SystemDef, X: np.ndarray,
                      cfg: IntegratorConfig = IntegratorConfig(),
                      stats: Optional[IntegratorStats] = None):
@@ -445,7 +351,7 @@ def estimate_V_batch(sys: dyn.SystemDef, X: np.ndarray,
     the affected sample non-converged instead of aborting the batch; a
     step underflow beyond ``ESCAPE_NORM`` counts as a blow-up, since
     chasing a finite-time escape collapses the step size long before the
-    norm reaches ``BLOWUP_NORM``.  The rows are integrated in ``_share_count`` interleaved
+    norm reaches ``BLOWUP_NORM``.  The rows are integrated in interleaved
     shares (see the module docstring), with the same bits for any count.
     ``stats``, if given, gains the step counts, each row's final status
     (``STATUS_NAMES``) and the number of processes.
@@ -455,7 +361,7 @@ def estimate_V_batch(sys: dyn.SystemDef, X: np.ndarray,
     tail_P = _tail_quadratic(sys)
     K = X.shape[0]
     Y0 = np.concatenate([X, np.zeros((K, 1))], axis=1)
-    rhs, w = _augment_rhs(sys), _share_count(K)
+    rhs, w = _augment_rhs(sys), shares.count(K // (2 * POOL_ROWS))
 
     def classify(t, Y):
         out = np.zeros(t.shape, dtype=np.int8)
@@ -471,15 +377,15 @@ def estimate_V_batch(sys: dyn.SystemDef, X: np.ndarray,
         _, Yf, status = _advance(rhs, Y0[j::w], cfg, classify, stats=counts)
         return Yf, status, counts.accepted, counts.rejected
 
-    shares = _in_shares(share, w)
+    results = shares.run(share, w)
     Yf, status = np.empty_like(Y0), np.empty(K, dtype=np.int8)
-    for j, (Yj, sj, _, _) in enumerate(shares):
+    for j, (Yj, sj, _, _) in enumerate(results):
         Yf[j::w], status[j::w] = Yj, sj
     under = np.flatnonzero(status == -1)
     status[under[np.sqrt(_sq_norm(Yf[under, :n])) > ESCAPE_NORM]] = 3
     if stats is not None:
-        stats.accepted += sum(sh[2] for sh in shares)
-        stats.rejected += sum(sh[3] for sh in shares)
+        stats.accepted += sum(r[2] for r in results)
+        stats.rejected += sum(r[3] for r in results)
         stats.count_status(status)
         stats.workers = max(stats.workers, w)
     converged = status == 1

@@ -29,7 +29,10 @@ condition first fails or stays undecided, then certify it there or on
 the first of eight rungs a little below (`_prove_near`).  The search
 tree itself proves the rungs (`iv.LevelSearch.proves`): of the local
 condition in `find_max_local_c`, of (a), (b) and, by the face searches
-that start c2, (c) in `find_max_level`.
+that start c2, (c) in `find_max_level`.  The searches run in one
+process.  Fixed-level checks (`verify_local`, `verify_roa`) are fresh
+`iv.bnb_verify` proofs, which run a large tree on every usable core
+with the outcome and box count of one process.
 """
 
 from __future__ import annotations

@@ -363,13 +363,19 @@ class TestBadInput:
         assert (tmp_path / "net.json").exists() == (code == 0)
 
     @pytest.mark.parametrize("fault", ["no layers", "alpha null", "layers object",
-                                       "layer_sizes int", "list root", "no psi_form"])
+                                       "layer_sizes int", "list root", "no psi_form",
+                                       "psi_form foo", "alpha -1", "alpha 0", "alpha NaN",
+                                       "alpha Infinity"])
     def test_malformed_network_file_is_a_runtime_error(self, tmp_path, capsys, fault):
+        # a psi_form or alpha out of range loaded, and `report` then wrote
+        # "alpha": NaN, which strict JSON readers refuse
         doc = json.loads((Path(__file__).parents[1] / "bench" / "net_vdp.json").read_text())
-        if fault == "no layers":
+        if fault == "psi_form foo":
+            doc["psi_form"] = "foo"
+        elif fault.startswith("alpha "):
+            doc["alpha"] = None if fault == "alpha null" else float(fault.split()[1])
+        elif fault == "no layers":
             del doc["layers"]
-        elif fault == "alpha null":
-            doc["alpha"] = None
         elif fault == "layers object":
             doc["layers"] = dict(enumerate(doc["layers"]))
         elif fault == "layer_sizes int":

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zubov import dynamics as dyn
-from zubov import ode
+from zubov import ode, shares
 
 from test_bit_identity import same_bits
 
@@ -261,7 +261,7 @@ def _pool_job():
 
 
 def pinned_shares(monkeypatch, w):
-    monkeypatch.setattr(ode, "_share_count", lambda rows: w)
+    monkeypatch.setattr(shares, "count", lambda units: w)
 
 
 def running(pid):
@@ -371,8 +371,8 @@ class TestShares:
         script = """if True:
             import multiprocessing, os, time
             import numpy as np
-            from zubov import dynamics, ode
-            ode._share_count = lambda rows: 3
+            from zubov import dynamics, ode, shares
+            shares.count = lambda units: 3
             os.uname = lambda: type("Uname", (), {"sysname": "other"})()
             caller, advance = os.getpid(), ode._advance
 
@@ -398,8 +398,8 @@ class TestShares:
         script = """if True:
             import multiprocessing, os, signal, time
             import numpy as np
-            from zubov import dynamics, ode
-            ode._share_count = lambda rows: 2
+            from zubov import dynamics, ode, shares
+            shares.count = lambda units: 2
             caller = os.getpid()
 
             def killed(*args, **kwargs):
@@ -447,18 +447,19 @@ class TestShares:
             ode.estimate_V_batch(VDP, share_lattice())
 
     def test_share_count(self, monkeypatch):
-        monkeypatch.setattr(ode, "POOL_ROWS", 10)
+        # one share per usable core and at most one per work unit; the
+        # integrator's unit is two pools, so 40 rows in pools of 10 make
+        # two shares (test_small_lattices_never_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
-        assert [ode._share_count(k) for k in (0, 19, 20, 39, 40, 59, 60, 10_000)] == \
-            [1, 1, 1, 1, 2, 2, 3, 3]
+        assert [shares.count(k) for k in (0, 1, 2, 3, 10_000)] == [1, 1, 2, 3, 3]
         # a pool's worker is daemonic and may not start processes
         daemon = multiprocessing.current_process()
         monkeypatch.setattr(multiprocessing, "current_process",
                             lambda: type("Daemon", (), {"daemon": True})())
-        assert ode._share_count(10_000) == 1
+        assert shares.count(10_000) == 1
         monkeypatch.setattr(multiprocessing, "current_process", lambda: daemon)
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert ode._share_count(10_000) == 1
+        assert shares.count(10_000) == 1
 
     def test_gen_dataset_in_a_pool_worker(self, monkeypatch):
         # 144 rows make two shares of pools of 16, but a pool's worker may
@@ -575,7 +576,7 @@ class TestGenDataset:
         monkeypatch.setattr(ode, "POOL_ROWS", 20)
         # one process, so that every _rk_step call is seen here (TestShares
         # checks that the counts are the same in any number of shares)
-        monkeypatch.setattr(ode, "_share_count", lambda rows: 1)
+        monkeypatch.setattr(shares, "count", lambda units: 1)
         stats = ode.IntegratorStats()
         cfg = ode.IntegratorConfig(t_max=3.0)
         samples = ode.gen_dataset(VDP, [9, 9], cfg, ode.BetaKind("tanh", 0.1), stats=stats)

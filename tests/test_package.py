@@ -8,7 +8,7 @@ import pytest
 
 import zubov
 
-MODULES = ["cli", "dynamics", "expr", "interval", "net", "ode", "verify"]
+MODULES = ["cli", "dynamics", "expr", "interval", "net", "ode", "shares", "verify"]
 
 
 @pytest.mark.parametrize("name", MODULES)

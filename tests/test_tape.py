@@ -7,6 +7,7 @@ operations on the same operands, with a shared slot evaluated once.
 """
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from zubov import dynamics as dyn
 from zubov import expr as ex
 from zubov import interval as iv
+from zubov import ode
 
 from test_expr import random_expr, shared_expr
 
@@ -206,6 +208,49 @@ class TestBitEquality:
         assert (out[:, -1] == 7.0).all()
         assert np.array_equal(X, keep, equal_nan=True)
         assert not any(np.shares_memory(a, X) for a in listed)
+
+    def test_constant_operands_keep_their_bits(self, monkeypatch):
+        # a constant that only exact ops read stays a scalar; a subtree of
+        # constants read by tanh, exp, ln or a power is filled out to (K,),
+        # so that those kernels see the arrays they always did
+        shapes = []
+        for op in (ex.TANH, ex.EXP, ex.LN, ex.POW):
+            def seen(k, a, o, f=ex._POINT_OPS[op]):
+                shapes.append(np.shape(a))
+                return f(k, a, o)
+            monkeypatch.setitem(ex._POINT_OPS, op, seen)
+        rng = np.random.default_rng(36)
+        X = np.vstack([rng.uniform(-2.0, 2.0, size=(40, 2)),
+                       [[-0.0, 0.0], [0.0, -0.0], [np.inf, -1.0], [np.nan, 2.0]]])
+        texts = ["2*x1 - 1/3", "-0*x1", "tanh(2*3) + x1", "exp(-(1/3))*x2",
+                 "ln(2 - 0.5) - x1", "(1 + 2)^3*x2", "tanh(0.5)*(1 - x1^2)",
+                 "(x1 - 1)*(1 - x1)", "1/3", "-(2*3)", "1/0"]
+        for text in texts:
+            e = ex.parse(text, 2)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                ref = ref_points(e, X)
+                for rows in (X, X[:1]):
+                    shapes.clear()
+                    got = ex.evaluate_many(e, rows)
+                    assert np.array_equal(got.view(np.int64),
+                                          ref[:len(rows)].view(np.int64)), text
+                    assert set(shapes) <= {(len(rows),)}, (text, shapes)
+
+    def test_peak_memory_of_a_field_pass(self):
+        # each slot is dropped after its last reader, so reversed VdP's field
+        # on the desk lattice peaks at its output and two (K,) temporaries,
+        # 1 - x1^2 and (1 - x1^2)*x2; it held four (1.082 MB) when every
+        # slot lived to the end and the constant 1 was a (K,) array
+        sys = dyn.builtin("reversed_vdp")
+        X = ode.grid_points(sys.domain, [150, 150])
+        sys.f_many(X)
+        tracemalloc.start()
+        try:
+            out = sys.f_many(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * X.shape[0] * 8 + 8192, peak
 
     @pytest.mark.parametrize("sys", BUILTINS, ids=dyn.BUILTIN_NAMES)
     def test_field_into_a_wider_fortran_array(self, sys):
