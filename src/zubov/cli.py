@@ -9,9 +9,13 @@ Subcommands
     grid          tabulate W_N on a lattice for external plotting
 
 Every JSON artifact embeds the fully resolved configuration and seed so
-a run can be reproduced from its outputs alone.  Exit codes: 0 success,
-1 configuration error, 2 runtime failure, 3 a verification condition
-was falsified, 4 verification was inconclusive (unknown / budget).
+a run can be reproduced from its outputs alone.  The integrator and train
+settings default to, and are range-checked by, `ode.IntegratorConfig`
+and `net.TrainConfig`.  Exit codes: 0 success, 1 configuration error (a
+malformed or out-of-range value), 2 runtime failure (among them a system
+without a local quadratic, `SystemDef.lyapunov_P`, asked to verify), 3 a
+verification condition was falsified, 4 verification was inconclusive
+(unknown / budget); `_exit` maps a verdict's outcomes to 0, 3 or 4.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -45,16 +50,16 @@ class ConfigError(ValueError):
     pass
 
 
+# the train keys that are not TrainConfig fields
+_CLI_TRAIN = {"hidden": [10, 10], "pair_fraction": 0.01, "use_local_band": True}
+
 _DEFAULT_CONFIG = {
     "system": "reversed_vdp",
     "grid": [300, 300],
-    "integrator": {"rtol": 1e-6, "atol": 1e-8, "h_max": 0.1, "t_max": 500.0,
-                   "stop_radius": 1e-3, "value_cap": 200.0},
-    "train": {"alpha": 0.1, "psi_form": "tanh", "batch": 32, "lr": 1e-3,
-              "max_epochs": 200, "loss_threshold": 1e-5,
-              "lambda_r": 1.0, "lambda_b": 1.0, "lambda_d": 1.0,
-              "hidden": [10, 10], "pair_fraction": 0.01,
-              "use_local_band": True},
+    "integrator": asdict(ode.IntegratorConfig()),
+    # seed is top-level, and the hinge's local_P and c_local come from the local search
+    "train": {**{k: v for k, v in asdict(nn.TrainConfig()).items()
+                 if k not in ("seed", "local_P", "c_local")}, **_CLI_TRAIN},
     "verify": {"r": 0.9999, "epsilon": 1e-4, "delta": 1e-3, "budget": 5_000_000},
     "seed": 0,
     "out_dir": ".",
@@ -108,18 +113,23 @@ def resolve_config(overrides: dict) -> dict:
     tr = cfg["train"]
     _counts(cfg["grid"], "grid", 2)
     _counts(tr["hidden"], "train.hidden", 1)
-    for field, lo in (("batch", 1), ("max_epochs", 0)):
-        if not isinstance(tr[field], int) or tr[field] < lo:
-            raise ConfigError(f"train.{field} must be an integer >= {lo}")
+    for key, kind in (("batch", int), ("max_epochs", int), ("use_local_band", bool)):
+        if not isinstance(tr[key], kind):
+            raise ConfigError(f"train.{key} must be of type {kind.__name__}, got {tr[key]!r}")
     if not 0 <= tr["pair_fraction"] <= 1:
         raise ConfigError(f"train.pair_fraction must lie in [0, 1], got {tr['pair_fraction']!r}")
-    if tr["psi_form"] not in ("exp", "tanh"):
-        raise ConfigError("train.psi_form must be 'exp' or 'tanh'")
-    if not (isinstance(cfg["seed"], int) and cfg["seed"] >= 0):
+    if not (type(cfg["seed"]) is int and cfg["seed"] >= 0):    # a bool is no seed
         raise ConfigError("seed must be a non-negative integer")
+    if not isinstance(cfg["out_dir"], str):
+        raise ConfigError("out_dir must be a path")
     vr = cfg["verify"]
-    if vr["delta"] <= 0 or vr["budget"] < 1 or vr["epsilon"] <= 0:
-        raise ConfigError("verify.delta/epsilon must be positive, budget >= 1")
+    if not (vr["r"] > 0 and vr["delta"] > 0 and vr["epsilon"] > 0 and vr["budget"] >= 1):
+        raise ConfigError("verify.r/delta/epsilon must be positive, budget >= 1")
+    try:    # the settings' types own their ranges
+        ode.IntegratorConfig(**cfg["integrator"])
+        _train_config(cfg)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     return cfg
 
 
@@ -128,22 +138,22 @@ def _system_from_config(cfg: dict) -> dyn.SystemDef:
     if isinstance(spec, str):
         return dyn.builtin(spec)
     try:
-        return dyn.make_system(spec["name"], int(spec["dim"]), spec["components"],
-                               spec["domain"], notes=spec.get("notes", ""))
+        if not isinstance(spec["name"], str):
+            raise ConfigError(f"name must be a string, got {spec['name']!r}")
+        return dyn.make_system(spec["name"], _counts([spec["dim"]], "dim", 1)[0],
+                               spec["components"], spec["domain"], notes=spec.get("notes", ""))
     except KeyError as e:
         raise ConfigError(f"inline system needs the key {e}") from None
     except (IndexError, TypeError, ValueError, RecursionError) as e:   # ParseError is a ValueError
         raise ConfigError(f"inline system: {e}") from None
 
 
-def _train_config(cfg: dict, local: "vf.LocalCertificate | None") -> nn.TrainConfig:
-    # every train key but these is a TrainConfig field; local is None with the band off
-    skip = ("hidden", "pair_fraction", "use_local_band")
-    kwargs = {k: v for k, v in cfg["train"].items() if k not in skip}
-    kwargs["seed"] = cfg["seed"]
-    if local is not None and local.certified:
+def _train_config(cfg: dict, local: "vf.LocalCertificate | None" = None) -> nn.TrainConfig:
+    """The TrainConfig of ``cfg``, with the hinge of ``local`` if one is given."""
+    kwargs = {k: v for k, v in cfg["train"].items() if k not in _CLI_TRAIN}
+    if local is not None:
         kwargs.update(local_P=local.P, c_local=local.c)
-    return nn.TrainConfig(**kwargs)
+    return nn.TrainConfig(seed=cfg["seed"], **kwargs)
 
 
 def _counts(values, what: str, least: int) -> list:
@@ -174,10 +184,11 @@ def _write_json(path, doc: dict):
         fh.write("\n")
 
 
-def _outcome_exit(outcome: iv.VerifyOutcome) -> int:
-    if isinstance(outcome, iv.Certified):
+def _exit(*outcomes: iv.VerifyOutcome) -> int:
+    """0 if every outcome is Certified, else 3 if one is Falsified, else 4."""
+    if all(isinstance(o, iv.Certified) for o in outcomes):
         return EXIT_OK
-    if isinstance(outcome, iv.Falsified):
+    if any(isinstance(o, iv.Falsified) for o in outcomes):
         return EXIT_FALSIFIED
     return EXIT_UNKNOWN
 
@@ -225,7 +236,10 @@ def _cmd_train(args) -> int:
     samples = ode.load_samples(args.data)
     local = None
     if cfg["train"]["use_local_band"]:
-        local = _default_local_certificate(cfg, sysdef)
+        try:
+            local = _local_certificate(cfg, sysdef)
+        except vf.NoCertifiableC:   # train without the hinge
+            pass
     tc = _train_config(cfg, local)
     data = nn.assemble_dataset(samples, tc, pair_fraction=cfg["train"]["pair_fraction"],
                                rng=np.random.default_rng(cfg["seed"]))
@@ -250,35 +264,24 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _default_local_certificate(cfg: dict, sysdef: dyn.SystemDef):
-    """Local certificate with Q = I at the largest c that `find_max_local_c` proves."""
-    sol = dyn.solve_lyapunov(sysdef.linearization.A, np.eye(sysdef.dim))
-    if not sol.pos_def:
-        return None
-    vr = cfg["verify"]
-    try:
-        return vf.find_max_local_c(sysdef, sol.P, np.eye(sysdef.dim), vr["r"],
-                                   delta=vr["delta"], budget=vr["budget"])
-    except vf.NoCertifiableC:
-        return None
+def _local_certificate(cfg: dict, sysdef: dyn.SystemDef, c=None) -> vf.LocalCertificate:
+    """The local certificate of P = ``sysdef.lyapunov_P`` and Q = I at level
+    ``c``, or at the largest level `vf.find_max_local_c` proves.  Raises
+    NoCertifiableC if the system has no such P or the search proves no level."""
+    P, vr = sysdef.lyapunov_P, cfg["verify"]
+    if P is None:
+        raise vf.NoCertifiableC("no local quadratic: P A + A'P = -I at the origin is singular "
+                                "or has no positive definite solution")
+    args = (sysdef, P, np.eye(sysdef.dim), vr["r"])
+    if c is not None:
+        return vf.verify_local(*args, c, delta=vr["delta"], budget=vr["budget"])
+    return vf.find_max_local_c(*args, delta=vr["delta"], budget=vr["budget"])
 
 
 def _cmd_verify_local(args) -> int:
     cfg = _gather_config(args)
     sysdef = _system_from_config(cfg)
-    Q = np.eye(sysdef.dim)
-    sol = dyn.solve_lyapunov(sysdef.linearization.A, Q)
-    if not sol.pos_def:
-        print("linearization is not verifiably stable (P not positive definite)",
-              file=sys.stderr)
-        return EXIT_RUNTIME
-    vr = cfg["verify"]
-    if args.c is not None:
-        cert = vf.verify_local(sysdef, sol.P, Q, vr["r"], args.c,
-                               delta=vr["delta"], budget=vr["budget"])
-    else:
-        cert = vf.find_max_local_c(sysdef, sol.P, Q, vr["r"],
-                                   delta=vr["delta"], budget=vr["budget"])
+    cert = _local_certificate(cfg, sysdef, args.c)
     out_dir = Path(args.out_dir or cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = json.loads(vf.report_to_json(cert))
@@ -287,7 +290,7 @@ def _cmd_verify_local(args) -> int:
     _write_json(out_dir / "local_cert.json", doc)
     print(f"local region x'Px <= {cert.c:g}: {doc['outcome']['status']} "
           f"({cert.seconds:.1f}s, {doc['outcome']['boxes']} boxes)")
-    return _outcome_exit(cert.outcome)
+    return _exit(cert.outcome)
 
 
 def _cmd_verify_roa(args) -> int:
@@ -298,11 +301,7 @@ def _cmd_verify_roa(args) -> int:
     net, alpha, psi_form = nn.load_mlp(args.net)
     if net.dim != sysdef.dim:
         raise ConfigError("network input size does not match the system dimension")
-    local = _default_local_certificate(cfg, sysdef)
-    if local is None or not local.certified:
-        print("no certifiable local region; cannot anchor the enlargement",
-              file=sys.stderr)
-        return EXIT_RUNTIME
+    local = _local_certificate(cfg, sysdef)
     vr = cfg["verify"]
     t0 = time.perf_counter()
     if args.c1 is not None and args.c2 is not None:
@@ -336,13 +335,8 @@ def _cmd_verify_roa(args) -> int:
     print(f"sublevel W <= {cert.c2:g}: {'certified' if cert.certified else 'NOT certified'}"
           + (f", volume {vol:.2f}%" if vol is not None else "")
           + f" ({seconds:.1f}s)")
-    if cert.certified:
-        return EXIT_OK
-    outcomes = [cert.decrease.outcome, cert.inclusion.outcome] \
-        + [b.outcome for b in cert.boundary]
-    if any(isinstance(o, iv.Falsified) for o in outcomes):
-        return EXIT_FALSIFIED
-    return EXIT_UNKNOWN
+    return _exit(cert.decrease.outcome, cert.inclusion.outcome,
+                 *[b.outcome for b in cert.boundary])
 
 
 def _cmd_report(args) -> int:

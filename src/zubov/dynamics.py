@@ -3,7 +3,10 @@
 The local-stability route needs three ingredients: the Jacobian A of the
 field at the origin, the quadratic form P solving P A + A' P = -Q, and
 the nonlinear remainder g(x) = f(x) - A x together with its Jacobian
-Dg = Df - A (which vanishes at the origin by construction).
+Dg = Df - A (which vanishes at the origin by construction).  A system
+keeps its P for Q = I (`SystemDef.lyapunov_P`), the one quadratic that
+the integrator's tail, the training hinge and the local certificate
+share; it is None where the origin's stability is not visible in A.
 """
 
 from __future__ import annotations
@@ -61,6 +64,18 @@ class SystemDef:
         """`linearize(self)`, computed on first use and kept: the system
         never changes, and each certificate check needs it."""
         return linearize(self)
+
+    @cached_property
+    def lyapunov_P(self) -> np.ndarray | None:
+        """P with P A + A' P = -I, computed on first use and kept; None if
+        A is not finite, the equation is singular or P is not positive
+        definite: then no local quadratic exists, as for an origin whose
+        stability shows only in the nonlinear terms."""
+        try:
+            sol = solve_lyapunov(self.linearization.A, np.eye(self.dim))
+        except (SingularSystem, ValueError):
+            return None
+        return sol.P if sol.pos_def else None
 
 
 def make_system(name: str, dim: int, components: list, domain: list,

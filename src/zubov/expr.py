@@ -29,7 +29,7 @@ __all__ = [
     "Expr", "Constant", "Var", "Add", "Sub", "Mul", "Div", "Neg",
     "IntPow", "Tanh", "Exp", "Ln", "VectorField", "Tape",
     "ParseError", "DomainError",
-    "parse", "compile", "as_tape", "evaluate_many", "diff", "fold", "to_str",
+    "parse", "compile", "evaluate_many", "diff", "fold", "to_str",
 ]
 
 
@@ -280,11 +280,6 @@ def compile(exprs) -> Tape:
     return Tape(tuple(slots), outputs)
 
 
-def as_tape(e) -> Tape:
-    """``e`` itself if it is a Tape, else the one-root tape of the Expr ``e``."""
-    return e if isinstance(e, Tape) else compile([e])
-
-
 def _quiet(f, *args):
     """``f(*args)`` without division-by-zero and invalid-value warnings."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -352,18 +347,15 @@ def _point_pass(tape: Tape, X: np.ndarray, out: np.ndarray) -> None:
             out[:, i] = v[s]
 
 
-def evaluate_many(e, X: np.ndarray):
-    """Vectorized evaluation over points X of shape (K, n).
-
-    ``e`` is an Expr, giving a (K,) array, or a Tape, giving a list of
-    (K,) arrays, one per output (the rows of one array).  Out-of-domain
-    points silently produce inf/nan, so a batch is never aborted by a
-    single bad sample.
+def evaluate_many(tape: Tape, X: np.ndarray) -> list:
+    """Vectorized evaluation over points X of shape (K, n): a list of (K,)
+    arrays, one per output of ``tape`` (the rows of one array).
+    Out-of-domain points silently produce inf/nan, so a batch is never
+    aborted by a single bad sample.
     """
-    tape = as_tape(e)
     out = np.empty((len(tape.outputs), np.shape(X)[0]))
     _point_pass(tape, X, out.T)
-    return list(out) if tape is e else out[0]
+    return list(out)
 
 
 # ---------------------------------------------------------------------------

@@ -363,16 +363,11 @@ def _forward(tape: ex.Tape, lo: np.ndarray, hi: np.ndarray) -> list:
     return tape.run(leaf, _KERNEL_OPS)
 
 
-def expr_interval_many(tape, lo: np.ndarray, hi: np.ndarray):
-    """Enclosures over K boxes given as (K, n) bound arrays.
-
-    ``tape`` is an Expr, giving one (lo, hi) pair of (K,) arrays, or an
-    `ex.Tape`, giving a list of such pairs, one per output.
-    """
-    t = ex.as_tape(tape)
-    st = _forward(t, lo, hi)
-    out = [st[s] for s in t.outputs]
-    return out if t is tape else out[0]
+def expr_interval_many(tape: ex.Tape, lo: np.ndarray, hi: np.ndarray) -> list:
+    """Enclosures over K boxes given as (K, n) bound arrays: a list of
+    (lo, hi) pairs of (K,) arrays, one per output of ``tape``."""
+    st = _forward(tape, lo, hi)
+    return [st[s] for s in tape.outputs]
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +546,10 @@ def _narrow(rng: list, s: int, lo, hi):
         (np.maximum(rng[s][0], lo), np.minimum(rng[s][1], hi))
 
 
-def hc4_contract(tape, lo: np.ndarray, hi: np.ndarray):
+def hc4_contract(tape: ex.Tape, lo: np.ndarray, hi: np.ndarray):
     """Contract boxes against ``e(x) <= 0``.
 
-    ``tape`` is an Expr or a one-output `ex.Tape` holding e.  Returns
+    ``tape`` is a one-output `ex.Tape` holding e.  Returns
     (lo2, hi2, infeasible).  The contracted boxes enclose every point of
     the originals satisfying the constraint; rows flagged infeasible
     contain no such point at all.
@@ -564,21 +559,20 @@ def hc4_contract(tape, lo: np.ndarray, hi: np.ndarray):
     then projects that range onto its arguments.  A slot that nothing
     projects onto (the base of x^0) is left alone.
     """
-    t = ex.as_tape(tape)
-    if len(t.outputs) != 1:
-        raise ValueError(f"hc4_contract takes one constraint, got {len(t.outputs)}")
-    st = _forward(t, lo, hi)
+    if len(tape.outputs) != 1:
+        raise ValueError(f"hc4_contract takes one constraint, got {len(tape.outputs)}")
+    st = _forward(tape, lo, hi)
     K = lo.shape[0]
     empty = np.zeros(K, dtype=bool)
     lo2, hi2 = lo.copy(), hi.copy()
     rng: list = [None] * len(st)
-    rng[t.outputs[0]] = (np.full(K, -_INF), np.zeros(K))
+    rng[tape.outputs[0]] = (np.full(K, -_INF), np.zeros(K))
     with np.errstate(all="ignore"):
         for s in range(len(st) - 1, -1, -1):
             if rng[s] is None:
                 continue
             vlo, vhi = _meet(st[s], *rng[s], empty)
-            op, a, k = t.slots[s]
+            op, a, k = tape.slots[s]
             if op == ex.VAR:
                 lo2[:, k] = np.maximum(lo2[:, k], vlo)
                 hi2[:, k] = np.minimum(hi2[:, k], vhi)
@@ -590,7 +584,7 @@ def hc4_contract(tape, lo: np.ndarray, hi: np.ndarray):
                 _narrow(rng, a[1], *ksub(*st[a[0]], vlo, vhi))
             elif op == ex.MUL:
                 for x, y in ((a[0], a[1]), (a[1], a[0])):
-                    yop, _, p = t.slots[y]
+                    yop, _, p = tape.slots[y]
                     _narrow(rng, x, *(_kdiv_const(vlo, vhi, p) if yop == ex.CONST
                                       else _kdiv_loose(vlo, vhi, *st[y])))
             elif op == ex.DIV:

@@ -173,10 +173,9 @@ class TrainConfig:
     c_local: Optional[float] = None
 
     def __post_init__(self):
-        if self.psi_form not in ("exp", "tanh"):
-            raise ValueError(f"unknown psi form {self.psi_form!r}")
-        if not (self.alpha > 0 and self.lr > 0) or self.batch < 1:    # NaN fails too
-            raise ValueError("alpha, lr must be positive and batch >= 1")
+        self.beta()     # psi_form and alpha follow BetaKind's rule
+        if not self.lr > 0 or self.batch < 1 or self.max_epochs < 0:    # NaN fails too
+            raise ValueError("lr must be positive, batch >= 1 and max_epochs >= 0")
         if not all(lam >= 0 for lam in (self.lambda_r, self.lambda_b, self.lambda_d)):
             raise ValueError("loss weights must be non-negative")
 
@@ -598,10 +597,7 @@ def load_mlp(path):
             biases.append(np.array(layer["b"], dtype=float))
         net = Mlp(sizes, weights, biases)
         alpha, psi_form = float(doc["alpha"]), doc["psi_form"]
-        if psi_form not in ("exp", "tanh"):
-            raise ValueError(f"unknown psi_form {psi_form!r}")
-        if not 0 < alpha < math.inf:    # NaN fails too
-            raise ValueError(f"alpha must be positive and finite, got {alpha}")
+        BetaKind(psi_form, alpha)
         return net, alpha, psi_form
     except KeyError as e:
         raise ValueError(f"network file {path}: no key {e}") from None

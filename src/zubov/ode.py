@@ -4,9 +4,12 @@ For each initial point x the scalar cost  v(T) = int_0^T |phi(t,x)|^2 dt
 is integrated jointly with the state as one augmented ODE under a single
 embedded Runge-Kutta 4(5) error control (Dormand-Prince coefficients).
 Integration stops when the trajectory enters a small ball around the
-origin (converged; a quadratic tail estimate is added), or when the
-accumulated value crosses a cap / the time horizon runs out / the state
-blows up (not converged; the value is reported as +inf).
+origin (converged), or when the accumulated value crosses a cap / the
+time horizon runs out / the state blows up (not converged; the value is
+reported as +inf).  A converged row gains the tail x'Px at its stopping
+point, with P = `SystemDef.lyapunov_P`, the cost of the linearized flow
+from there on; that removes the truncation bias of cutting the integral
+at |x| = stop_radius.  A system without that P gets no tail.
 
 The stepper is vectorized over a pool of at most ``POOL_ROWS``
 trajectories: each keeps its own step size, the pool advances in
@@ -104,9 +107,9 @@ class BetaKind:
 
     def __post_init__(self):
         if self.kind not in ("exp", "tanh"):
-            raise ValueError(f"unknown beta kind {self.kind!r}")
-        if not self.alpha > 0:      # NaN fails too
-            raise ValueError("alpha must be positive")
+            raise ValueError(f"psi_form must be 'exp' or 'tanh', got {self.kind!r}")
+        if not 0 < self.alpha < np.inf:      # NaN fails too
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -329,19 +332,6 @@ def advance_batch(sys: dyn.SystemDef, X0: np.ndarray,
     return _advance(_augment_rhs(sys, cost=False), X0, cfg, classify, on_accept=on_accept)
 
 
-def _tail_quadratic(sys: dyn.SystemDef) -> Optional[np.ndarray]:
-    """P with V_lin(x) = x'Px for the linearization (Q = I), if it exists.
-
-    Adding x'Px at the stopping point removes the truncation bias of
-    cutting the cost integral at |x| = stop_radius.
-    """
-    try:
-        sol = dyn.solve_lyapunov(sys.linearization.A, np.eye(sys.dim))
-    except (dyn.SingularSystem, ValueError):
-        return None
-    return sol.P if sol.pos_def else None
-
-
 def estimate_V_batch(sys: dyn.SystemDef, X: np.ndarray,
                      cfg: IntegratorConfig = IntegratorConfig(),
                      stats: Optional[IntegratorStats] = None):
@@ -358,7 +348,6 @@ def estimate_V_batch(sys: dyn.SystemDef, X: np.ndarray,
     """
     n = sys.dim
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    tail_P = _tail_quadratic(sys)
     K = X.shape[0]
     Y0 = np.concatenate([X, np.zeros((K, 1))], axis=1)
     rhs, w = _augment_rhs(sys), shares.count(K // (2 * POOL_ROWS))
@@ -392,7 +381,8 @@ def estimate_V_batch(sys: dyn.SystemDef, X: np.ndarray,
     v = np.full(K, np.inf)
     if np.any(converged):
         xs = Yf[converged, :n]
-        tail = np.einsum("ki,ij,kj->k", xs, tail_P, xs) if tail_P is not None else 0.0
+        P = sys.lyapunov_P
+        tail = np.einsum("ki,ij,kj->k", xs, P, xs) if P is not None else 0.0
         v[converged] = Yf[converged, n] + tail
     return v, converged
 

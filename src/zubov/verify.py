@@ -541,7 +541,7 @@ def _band_condition(cache: _NetBoxCache, sys: dyn.SystemDef, c1: float, c2: floa
 def _check_roa_args(local: LocalCertificate, epsilon: float) -> None:
     if not local.certified:
         raise ValueError("local certificate must be Certified first")
-    if epsilon <= 0:
+    if not epsilon > 0:     # NaN fails too
         raise ValueError("epsilon must be positive")
 
 

@@ -17,7 +17,7 @@ from zubov import net as nn
 from zubov import ode
 from zubov import verify as vf
 
-from test_expr import random_expr
+from test_expr import enclosure, random_expr, values
 from test_net import ExprCandidate, zubov_residual
 
 
@@ -209,10 +209,10 @@ def test_c7_soundness_suite():
         e = random_expr(rng, 2, depth=4)
         lo = rng.uniform(-2, 1, size=(5, 2))
         hi = lo + rng.uniform(0.01, 2, size=(5, 2))
-        vlo, vhi = iv.expr_interval_many(e, lo, hi)
+        vlo, vhi = enclosure(e, lo, hi)
         for b in range(5):
             X = rng.uniform(lo[b], hi[b], size=(25, 2))
-            vals = ex.evaluate_many(e, X)
+            vals = values(e, X)
             if not np.all(np.isfinite(vals)):
                 continue
             assert vals.min() >= vlo[b] and vals.max() <= vhi[b], ex.to_str(e)

@@ -78,7 +78,12 @@ def ref_advance(rhs, Y0, cfg, classify, on_accept=None, stats=None):
 
 
 def ref_estimate_V_batch(sys, X, cfg, stats=None):
-    n, tail_P = sys.dim, ode._tail_quadratic(sys)
+    n = sys.dim
+    try:    # the tail quadratic, solved here rather than read from the system
+        sol = dyn.solve_lyapunov(sys.linearization.A, np.eye(n))
+        tail_P = sol.P if sol.pos_def else None
+    except (dyn.SingularSystem, ValueError):
+        tail_P = None
     Y0 = np.concatenate([X, np.zeros((X.shape[0], 1))], axis=1)
 
     def rhs(Ys):

@@ -398,6 +398,39 @@ class TestBadInput:
             assert str(path) in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json"]
 
+    @pytest.mark.parametrize("top", [
+        {"out_dir": 5}, {"seed": True}, {"system": {"dim": 2.5}}, {"system": {"name": 5}},
+        {"train": {"use_local_band": "no"}},
+    ], ids=["out_dir 5", "seed true", "dim 2.5", "name 5", "use_local_band no"])
+    def test_malformed_value_is_a_config_error(self, tmp_path, capsys, top):
+        # these raised a TypeError, ran as seed 1, ran in 2-D, took a number
+        # for a name and trained with the hinge
+        system = {"name": "decay", "dim": 2, "components": ["-x1", "-x2"],
+                  "domain": [[-1, 1], [-1, 1]], **top.pop("system", {})}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"system": system, "grid": [3, 3], "out_dir": str(tmp_path),
+                                   **top}))
+        assert run("gen-data", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("integrator", "rtol", -1), ("integrator", "stop_radius", 2), ("train", "alpha", -1),
+        ("train", "lr", 0), ("train", "lambda_r", -1), ("verify", "r", -1),
+    ])
+    def test_out_of_range_setting_is_a_config_error(self, tmp_path, capsys, section, key, value):
+        # the settings' own types check their ranges, before any work: these
+        # exited 2 ("error:") or ran
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"system": "cubic1d", "grid": [5], "out_dir": str(tmp_path),
+                                   section: {key: value}}))
+        assert run("gen-data", "--config", str(cfg)) == 1
+        assert run("verify-local", "--config", str(cfg), "--c", "0.2") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(e.startswith("config error: ") for e in err), err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     def test_whole_float_counts_are_accepted(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"system": "cubic1d", "grid": [5.0],
@@ -408,6 +441,43 @@ class TestBadInput:
         assert run("train", "--config", str(cfg), "--data", str(data),
                    "--out-dir", str(tmp_path)) == 0
         assert nn.load_mlp(tmp_path / "net.json")[0].layer_sizes == (1, 3, 1)
+
+
+class TestNoLocalQuadratic:
+    """x' = x2 - x1^3, y' = -x1 - x2^3: A = Df(0) is a rotation, so P A + A'P
+    = -I is singular although the origin attracts through the cubic terms."""
+
+    SYSTEM = {"name": "cubic_rotation", "dim": 2, "components": ["x2 - x1^3", "-x1 - x2^3"],
+              "domain": [[-1, 1], [-1, 1]]}
+
+    def test_trains_without_the_hinge_and_cannot_be_verified(self, tmp_path, capsys):
+        doc = {"system": self.SYSTEM, "grid": [9, 9], "seed": 5, "out_dir": str(tmp_path),
+               "integrator": {"t_max": 20.0}, "train": {"hidden": [6], "max_epochs": 3}}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        data = tmp_path / "dataset.csv"
+        assert run("gen-data", "--config", str(cfg)) == 0
+        assert run("train", "--config", str(cfg), "--data", str(data)) == 0
+        # the network is the one nn.train gives without local_P
+        sysdef = dyn.make_system(**self.SYSTEM)
+        assert sysdef.lyapunov_P is None
+        tc = nn.TrainConfig(max_epochs=3, seed=5)
+        train = nn.assemble_dataset(ode.load_samples(data), tc, pair_fraction=0.01,
+                                    rng=np.random.default_rng(5))
+        want, _ = nn.train(nn.init_mlp([2, 6, 1], 5), train, sysdef, tc)
+        got = nn.load_mlp(tmp_path / "net.json")[0]
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.tobytes() == b.tobytes()
+        capsys.readouterr()
+        for argv in (["verify-local", "--c", "0.1"], ["verify-local"],
+                     ["verify-roa", "--net", str(tmp_path / "net.json")],
+                     ["verify-roa", "--net", str(tmp_path / "net.json"),
+                      "--c1", "0.1", "--c2", "0.5"]):
+            assert run(*argv, "--config", str(cfg)) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: no local quadratic") and err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "dataset.csv", "dataset.csv.meta.json", "net.json", "run.json", "train_record.csv"]
 
 
 class TestGridCommand:

@@ -4,6 +4,8 @@ import pytest
 from zubov import dynamics as dyn
 from zubov import expr as ex
 
+from test_expr import values
+
 
 class TestBuiltins:
     def test_names(self):
@@ -58,7 +60,7 @@ class TestLinearize:
             z = np.zeros(s.dim)
             for row in lin.dg:
                 for entry in row:
-                    assert abs(ex.evaluate_many(entry, z[None, :])[0]) <= 1e-14
+                    assert abs(values(entry, z[None, :])[0]) <= 1e-14
 
     def test_g_equals_f_minus_Ax(self):
         s = dyn.builtin("reversed_vdp")
@@ -100,6 +102,19 @@ class TestLyapunov:
     def test_q_must_be_posdef(self):
         with pytest.raises(ValueError):
             dyn.solve_lyapunov(-np.eye(2), -np.eye(2))
+
+    def test_system_keeps_its_local_quadratic(self, monkeypatch):
+        s = dyn.builtin("reversed_vdp")
+        P = s.lyapunov_P
+        assert np.array_equal(P, dyn.solve_lyapunov(s.linearization.A, np.eye(2)).P)
+        monkeypatch.setattr(dyn, "solve_lyapunov", None)    # solved once, then kept
+        assert s.lyapunov_P is P
+
+    @pytest.mark.parametrize("components", [["x2 - x1^3", "-x1 - x2^3"], ["x1", "2*x2"]],
+                             ids=["singular", "unstable"])
+    def test_no_local_quadratic(self, components):
+        s = dyn.make_system("s", 2, components, [[-1, 1], [-1, 1]])
+        assert s.lyapunov_P is None
 
     def test_random_hurwitz_residuals(self):
         rng = np.random.default_rng(7)

@@ -5,6 +5,17 @@ import pytest
 
 from zubov import dynamics as dyn
 from zubov import expr as ex
+from zubov import interval as iv
+
+
+def values(e, X):
+    """``e`` over the points X, (K,), through its one-output tape."""
+    return ex.evaluate_many(ex.compile([e]), X)[0]
+
+
+def enclosure(e, lo, hi):
+    """The (lo, hi) enclosure of ``e`` over (K, n) boxes, through its one-output tape."""
+    return iv.expr_interval_many(ex.compile([e]), lo, hi)[0]
 
 
 def vdp_field():
@@ -13,7 +24,7 @@ def vdp_field():
 
 def at(e, x):
     """``e`` at the one point ``x``, as a one-row batch."""
-    return float(ex.evaluate_many(e, np.array([x], dtype=float))[0])
+    return float(values(e, np.array([x], dtype=float))[0])
 
 
 class TestParse:
@@ -111,7 +122,7 @@ class TestEval:
     def test_batched_matches_scalar(self):
         e = ex.parse("tanh(x1*x2) + exp(-x1^2) - x2/(2 + x1^2)", 2)
         X = np.random.default_rng(0).normal(size=(40, 2))
-        batch = ex.evaluate_many(e, X)
+        batch = values(e, X)
         single = [at(e, row) for row in X]
         assert np.allclose(batch, single, rtol=0, atol=0)
 
@@ -203,8 +214,8 @@ class TestProperties:
             text = ex.to_str(e)
             back = ex.parse(text, 3)
             X = rng.uniform(-2, 2, size=(10, 3))
-            a = ex.evaluate_many(e, X)
-            b = ex.evaluate_many(back, X)
+            a = values(e, X)
+            b = values(back, X)
             finite = np.isfinite(a)
             # exact double equality on the evaluable points
             assert np.array_equal(a[finite], b[finite]), text

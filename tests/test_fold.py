@@ -14,7 +14,8 @@ import pytest
 
 from zubov import dynamics as dyn
 from zubov import expr as ex
-from zubov import interval as iv
+
+from test_expr import enclosure, values
 
 BUILTINS = [dyn.builtin(name) for name in dyn.BUILTIN_NAMES]
 X0, X1 = ex.Var(0), ex.Var(1)
@@ -120,7 +121,7 @@ class TestSameFunction:
             f = ex.fold(e)
             changed += f != e
             with np.errstate(all="ignore"):
-                ref, got = ex.evaluate_many(e, X), ex.evaluate_many(f, X)
+                ref, got = values(e, X), values(f, X)
             fin = np.isfinite(ref)
             assert np.all(got[fin] == ref[fin]), ex.to_str(e)
         assert changed > 700
@@ -134,11 +135,11 @@ class TestSameFunction:
         for e in self.TREES:
             try:
                 with np.errstate(all="ignore"):
-                    rlo, rhi = iv.expr_interval_many(e, lo, hi)
+                    rlo, rhi = enclosure(e, lo, hi)
             except ex.DomainError:
                 continue
             with np.errstate(all="ignore"):
-                flo, fhi = iv.expr_interval_many(ex.fold(e), lo, hi)
+                flo, fhi = enclosure(ex.fold(e), lo, hi)
             fin = np.isfinite(rlo) & np.isfinite(rhi)
             assert np.all(rlo[fin] <= flo[fin]) and np.all(fhi[fin] <= rhi[fin]), ex.to_str(e)
             checked += 1
@@ -173,5 +174,5 @@ class TestPrintedLinearization:
         for e in list(lin.g.components) + [e for row in lin.dg for e in row]:
             text = ex.to_str(e)
             assert "np." not in text
-            back = ex.evaluate_many(ex.parse(text, n), X)
-            assert np.array_equal(back.view(np.int64), ex.evaluate_many(e, X).view(np.int64)), text
+            back = values(ex.parse(text, n), X)
+            assert np.array_equal(back.view(np.int64), values(e, X).view(np.int64)), text

@@ -11,7 +11,7 @@ from zubov import interval as iv
 from zubov import net as nn
 
 from test_bit_identity import same_bits
-from test_expr import random_expr, shared_expr
+from test_expr import enclosure, random_expr, shared_expr, values
 
 
 def _one_box(lo, hi):
@@ -27,7 +27,7 @@ def _finite_pair(lo, hi):
 
 
 def _expr_encl(e, lo, hi):
-    return _finite_pair(*iv.expr_interval_many(e, *_one_box(lo, hi)))
+    return _finite_pair(*enclosure(e, *_one_box(lo, hi)))
 
 
 def _net_encl(net, lo, hi):
@@ -86,7 +86,7 @@ class TestExprInterval:
     def test_point_box_tight(self):
         e = ex.parse("x1^3 - 2*x1 + tanh(x1)", 1)
         lo, hi = _expr_encl(e, [0.7], [0.7])
-        v = ex.evaluate_many(e, np.array([[0.7]]))[0]
+        v = values(e, np.array([[0.7]]))[0]
         assert lo <= v <= hi
         assert hi - lo <= 1e-13
 
@@ -98,10 +98,10 @@ class TestExprInterval:
             lo = rng.uniform(-2, 1, size=2)
             hi = lo + rng.uniform(0, 2, size=2)
             X = rng.uniform(lo, hi, size=(25, 2))
-            vals = ex.evaluate_many(e, X)
+            vals = values(e, X)
             if not np.all(np.isfinite(vals)):
                 continue
-            l, h = iv.expr_interval_many(e, lo[None, :], hi[None, :])
+            l, h = enclosure(e, lo[None, :], hi[None, :])
             assert np.all(vals >= l[0]) and np.all(vals <= h[0]), ex.to_str(e)
             trials += 1
 
@@ -255,11 +255,11 @@ class TestBnb:
             lo = rng.uniform(-2, 1, size=(1, 2))
             hi = lo + rng.uniform(0.01, 2, size=(1, 2))
             X = rng.uniform(lo[0], hi[0], size=(300, 2))
-            vals = ex.evaluate_many(e, X)
+            vals = values(e, X)
             feas = X[np.isfinite(vals) & (vals <= 0)]
             if not len(feas):
                 continue
-            lo2, hi2, empty = iv.hc4_contract(e, lo, hi)
+            lo2, hi2, empty = iv.hc4_contract(ex.compile([e]), lo, hi)
             assert not empty[0], ex.to_str(e)
             assert np.all(feas >= lo2[0][None, :] - 1e-12), ex.to_str(e)
             assert np.all(feas <= hi2[0][None, :] + 1e-12), ex.to_str(e)
@@ -271,10 +271,10 @@ class TestBnb:
             e = shared_expr(rng, 2, depth=3)
             lo = rng.uniform(-2, 1, size=(4, 2))
             hi = lo + rng.uniform(0.01, 2, size=(4, 2))
-            lo2, hi2, empty = iv.hc4_contract(e, lo, hi)
+            lo2, hi2, empty = iv.hc4_contract(ex.compile([e]), lo, hi)
             for b in range(4):
                 X = rng.uniform(lo[b], hi[b], size=(300, 2))
-                vals = ex.evaluate_many(e, X)
+                vals = values(e, X)
                 feas = X[np.isfinite(vals) & (vals <= 0)]
                 if not len(feas):
                     continue

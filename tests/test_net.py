@@ -347,7 +347,8 @@ class TestTrain:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field, bad", [
-        ("alpha", 0.0), ("alpha", float("nan")), ("lr", -1.0), ("lr", float("nan")),
+        ("alpha", 0.0), ("alpha", float("nan")), ("alpha", float("inf")),
+        ("lr", -1.0), ("lr", float("nan")), ("max_epochs", -1),
         ("lambda_r", -1.0), ("lambda_b", float("nan")), ("lambda_d", float("nan"))])
     def test_bad_values_rejected(self, field, bad):
         with pytest.raises(ValueError):

@@ -520,7 +520,7 @@ class TestBeta:
         with pytest.raises(ValueError):
             ode.BetaKind("sigmoid", 1.0)
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
     def test_alpha_must_be_positive(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             ode.BetaKind("tanh", alpha)

@@ -18,7 +18,7 @@ from zubov import expr as ex
 from zubov import interval as iv
 from zubov import ode
 
-from test_expr import random_expr, shared_expr
+from test_expr import enclosure, random_expr, shared_expr, values
 
 BUILTINS = [dyn.builtin(name) for name in dyn.BUILTIN_NAMES]
 
@@ -179,8 +179,8 @@ class TestBitEquality:
         for e in _trees(rng, 200):
             with np.errstate(over="ignore", invalid="ignore"):
                 ref = ref_points(e, X)
-                got = ex.evaluate_many(e, X)
-                rows = [ex.evaluate_many(e, x[None, :])[0] for x in X[:3]]
+                got = values(e, X)
+                rows = [values(e, x[None, :])[0] for x in X[:3]]
             assert np.array_equal(got, ref, equal_nan=True), ex.to_str(e)
             assert np.array_equal(rows, ref[:3], equal_nan=True), ex.to_str(e)
 
@@ -231,7 +231,7 @@ class TestBitEquality:
                 ref = ref_points(e, X)
                 for rows in (X, X[:1]):
                     shapes.clear()
-                    got = ex.evaluate_many(e, rows)
+                    got = values(e, rows)
                     assert np.array_equal(got.view(np.int64),
                                           ref[:len(rows)].view(np.int64)), text
                     assert set(shapes) <= {(len(rows),)}, (text, shapes)
@@ -275,7 +275,7 @@ class TestBitEquality:
         hi = lo + rng.uniform(0.0, 2.0, size=(16, 2))
         hi[0] = lo[0]
         for e in _trees(rng, 200):
-            got = iv.expr_interval_many(e, lo, hi)
+            got = enclosure(e, lo, hi)
             ref = ref_interval(e, lo, hi)
             for g, r in zip(got, ref):
                 assert np.array_equal(g, r, equal_nan=True), ex.to_str(e)
@@ -310,7 +310,7 @@ class TestBitEquality:
         for e in _trees(rng, 150):
             if any(isinstance(n, (ex.Div, ex.Ln)) for n in _nodes(e)):
                 continue
-            lo2, hi2, empty = iv.hc4_contract(e, lo, hi)
+            lo2, hi2, empty = iv.hc4_contract(ex.compile([e]), lo, hi)
             rlo, rhi, rempty = ref_hc4(e, lo, hi)
             if not _has_shared_interior(ex.compile([e])):
                 assert np.array_equal(lo2, rlo) and np.array_equal(hi2, rhi), ex.to_str(e)
@@ -374,8 +374,8 @@ class TestCompile:
 class TestDomainErrors:
     def test_evaluate_many_does_not(self):
         X = np.array([[0.0], [-1.0], [1.0]])
-        assert ex.evaluate_many(ex.parse("1/x1", 1), X).tolist() == [np.inf, -1.0, 1.0]
-        v = ex.evaluate_many(ex.parse("ln(x1)", 1), X)
+        assert values(ex.parse("1/x1", 1), X).tolist() == [np.inf, -1.0, 1.0]
+        v = values(ex.parse("ln(x1)", 1), X)
         assert v[0] == -np.inf and np.isnan(v[1]) and v[2] == 0.0
 
 

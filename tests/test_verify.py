@@ -217,6 +217,15 @@ class TestVerifyRoa:
         with pytest.raises(ValueError):
             vf.verify_roa(constant_net(2, 0.5), VDP, bad, 0.1, 0.5)
 
+    def test_nan_epsilon_is_rejected(self, vdp_local):
+        # a NaN epsilon passed `epsilon <= 0`, and the decrease band's
+        # consequent was NaN
+        net = constant_net(2, 0.5)
+        with pytest.raises(ValueError, match="epsilon"):
+            vf.verify_roa(net, VDP, vdp_local, c1=0.1, c2=0.5, epsilon=float("nan"))
+        with pytest.raises(ValueError, match="epsilon"):
+            vf.find_max_level(net, VDP, vdp_local, epsilon=float("nan"))
+
 
 @pytest.fixture(scope="module")
 def bench_net():
