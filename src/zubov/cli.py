@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -35,6 +36,7 @@ from . import dynamics as dyn
 from . import interval as iv
 from . import net as nn
 from . import ode
+from . import shares
 from . import verify as vf
 
 __all__ = ["main", "run", "ConfigError", "load_config", "resolve_config"]
@@ -123,8 +125,11 @@ def resolve_config(overrides: dict) -> dict:
     if not isinstance(cfg["out_dir"], str):
         raise ConfigError("out_dir must be a path")
     vr = cfg["verify"]
-    if not (vr["r"] > 0 and vr["delta"] > 0 and vr["epsilon"] > 0 and vr["budget"] >= 1):
-        raise ConfigError("verify.r/delta/epsilon must be positive, budget >= 1")
+    if not 0 < vr["r"] < 1:     # the commands' Q is I, and r must lie below lambda_min(Q)
+        raise ConfigError(f"verify.r must lie in (0, 1), below lambda_min(I), got {vr['r']!r}")
+    if not (vr["delta"] > 0 and vr["epsilon"] > 0 and vr["budget"] >= 1
+            and vr["budget"] == int(vr["budget"])):
+        raise ConfigError("verify.delta/epsilon must be positive, budget a whole number >= 1")
     try:    # the settings' types own their ranges
         ode.IntegratorConfig(**cfg["integrator"])
         _train_config(cfg)
@@ -233,19 +238,26 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _gather_config(args)
     sysdef = _system_from_config(cfg)
-    samples = ode.load_samples(args.data)
-    local = None
-    if cfg["train"]["use_local_band"]:
+    tc = _train_config(cfg)
+
+    def prepare():
+        data = nn.assemble_dataset(ode.load_samples(args.data), tc,
+                                   pair_fraction=cfg["train"]["pair_fraction"],
+                                   rng=np.random.default_rng(cfg["seed"]))
+        hidden = _counts(cfg["train"]["hidden"], "train.hidden", 1)
+        return data, nn.init_mlp([sysdef.dim, *hidden, 1], cfg["seed"])
+
+    def hinge():    # the local certificate, or None to train without the hinge
         try:
-            local = _local_certificate(cfg, sysdef)
-        except vf.NoCertifiableC:   # train without the hinge
-            pass
-    tc = _train_config(cfg, local)
-    data = nn.assemble_dataset(samples, tc, pair_fraction=cfg["train"]["pair_fraction"],
-                               rng=np.random.default_rng(cfg["seed"]))
-    hidden = _counts(cfg["train"]["hidden"], "train.hidden", 1)
-    net0 = nn.init_mlp([sysdef.dim, *hidden, 1], cfg["seed"])
-    net, record = nn.train(net0, data, sysdef, tc)
+            return _local_certificate(cfg, sysdef)
+        except vf.NoCertifiableC:
+            return None
+
+    if cfg["train"]["use_local_band"]:
+        (data, net0), local = shares.beside(prepare, hinge)
+    else:
+        (data, net0), local = prepare(), None
+    net, record = nn.train(net0, data, sysdef, _train_config(cfg, local))
     out_dir = Path(args.out_dir or cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     nn.save_mlp(net, out_dir / "net.json", alpha=tc.alpha, psi_form=tc.psi_form,
@@ -267,7 +279,11 @@ def _cmd_train(args) -> int:
 def _local_certificate(cfg: dict, sysdef: dyn.SystemDef, c=None) -> vf.LocalCertificate:
     """The local certificate of P = ``sysdef.lyapunov_P`` and Q = I at level
     ``c``, or at the largest level `vf.find_max_local_c` proves.  Raises
-    NoCertifiableC if the system has no such P or the search proves no level."""
+    NoCertifiableC if the system has no such P or the search proves no level.
+
+    `train` and `verify-roa` run the search as a job in a forked worker
+    (`shares.beside`), beside the dataset read and the network proofs or
+    searches that do not read it."""
     P, vr = sysdef.lyapunov_P, cfg["verify"]
     if P is None:
         raise vf.NoCertifiableC("no local quadratic: P A + A'P = -I at the origin is singular "
@@ -301,8 +317,16 @@ def _cmd_verify_roa(args) -> int:
     net, alpha, psi_form = nn.load_mlp(args.net)
     if net.dim != sysdef.dim:
         raise ConfigError("network input size does not match the system dimension")
-    local = _local_certificate(cfg, sysdef)
+    local = functools.partial(_local_certificate, cfg, sysdef)
     vr = cfg["verify"]
+    reference = []  # the --data grid, or the error of its read, which waits for the search
+
+    def read_reference():
+        try:
+            reference.append(ode.load_samples(args.data))
+        except (OSError, ValueError) as e:
+            reference.append(e)
+
     t0 = time.perf_counter()
     if args.c1 is not None and args.c2 is not None:
         cert = vf.verify_roa(net, sysdef, local, args.c1, args.c2,
@@ -312,7 +336,8 @@ def _cmd_verify_roa(args) -> int:
         try:
             _, _, cert = vf.find_max_level(net, sysdef, local,
                                            epsilon=vr["epsilon"], delta=vr["delta"],
-                                           budget=vr["budget"])
+                                           budget=vr["budget"],
+                                           meanwhile=read_reference if args.data else None)
         except vf.NoCertifiableLevel as e:
             print(f"level search failed: {e}", file=sys.stderr)
             return EXIT_UNKNOWN
@@ -323,9 +348,12 @@ def _cmd_verify_roa(args) -> int:
     doc["seconds"] = seconds
     doc["net"] = str(args.net)
     if args.data:
+        if not reference:
+            read_reference()
+        if isinstance(reference[0], Exception):
+            raise reference[0]
         try:
-            doc["volume_percent"] = vf.volume_fraction(
-                net, cert.c2, ode.load_samples(args.data))
+            doc["volume_percent"] = vf.volume_fraction(net, cert.c2, reference[0])
         except vf.EmptyReference:
             doc["volume_percent"] = None
     out_dir = Path(args.out_dir or cfg["out_dir"])

@@ -9,6 +9,10 @@ units, so each caller keeps its own threshold of work per process.  Two
 callers use it: `ode.estimate_V_batch` integrates lattice rows and
 `interval.bnb_verify` proves the open boxes of a search tree.
 
+`beside` runs two different jobs at once, the second in a worker: the
+local certificate of `verify.verify_roa`, `verify.find_max_level` and
+the `train` command beside the network work that does not read it.
+
 Every worker is joined before `run` returns or raises, one still running
 when a share fails (or on Ctrl-C) is terminated first, and an error in
 a share is raised again in the caller.  On Linux a worker dies with a
@@ -32,7 +36,7 @@ import os
 import signal
 from typing import Callable
 
-__all__ = ["count", "run"]
+__all__ = ["beside", "count", "run"]
 
 
 def count(units: int) -> int:
@@ -89,6 +93,29 @@ def run(share: Callable[[int], object], w: int) -> list:
                 p.terminate()
             p.join()
             recv.close()
+
+
+def beside(job: Callable[[], object], side: Callable[[], object]) -> tuple:
+    """``(job(), side())``: ``side`` in a forked worker while ``job`` runs
+    here if there are two usable cores (`count`), else ``side()`` and then
+    ``job()`` here.  Either way an error of ``side`` wins, and one of
+    ``job`` is raised once ``side`` has finished."""
+    if count(2) < 2:
+        done = side()
+        return job(), done
+
+    def share(j):
+        if j:
+            return side()
+        try:
+            return True, job()
+        except Exception as e:      # held until side's outcome is known
+            return False, e
+
+    (ok, value), done = run(share, 2)
+    if not ok:
+        raise value
+    return value, done
 
 
 def _worker(share, j: int, readers: list, send, caller: int) -> None:

@@ -29,10 +29,13 @@ condition first fails or stays undecided, then certify it there or on
 the first of eight rungs a little below (`_prove_near`).  The search
 tree itself proves the rungs (`iv.LevelSearch.proves`): of the local
 condition in `find_max_local_c`, of (a), (b) and, by the face searches
-that start c2, (c) in `find_max_level`.  The searches run in one
+that start c2, (c) in `find_max_level`.  Each search runs in one
 process.  Fixed-level checks (`verify_local`, `verify_roa`) are fresh
 `iv.bnb_verify` proofs, which run a large tree on every usable core
-with the outcome and box count of one process.
+with the outcome and box count of one process.  Given the local
+certificate as a job, `find_max_level` and `verify_roa` run it in a
+forked worker beside the network work that does not read it
+(`shares.beside`).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import functools
 import json
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from . import dynamics as dyn
 from . import expr as ex
 from . import interval as iv
 from . import net as nn
+from . import shares
 from .ode import ValueGrid
 
 __all__ = [
@@ -538,9 +542,13 @@ def _band_condition(cache: _NetBoxCache, sys: dyn.SystemDef, c1: float, c2: floa
     )
 
 
-def _check_roa_args(local: LocalCertificate, epsilon: float) -> None:
+def _check_local(local: LocalCertificate) -> LocalCertificate:
     if not local.certified:
         raise ValueError("local certificate must be Certified first")
+    return local
+
+
+def _check_epsilon(epsilon: float) -> None:
     if not epsilon > 0:     # NaN fails too
         raise ValueError("epsilon must be positive")
 
@@ -559,27 +567,44 @@ def _boundary_reports(cache: _NetBoxCache, sys: dyn.SystemDef, c2: float,
     return reports
 
 
-def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate,
-               c1: float, c2: float, epsilon: float = 1e-4,
-               delta: float = 1e-3, budget: int = 5_000_000) -> RoaCertificate:
+def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate | Callable[[], LocalCertificate],
+               c1: float, c2: float,
+               epsilon: float = 1e-4, delta: float = 1e-3,
+               budget: int = 5_000_000) -> RoaCertificate:
     """Certify {W_N <= c2} as a region of attraction feeding the local
-    ellipsoid, via the decrease band, the inclusion check, and the
-    domain-boundary exclusion check."""
-    _check_roa_args(local, epsilon)
+    ellipsoid, via the decrease band, the domain-boundary exclusion check
+    and the inclusion check.
+
+    ``local`` is the LocalCertificate, or a job that returns it: the job
+    then runs in a forked worker (`shares.beside`) while the decrease and
+    face proofs, which do not read it, run here, and the inclusion proof
+    follows here.  An error of the job wins over one of those proofs.
+    """
+    _check_epsilon(epsilon)
     if not (0.0 < c1 < c2 < 1.0):
         raise ValueError("need 0 < c1 < c2 < 1")
     cache = _NetBoxCache(net)
-    band = _band_condition(_NetBoxCache(net, hessian=True), sys, c1, c2, epsilon)
+
+    def network():
+        band = _band_condition(_NetBoxCache(net, hessian=True), sys, c1, c2, epsilon)
+        return (_timed_bnb("decrease", band, sys.domain, delta, budget),
+                _boundary_reports(cache, sys, c2, delta, budget))
+
+    if callable(local):
+        (decrease, boundary), local = shares.beside(network, lambda: _check_local(local()))
+    else:
+        _check_local(local)
+        decrease, boundary = network()
     inclusion = _inclusion_condition(cache, local, c1)
-    return RoaCertificate(c1=c1, c2=c2, epsilon=epsilon,
-                          decrease=_timed_bnb("decrease", band, sys.domain, delta, budget),
+    return RoaCertificate(c1=c1, c2=c2, epsilon=epsilon, decrease=decrease,
                           inclusion=_timed_bnb("inclusion", inclusion, sys.domain, delta, budget),
-                          boundary=_boundary_reports(cache, sys, c2, delta, budget), local=local)
+                          boundary=boundary, local=local)
 
 
-def find_max_level(net, sys: dyn.SystemDef, local: LocalCertificate,
-                   epsilon: float = 1e-4, delta: float = 1e-3,
-                   budget: int = 5_000_000):
+def find_max_level(net, sys: dyn.SystemDef,
+                   local: LocalCertificate | Callable[[], LocalCertificate],
+                   epsilon: float = 1e-4, delta: float = 1e-3, budget: int = 5_000_000,
+                   meanwhile: Optional[Callable[[], None]] = None):
     """The largest (c1, c2) that `verify_roa` proves, and its certificate.
 
     `iv.bnb_minimize` lowers c1 from 1 to where {W_N <= c1} first leaves
@@ -594,23 +619,47 @@ def find_max_level(net, sys: dyn.SystemDef, local: LocalCertificate,
     contract, so here the trees also pick the rung a fresh `verify_roa`
     would.  The rungs lie above their floors, 0 and c1, and c2 starts
     below 1, so 0 < c1 < c2 < 1.  Returns (c1, c2, RoaCertificate).
+
+    ``local`` is the LocalCertificate, or a job that returns it: the job
+    and the c1 search then run in a forked worker (`shares.beside`) while
+    the face searches, and then ``meanwhile()`` if given, run here.  An
+    error of the worker wins.  The face searches do not know c1 then, so
+    they stop at floor 0, not c1.  That gives the same output: a floor
+    only stops a face search whose level has already fallen to c1 or
+    below, and such a run ends in the same NoCertifiableLevel either way
+    (unless the longer search exhausts ``budget`` first).
+    The decrease search follows here, in one process, since the level it
+    reaches depends on the order in which it meets the boxes.
     """
-    _check_roa_args(local, epsilon)
-    cache = _NetBoxCache(net)
+    _check_epsilon(epsilon)
     search = functools.partial(_searched, box=sys.domain, delta=delta, budget=budget)
-    level, inclusion = search("inclusion", functools.partial(_inclusion_condition, cache, local),
-                              1.0, floor=0.0)
-    found = _prove_near(inclusion, level, 0.0)
-    if found is None:
-        raise NoCertifiableLevel("no c1 level set fits inside the local ellipsoid")
-    c1, inclusion_rep = found
-    fails = iv.ExprFn(ex.Constant(1.0))
-    c2, faces = float(np.nextafter(1.0, 0.0)), []
-    for face_name, face in _face_boxes(sys.domain):
-        c2, boundary = search(f"boundary {face_name}",
-                              lambda c: iv.Condition((NetValueFn(cache, c, +1),), fails),
-                              c2, box=face, floor=c1)
-        faces.append(boundary)
+
+    def inclusion(local):
+        cond = functools.partial(_inclusion_condition, _NetBoxCache(net), _check_local(local))
+        level, report = search("inclusion", cond, 1.0, floor=0.0)
+        found = _prove_near(report, level, 0.0)
+        if found is None:
+            raise NoCertifiableLevel("no c1 level set fits inside the local ellipsoid")
+        return local, *found
+
+    def boundary(floor):
+        cache, fails = _NetBoxCache(net), iv.ExprFn(ex.Constant(1.0))
+        c2, faces = float(np.nextafter(1.0, 0.0)), []
+        for face_name, face in _face_boxes(sys.domain):
+            c2, face_report = search(f"boundary {face_name}",
+                                     lambda c: iv.Condition((NetValueFn(cache, c, +1),), fails),
+                                     c2, box=face, floor=floor)
+            faces.append(face_report)
+        if meanwhile is not None:
+            meanwhile()
+        return c2, faces
+
+    if callable(local):
+        (c2, faces), (local, c1, inclusion_rep) = shares.beside(
+            lambda: boundary(0.0), lambda: inclusion(local()))
+    else:
+        local, c1, inclusion_rep = inclusion(local)
+        c2, faces = boundary(c1)
     band_cache = _NetBoxCache(net, hessian=True)
     level, decrease = search("decrease",
                              lambda c: _band_condition(band_cache, sys, c1, c, epsilon),

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from zubov import cli
 from zubov import dynamics as dyn
 from zubov import net as nn
 from zubov import ode
+from zubov import shares
 from zubov import verify as vf
 
 
@@ -111,11 +113,17 @@ class TestTrain:
 
     def test_band_off_runs_no_local_search(self, cubic_run, tmp_path, monkeypatch):
         # with "use_local_band": false the command searches no local level,
-        # and its network is the one nn.train gives without local_P
+        # and its network is the one nn.train gives without local_P.  The
+        # search may run in a forked worker, so the spy writes to a file
         d, cfgfile = cubic_run
-        searches, search = [], vf.find_max_local_c
-        monkeypatch.setattr(vf, "find_max_local_c",
-                            lambda *a, **k: searches.append(a) or search(*a, **k))
+        log, search = tmp_path / "searches", vf.find_max_local_c
+
+        def spied(*a, **k):
+            with open(log, "a") as fh:
+                fh.write("search\n")
+            return search(*a, **k)
+
+        monkeypatch.setattr(vf, "find_max_local_c", spied)
         doc = json.loads(cfgfile.read_text())
         doc["train"]["max_epochs"] = 3
         for band in (True, False):
@@ -123,7 +131,7 @@ class TestTrain:
             (tmp_path / "run.json").write_text(json.dumps(doc))
             assert run("train", "--config", str(tmp_path / "run.json"), "--data",
                        str(d / "dataset.csv"), "--out-dir", str(tmp_path / str(band))) == 0
-        assert len(searches) == 1       # the run with the band on
+        assert log.read_text() == "search\n"      # the run with the band on
         cfg = nn.TrainConfig(alpha=2.0, psi_form="exp", max_epochs=3, seed=7)
         data = nn.assemble_dataset(ode.load_samples(d / "dataset.csv"), cfg, pair_fraction=0.05,
                                    rng=np.random.default_rng(7))
@@ -418,10 +426,13 @@ class TestBadInput:
     @pytest.mark.parametrize("section, key, value", [
         ("integrator", "rtol", -1), ("integrator", "stop_radius", 2), ("train", "alpha", -1),
         ("train", "lr", 0), ("train", "lambda_r", -1), ("verify", "r", -1),
+        ("verify", "r", 1), ("verify", "r", 1.5), ("verify", "budget", 2.5),
+        ("verify", "budget", True),
     ])
     def test_out_of_range_setting_is_a_config_error(self, tmp_path, capsys, section, key, value):
         # the settings' own types check their ranges, before any work: these
-        # exited 2 ("error:") or ran
+        # exited 2 ("error:") or ran.  Q is I, so r must lie below 1; a
+        # budget of 2.5 stopped a proof after one box
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"system": "cubic1d", "grid": [5], "out_dir": str(tmp_path),
                                    section: {key: value}}))
@@ -478,6 +489,141 @@ class TestNoLocalQuadratic:
             assert err.startswith("error: no local quadratic") and err.count("\n") == 1, err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "dataset.csv", "dataset.csv.meta.json", "net.json", "run.json", "train_record.csv"]
+
+
+class TestLocalShare:
+    """`train` and `verify-roa` run the local search in a forked worker
+    beside the network work when there are two cores, and first in this
+    process when there is one: the files, exit codes and error lines must
+    be the same either way."""
+
+    NET = str(Path(__file__).resolve().parents[1] / "bench" / "net_vdp.json")
+    VDP = ["--system", "reversed_vdp"]
+
+    @pytest.fixture(scope="class")
+    def lattice(self, tmp_path_factory):
+        """A 12x12 reversed VdP dataset and a config that trains on it for 2 epochs."""
+        d = tmp_path_factory.mktemp("lattice")
+        cfg = d / "run.json"
+        cfg.write_text(json.dumps({"system": "reversed_vdp", "grid": [12, 12], "seed": 3,
+                                   "train": {"hidden": [6, 6], "max_epochs": 2}}))
+        assert run("gen-data", "--config", str(cfg), "--out", str(d / "data.csv")) == 0
+        return d
+
+    def both(self, monkeypatch, capsys, tmp_path, *argv):
+        """(exit code, stderr, out dir, local search ran in a worker) of
+        ``argv`` with `shares.count` pinned to 1 and then to 2."""
+        pids, search = tmp_path / "pids", vf.find_max_local_c
+
+        def spied(*a, **k):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return search(*a, **k)
+
+        monkeypatch.setattr(vf, "find_max_local_c", spied)
+        got = []
+        for w in (1, 2):
+            monkeypatch.setattr(shares, "count", lambda units: min(units, w))
+            pids.write_text("")
+            out = tmp_path / f"w{w}"
+            code = run(*argv, "--out-dir", str(out))
+            searched = pids.read_text().split()
+            worker = bool(searched) and str(os.getpid()) not in searched
+            got.append((code, capsys.readouterr().err, out, worker))
+        return got
+
+    @staticmethod
+    def timeless(path):
+        """The certificate without its timings."""
+        def drop(d):
+            if isinstance(d, dict):
+                return {k: drop(v) for k, v in d.items() if k != "seconds"}
+            return [drop(v) for v in d] if isinstance(d, list) else d
+        return drop(json.loads(path.read_text()))
+
+    @pytest.mark.parametrize("levels", [["--c1", "0.0224", "--c2", "0.74"], ["--data"]],
+                             ids=["fixed", "search"])
+    def test_same_certificate(self, monkeypatch, capsys, tmp_path, lattice, levels):
+        if levels == ["--data"]:
+            levels = ["--data", str(lattice / "data.csv")]
+        one, two = self.both(monkeypatch, capsys, tmp_path, "verify-roa", *self.VDP,
+                             "--net", self.NET, *levels)
+        assert one[0] == two[0] == 0 and (one[3], two[3]) == (False, True)
+        cert = self.timeless(one[2] / "roa_cert.json")
+        assert cert == self.timeless(two[2] / "roa_cert.json")
+        assert cert["certified"] and cert["local"]["c"] == 0.29633449018001484
+        if "--data" in levels:
+            assert cert["c2"] == 0.7497061125944957 and cert["volume_percent"] is not None
+
+    def test_same_network(self, monkeypatch, capsys, tmp_path, lattice):
+        one, two = self.both(monkeypatch, capsys, tmp_path, "train",
+                             "--config", str(lattice / "run.json"),
+                             "--data", str(lattice / "data.csv"))
+        assert one[0] == two[0] == 0 and (one[3], two[3]) == (False, True)
+        assert (one[2] / "net.json").read_bytes() == (two[2] / "net.json").read_bytes()
+        records = [(d / "train_record.csv").read_text().split("wall_time_s")[0]
+                   for d in (one[2], two[2])]
+        assert records[0] == records[1] and "stop_reason,max_epochs" in records[0]
+        # the network trained with the hinge of the searched local level
+        sysdef = dyn.builtin("reversed_vdp")
+        local = vf.find_max_local_c(sysdef, sysdef.lyapunov_P, np.eye(2), 0.9999)
+        tc = nn.TrainConfig(max_epochs=2, seed=3, local_P=local.P, c_local=local.c)
+        data = nn.assemble_dataset(ode.load_samples(lattice / "data.csv"), tc,
+                                   pair_fraction=0.01, rng=np.random.default_rng(3))
+        want, _ = nn.train(nn.init_mlp([2, 6, 6, 1], 3), data, sysdef, tc)
+        got = nn.load_mlp(two[2] / "net.json")[0]
+        assert all(a.tobytes() == b.tobytes() for a, b in
+                   zip(got.weights + got.biases, want.weights + want.biases))
+
+    # decay: x' = -x, whose ellipsoid covers the domain, so c1 = 0.1893 lies
+    # above the network's least value on the faces, 0.0875
+    DECAY = {"name": "decay", "dim": 2, "components": ["-x1", "-x2"],
+             "domain": [[-1, 1], [-1, 1]]}
+
+    @pytest.mark.parametrize("system, argv, code, err", [
+        (TestNoLocalQuadratic.SYSTEM, [], 2, "error: no local quadratic"),
+        (TestNoLocalQuadratic.SYSTEM, ["--c1", "0.1", "--c2", "0.5"], 2,
+         "error: no local quadratic"),
+        (DECAY, [], 4, "level search failed: no c2 in (0.1893, 1)"),
+        (DECAY, ["--data", "bad.csv"], 4, "level search failed: no c2 in (0.1893, 1)"),
+        ("reversed_vdp", ["--data", "bad.csv"], 2, "error: "),
+        # the local search stops at the budget; the decrease proof is falsified
+        ("reversed_vdp", ["--c1", "0.0224", "--c2", "0.8", "--budget", "1000"], 4,
+         "verification budget exhausted: branch-and-bound budget exhausted after 879 "),
+        ("reversed_vdp", ["--budget", "300"], 4,
+         "verification budget exhausted: branch-and-bound budget exhausted after 275 "),
+    ], ids=["no quadratic, search", "no quadratic, fixed", "faces below c1",
+            "faces below c1, bad data", "bad data", "budget, fixed", "budget, search"])
+    def test_same_error(self, monkeypatch, capsys, tmp_path, system, argv, code, err):
+        (tmp_path / "bad.csv").write_text("x1,x2\n")
+        argv = [str(tmp_path / a) if a == "bad.csv" else a for a in argv]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"system": system}))
+        one, two = self.both(monkeypatch, capsys, tmp_path, "verify-roa", "--config", str(cfg),
+                             "--net", self.NET, *argv)
+        assert one[:2] == two[:2]
+        assert one[0] == code and one[1].startswith(err) and one[1].count("\n") == 1, one
+        assert not (one[2] / "roa_cert.json").exists()
+
+    def test_trains_without_the_hinge_either_way(self, monkeypatch, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"system": TestNoLocalQuadratic.SYSTEM, "grid": [7, 7],
+                                   "seed": 5, "integrator": {"t_max": 20.0},
+                                   "train": {"hidden": [4], "max_epochs": 2}}))
+        data = tmp_path / "data.csv"
+        assert run("gen-data", "--config", str(cfg), "--out", str(data)) == 0
+        one, two = self.both(monkeypatch, capsys, tmp_path, "train", "--config", str(cfg),
+                             "--data", str(data))
+        assert one[:2] == two[:2] and one[0] == 0
+        assert (one[2] / "net.json").read_bytes() == (two[2] / "net.json").read_bytes()
+        tc = nn.TrainConfig(max_epochs=2, seed=5)
+        train = nn.assemble_dataset(ode.load_samples(data), tc, pair_fraction=0.01,
+                                    rng=np.random.default_rng(5))
+        want, _ = nn.train(nn.init_mlp([2, 4, 1], 5), train,
+                           dyn.make_system(**TestNoLocalQuadratic.SYSTEM), tc)
+        got = nn.load_mlp(one[2] / "net.json")[0]
+        assert all(a.tobytes() == b.tobytes() for a, b in
+                   zip(got.weights + got.biases, want.weights + want.biases))
 
 
 class TestGridCommand:

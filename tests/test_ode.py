@@ -434,6 +434,39 @@ class TestShares:
         assert time.perf_counter() - t0 < 10
         assert no_children()
 
+    def test_beside_runs_the_second_job_in_a_worker(self, monkeypatch):
+        for w in (1, 2):
+            pinned_shares(monkeypatch, w)
+            here, side = shares.beside(os.getpid, os.getpid)
+            assert here == os.getpid() and (side == here) == (w == 1)
+        assert no_children()
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_beside_raises_the_second_jobs_error_first(self, w, monkeypatch, tmp_path):
+        # both fail: the second job's error wins, as when it runs first in
+        # one process; only the first fails: its error waits for the second
+        pinned_shares(monkeypatch, w)
+        done = tmp_path / "done"
+
+        def second(fail):
+            def job():
+                time.sleep(0.3)
+                done.write_text("")
+                if fail:
+                    raise KeyError("second")
+                return 1
+            return job
+
+        def first():
+            raise FloatingPointError("first")
+
+        with pytest.raises(KeyError, match="second"):
+            shares.beside(first, second(True))
+        done.unlink()
+        with pytest.raises(FloatingPointError, match="first"):
+            shares.beside(first, second(False))
+        assert done.exists() and no_children()
+
     def test_small_lattices_never_fork(self, monkeypatch):
         def no_fork(method=None):
             raise AssertionError("forked")
