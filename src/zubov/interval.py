@@ -25,16 +25,18 @@ Two layers live here:
   least one at which it fails, keeping the tree's open leaves so that
   the same search proves the implication a little below that level.
   `bnb_verify` deals the open boxes of a large tree to one share per
-  usable core (`zubov.shares`) and gives what one process gives;
-  `bnb_minimize` stays in one process, since the level it reaches
-  depends on the order in which it meets the boxes.  A tracer that
-  wraps a kernel sees only the calling process's share.
+  usable core (`zubov.shares`) and gives what one process gives.
+  `bnb_minimize` deals a large tree into a fixed number of groups, since
+  the level it reaches depends on the order in which it meets the
+  boxes, and runs the groups on every usable core: the group count, not
+  the core count, fixes its level, box count and delta-boxes.  A tracer
+  that wraps a kernel sees only the calling process's share.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -818,10 +820,10 @@ def bnb_verify(cond: Condition, X: Box, delta: float = 1e-3,
 
     On w = `shares.count` >= 2 cores, `_bnb` pauses once its stack holds
     half a chunk per share (smaller trees never fork) and deals the open
-    boxes to w shares (box i to share i mod w), each proved by `_bnb` from
-    its boxes with the budget left, share 0 here and the others in forked
-    workers (`shares.run`).  Each box's fate depends on that box alone, so
-    a certified tree holds the same boxes in any order: if every share
+    boxes to w shares (box i to share i mod w, `_dealt`), each proved by
+    `_bnb` from its boxes with the budget left, share 0 here and the
+    others in forked workers.  Each box's fate depends on that box alone,
+    so a certified tree holds the same boxes in any order: if every share
     certifies and their boxes fit the budget, the count is the paused
     run's plus theirs.  (Only a BLAS product, whose last bit can change
     with the rows around it, could tip a box at the very edge of a
@@ -835,7 +837,7 @@ def bnb_verify(cond: Condition, X: Box, delta: float = 1e-3,
     step = next(steps)
     if len(step) == 3:      # paused with half a chunk of open boxes per share
         done, lo, hi = step
-        n = _certified_in_shares(cond, lo, hi, delta, budget - done, w)
+        n = _certified_in_shares(cond, lo, hi, delta, done, budget, w)
         if n is not None:
             return Certified(boxes_processed=done + n)
         step = next(steps)
@@ -847,25 +849,50 @@ def bnb_verify(cond: Condition, X: Box, delta: float = 1e-3,
     return Certified(boxes_processed=n)
 
 
+def _dealt(group, lo, hi, done, budget, k, w):
+    """Deal the stack ``lo``, ``hi`` of a `_bnb` paused after ``done``
+    boxes into k groups, box i to group i mod k, and run them in w shares
+    (`shares.run`): share j runs groups j, j + w, ... one after another,
+    each by ``group(its lo, its hi, budget left)``, which returns (boxes
+    processed, result).  A share's first group gets ``budget - done`` and
+    each later one what its share's earlier groups left.  Returns the k
+    pairs in group order.  A group's ``BudgetExhausted`` is raised with
+    the whole count, ``done`` and the share's earlier groups included,
+    and with its share's later groups pending."""
+    def share(j):
+        left, found = budget - done, []
+        for g in range(j, k, w):
+            try:
+                found.append(group(lo[g::k], hi[g::k], left))
+            except BudgetExhausted as e:
+                later = sum(len(lo[h::k]) for h in range(g + w, k, w))
+                raise BudgetExhausted(budget - left + e.processed, e.pending + later) from None
+            left -= found[-1][0]
+        return found
+
+    found = shares.run(share, w)
+    return [found[g % w][g // w] for g in range(k)]
+
+
 class _Open(Exception):
     """A share of `bnb_verify`'s boxes met a violating probe or a delta-box."""
 
 
-def _certified_in_shares(cond, lo, hi, delta, budget, w):
-    """The boxes processed to certify the stack ``lo``, ``hi`` in w
-    interleaved shares, or None if a share does not certify (or fails)
-    or they process more than ``budget`` boxes."""
-    def share(j):
-        n, probes, _, dlo, _ = next(_bnb(cond, lo[j::w], hi[j::w], delta, budget))
+def _certified_in_shares(cond, lo, hi, delta, done, budget, w):
+    """The boxes processed to certify the stack ``lo``, ``hi``, paused
+    after ``done`` boxes, in w interleaved shares, or None if a share does
+    not certify (or fails) or they process more than the budget left."""
+    def group(glo, ghi, left):
+        n, probes, _, dlo, _ = next(_bnb(cond, glo, ghi, delta, left))
         if len(probes) or len(dlo):
             raise _Open
-        return n
+        return n, None
 
     try:
-        n = sum(shares.run(share, w))
+        n = sum(n for n, _ in _dealt(group, lo, hi, done, budget, w, w))
     except Exception:       # the paused run finds out what went wrong
         return None
-    return n if n <= budget else None
+    return n if n <= budget - done else None
 
 
 @dataclass(frozen=True)
@@ -886,27 +913,67 @@ class LevelSearch:
         """Whether this search proves ``make(level)``, without a new search.
 
         The search ran ``make(u)`` at falling levels u, all at or above
-        ``self.level``, so at or above any ``level <= self.level``.  Only
-        the first antecedent, l(x) - u, depends on u, and it gets harder
-        to satisfy as u falls.  So every box the search discarded is still
-        discarded at ``level``: HC4 emptied it or cut it down, or an
-        antecedent was proved infeasible, at some u >= ``level`` (or, for
-        the other antecedents, at every level), or the consequent was
+        ``self.level``, so at or above any ``level <= self.level``.  A
+        search dealt into groups ran each group's u down from the paused
+        level to that group's own final level, which is at or above
+        ``self.level``, the least of them, so this holds for every group.
+        Only the first antecedent, l(x) - u, depends on u, and it gets
+        harder to satisfy as u falls.  So every box the search discarded
+        is still discarded at ``level``: HC4 emptied it or cut it down, or
+        an antecedent was proved infeasible, at some u >= ``level`` (or,
+        for the other antecedents, at every level), or the consequent was
         proved, which no level changes.  A box whose probe violated the
         condition was split, not dropped.  The only leaves left open are
-        the dropped delta-boxes.  If the first antecedent at ``level`` is
-        proved infeasible on every one of them (the outward-rounded flag
-        of ``contract_boxes``), every point meeting the antecedents at
-        ``level`` lies in a leaf where the consequent was proved, and the
-        condition holds.  A search stopped at its floor left boxes
-        unexamined and proves nothing; neither does it prove a level above
-        its own, where boxes found infeasible at lower u may be feasible.
+        the dropped delta-boxes, every group's included.  If the first
+        antecedent at ``level`` is proved infeasible on every one of them
+        (the outward-rounded flag of ``contract_boxes``), every point
+        meeting the antecedents at ``level`` lies in a leaf where the
+        consequent was proved, and the condition holds.  A search stopped
+        at its floor left boxes unexamined and proves nothing; neither
+        does it prove a level above its own, where boxes found infeasible
+        at lower u may be feasible.
         """
         if not (self.complete and level <= self.level):
             return False
         first = self.make(level).antecedents[0]
         return all(np.all(first.contract_boxes(self.dlo[i:i + _CHUNK], self.dhi[i:i + _CHUNK])[2])
                    for i in range(0, len(self.dlo), _CHUNK))
+
+
+_GROUPS = 2   # groups a paused level search is dealt into; fixes its tree on any core count
+
+
+def _lower(make, level, floor, cond, steps):
+    """`bnb_minimize`'s lowering loop over `_bnb`'s ``steps``, from
+    ``level`` and its condition ``cond``.  Returns the LevelSearch it
+    reached and, if `_bnb` paused, (stack lo, stack hi, condition) to go
+    on from (the search is then incomplete so far), else None."""
+    kept_lo, kept_hi, step, complete = [], [], next(steps), False
+    while len(step) == 5:
+        n, probes, _, dlo, dhi = step
+        kept_lo.append(dlo)
+        kept_hi.append(dhi)
+        # only the last yield of `_bnb`, at an empty stack, brings neither
+        if not (len(probes) or len(dlo)):
+            complete = True
+            break
+        g, drop = cond.antecedents[0], 0.0   # g = l - level
+        if len(probes):
+            drop = min(drop, float(g.eval_points(probes).min()))
+        if len(dlo):
+            drop = min(drop, float(g.eval_boxes(dlo, dhi)[0].min()))
+        level += drop
+        if level <= floor:
+            break
+        cond = make(level)
+        step = steps.send(cond)
+    stack = None
+    if len(step) == 3:
+        n, lo, hi = step
+        stack = lo, hi, cond
+        kept_lo.append(lo[:0])
+        kept_hi.append(hi[:0])
+    return LevelSearch(make, level, n, complete, np.concatenate(kept_lo), np.concatenate(kept_hi)), stack
 
 
 def bnb_minimize(make, level: float, X: Box, floor: float = 0.0, delta: float = 1e-3,
@@ -925,27 +992,46 @@ def bnb_minimize(make, level: float, X: Box, floor: float = 0.0, delta: float = 
     boxes discarded at a higher level stay discarded.  Stops early, and
     incomplete, at a level <= ``floor``.  Raises ``BudgetExhausted``
     past ``budget`` boxes.
+
+    The first time its stack holds ``_GROUPS * _CHUNK // 2`` boxes, `_bnb`
+    pauses and deals the open boxes into `_GROUPS` groups (box i to group
+    i mod `_GROUPS`, `_dealt`).  Each group runs the same loop from the
+    paused level and condition, in w = `shares.count(_GROUPS)` shares.
+    The search reaches the least level of its groups, processes the
+    paused count plus theirs, is complete if every group is, and keeps
+    every group's delta-boxes.  The group count, not w, fixes the tree,
+    so the level, count and delta-boxes are those of one core, where the
+    groups run one after another here and share the budget in group
+    order.  If a share fails or the shares together pass the budget, the
+    groups run again that way, which raises what one core raises.
     """
-    none = np.empty((0, X.dim))
     if level <= floor:
+        none = np.empty((0, X.dim))
         return LevelSearch(make, level, 0, False, none, none)
     cond = make(level)
-    steps = _bnb(cond, X.lo[None], X.hi[None], delta, budget)
-    n, probes, _, dlo, dhi = next(steps)
-    kept_lo, kept_hi = [dlo], [dhi]
-    while len(probes) or len(dlo):
-        g, drop = cond.antecedents[0], 0.0   # g = l - level
-        if len(probes):
-            drop = min(drop, float(g.eval_points(probes).min()))
-        if len(dlo):
-            drop = min(drop, float(g.eval_boxes(dlo, dhi)[0].min()))
-        level += drop
-        if level <= floor:
-            break
-        cond = make(level)
-        n, probes, _, dlo, dhi = steps.send(cond)
-        kept_lo.append(dlo)
-        kept_hi.append(dhi)
-    # only the last yield of `_bnb`, at an empty stack, brings neither
-    complete = not (len(probes) or len(dlo))
-    return LevelSearch(make, level, n, complete, np.concatenate(kept_lo), np.concatenate(kept_hi))
+    steps = _bnb(cond, X.lo[None], X.hi[None], delta, budget, _GROUPS * _CHUNK // 2)
+    paused, stack = _lower(make, level, floor, cond, steps)
+    if stack is None:
+        return paused
+    lo, hi, cond = stack
+    done = paused.boxes_processed
+
+    def group(glo, ghi, left):
+        if left < 1 and len(glo):
+            raise BudgetExhausted(0, len(glo))
+        found, _ = _lower(make, paused.level, floor, cond, _bnb(cond, glo, ghi, delta, max(left, 1)))
+        return found.boxes_processed, replace(found, make=None)   # a lambda does not pickle
+
+    w, found = shares.count(_GROUPS), None
+    if w > 1:
+        try:
+            found = _dealt(group, lo, hi, done, budget, _GROUPS, w)
+        except Exception:   # one core's run below finds out what went wrong
+            pass
+    if found is None or done + sum(n for n, _ in found) > budget:
+        found = _dealt(group, lo, hi, done, budget, _GROUPS, 1)
+    groups = [paused] + [s for _, s in found]
+    return LevelSearch(make, min(s.level for s in groups), sum(s.boxes_processed for s in groups),
+                       all(s.complete for s in groups[1:]),
+                       np.concatenate([s.dlo for s in groups]),
+                       np.concatenate([s.dhi for s in groups]))

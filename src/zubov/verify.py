@@ -29,10 +29,12 @@ condition first fails or stays undecided, then certify it there or on
 the first of eight rungs a little below (`_prove_near`).  The search
 tree itself proves the rungs (`iv.LevelSearch.proves`): of the local
 condition in `find_max_local_c`, of (a), (b) and, by the face searches
-that start c2, (c) in `find_max_level`.  Each search runs in one
-process.  Fixed-level checks (`verify_local`, `verify_roa`) are fresh
-`iv.bnb_verify` proofs, which run a large tree on every usable core
-with the outcome and box count of one process.  Given the local
+that start c2, (c) in `find_max_level`.  A search whose tree grows
+large, as the decrease search does, is dealt into a fixed number of
+groups that run on every usable core, with the same level and box count
+on any core count.  Fixed-level checks (`verify_local`, `verify_roa`)
+are fresh `iv.bnb_verify` proofs, which run a large tree on every usable
+core with the outcome and box count of one process.  Given the local
 certificate as a job, `find_max_level` and `verify_roa` run it in a
 forked worker beside the network work that does not read it
 (`shares.beside`).
@@ -628,8 +630,11 @@ def find_max_level(net, sys: dyn.SystemDef,
     only stops a face search whose level has already fallen to c1 or
     below, and such a run ends in the same NoCertifiableLevel either way
     (unless the longer search exhausts ``budget`` first).
-    The decrease search follows here, in one process, since the level it
-    reaches depends on the order in which it meets the boxes.
+    The decrease search follows here.  Its tree grows large, so
+    `iv.bnb_minimize` deals it into a fixed number of groups that run on
+    every usable core; the group count fixes the level it reaches, which
+    depends on the order in which it meets the boxes, and the core count
+    does not.
     """
     _check_epsilon(epsilon)
     search = functools.partial(_searched, box=sys.domain, delta=delta, budget=budget)

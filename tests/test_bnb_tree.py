@@ -7,7 +7,9 @@ boxes processed and the pending count of a budget stop stay what they
 were.  The pinned figures were recorded with the list-stack engine.
 The box counts of the two level searches of `find_max_level` on the
 benchmark network are pinned too: they are that search's whole cost, so
-a change to the search order or the pruning shows up here.
+a change to the search order or the pruning shows up here.  A level
+search large enough to be dealt into groups must reach the same level,
+count and delta-boxes on one core and on two.
 """
 
 import math
@@ -102,7 +104,7 @@ class TestPinnedSearches:
         assert cert.inclusion.outcome.boxes_processed == 3469
         # 201,693 with the natural enclosure of grad W_N . f; its centered
         # form decides the band's boxes much sooner
-        assert cert.decrease.outcome.boxes_processed == 14529
+        assert cert.decrease.outcome.boxes_processed == 15259
 
 
 def _list_stack_bnb(cond, X, delta, budget, chunk):
@@ -325,4 +327,80 @@ def test_a_share_that_raises_gives_the_one_process_outcome(where, monkeypatch):
     for w in (2, 3):
         got = verify(w)
         assert got == want if isinstance(want, str) else _same(got, want), (w, got)
+    assert no_children()
+
+
+# ---------------------------------------------------------------------------
+# Grouped level searches: `bnb_minimize` deals the open boxes of a paused
+# tree into `_GROUPS` groups whatever the share count, so the level, the
+# box count and the delta-boxes are the same on one core and on two.
+# ---------------------------------------------------------------------------
+
+def _bench_decrease():
+    """(make, level, box, floor): the decrease search of `find_max_level` on
+    the benchmark network, from the least W_N on the faces down to c1."""
+    net, _, _ = nn.load_mlp(Path(__file__).parents[1] / "bench" / "net_vdp.json")
+    cache, c1 = vf._NetBoxCache(net, hessian=True), 0.02354922852138118
+    return (lambda c: vf._band_condition(cache, VDP, c1, c, 1e-4)), 0.8511381478367339, \
+        VDP.domain, c1
+
+
+def _line_search(monkeypatch):
+    """(make, level, box, floor): the least x1^2 + x2^2 with x1 + x2 > 1,
+    with chunks of 8 boxes, so that its stack reaches the pause (8 boxes)
+    after 13; the groups reach 0.4987 and 0.5856 in 305 and 95 boxes and
+    keep 3 and 6 delta-boxes."""
+    monkeypatch.setattr(iv, "_CHUNK", 8)
+    consequent = iv.ExprFn(ex.parse("x1 + x2 - 1", 2))
+
+    def make(u):
+        return iv.Condition((iv.ExprFn(ex.Sub(ex.parse("x1^2 + x2^2", 2), ex.Constant(u))),),
+                            consequent)
+
+    return make, 8.0, iv.Box.from_bounds([[-2, 2], [-2, 2]]), 0.0
+
+
+def _grouped(monkeypatch, make, level, box, floor, w, budget=5_000_000):
+    """The search with `shares.count` pinned to ``w``, and the share counts
+    it ran its groups in."""
+    with monkeypatch.context() as m:
+        spy = _Spy(m, w)
+        try:
+            out = iv.bnb_minimize(make, level, box, floor, delta=1e-3, budget=budget)
+        except iv.BudgetExhausted as e:
+            out = ("budget", e.processed, e.pending)
+    return out, spy.runs
+
+
+@pytest.mark.parametrize("case, level, boxes, kept, proved", [
+    ("bench_decrease", 0.7497175523764839, 15_259, 140, 0.7497061125944957),
+    ("line", 0.49868107346729773, 413, 9, 0.49868107346729773 * (1 - 2 ** -16)),
+], ids=["bench_decrease", "line"])
+def test_grouped_search_is_the_same_on_one_and_two_shares(case, level, boxes, kept, proved,
+                                                          monkeypatch):
+    args = _bench_decrease() if case == "bench_decrease" else _line_search(monkeypatch)
+    (one, runs1), (two, runs2) = (_grouped(monkeypatch, *args, w) for w in (1, 2))
+    assert (runs1, runs2) == ([1], [2])
+    assert no_children()
+    for s in (one, two):
+        assert (s.level, s.boxes_processed, s.complete, len(s.dlo)) == (level, boxes, True, kept)
+        assert s.dlo.tobytes() == one.dlo.tobytes() and s.dhi.tobytes() == one.dhi.tobytes()
+        # the least group's delta-box reaches the level, so the tree does not
+        # prove it, but it proves the first rung below
+        assert not s.proves(level) and s.proves(proved)
+
+
+@pytest.mark.parametrize("budget, want", [(200, ("budget", 198, 19)),
+                                          (350, ("budget", 343, 10))],
+                         ids=["first group", "second group"])
+def test_grouped_search_out_of_budget_counts_every_group(budget, want, monkeypatch):
+    # the groups share the budget in group order as on one core: the first
+    # group runs out before 200 boxes, or it ends at 318 (13 of them before
+    # the pause) and the second runs out before 350.  Either way the whole
+    # search's count is raised, not a group's.  Two shares give each group
+    # all that the pause left, overrun it together and run again on one
+    args = _line_search(monkeypatch)
+    for w in (1, 2):
+        out, runs = _grouped(monkeypatch, *args, w, budget=budget)
+        assert out == want and runs == ([1] if w == 1 else [2, 1]), (w, out, runs)
     assert no_children()

@@ -592,8 +592,16 @@ class TestLocalShare:
          "verification budget exhausted: branch-and-bound budget exhausted after 879 "),
         ("reversed_vdp", ["--budget", "300"], 4,
          "verification budget exhausted: branch-and-bound budget exhausted after 275 "),
+        # the decrease search, dealt into two groups after 891 boxes, runs
+        # out in its first group, or in its second once the first has ended
+        # at 8,152; the message counts the whole search, not one group
+        ("reversed_vdp", ["--budget", "5000"], 4, "verification budget exhausted: "
+         "branch-and-bound budget exhausted after 4744 boxes (923 still pending)"),
+        ("reversed_vdp", ["--budget", "10000"], 4, "verification budget exhausted: "
+         "branch-and-bound budget exhausted after 9961 boxes (1222 still pending)"),
     ], ids=["no quadratic, search", "no quadratic, fixed", "faces below c1",
-            "faces below c1, bad data", "bad data", "budget, fixed", "budget, search"])
+            "faces below c1, bad data", "bad data", "budget, fixed", "budget, search",
+            "budget, first group", "budget, second group"])
     def test_same_error(self, monkeypatch, capsys, tmp_path, system, argv, code, err):
         (tmp_path / "bad.csv").write_text("x1,x2\n")
         argv = [str(tmp_path / a) if a == "bad.csv" else a for a in argv]
