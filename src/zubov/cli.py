@@ -130,6 +130,7 @@ def resolve_config(overrides: dict) -> dict:
     if not (vr["delta"] > 0 and vr["epsilon"] > 0 and vr["budget"] >= 1
             and vr["budget"] == int(vr["budget"])):
         raise ConfigError("verify.delta/epsilon must be positive, budget a whole number >= 1")
+    vr["budget"] = int(vr["budget"])    # a file's 1536.0: share counts derive from it
     try:    # the settings' types own their ranges
         ode.IntegratorConfig(**cfg["integrator"])
         _train_config(cfg)

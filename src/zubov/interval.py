@@ -29,8 +29,10 @@ Two layers live here:
   `bnb_minimize` deals a large tree into a fixed number of groups, since
   the level it reaches depends on the order in which it meets the
   boxes, and runs the groups on every usable core: the group count, not
-  the core count, fixes its level, box count and delta-boxes.  A tracer
-  that wraps a kernel sees only the calling process's share.
+  the core count, fixes its level, box count and delta-boxes.  Both deal
+  a paused tree through one helper, `_dealt`, whose groups return their
+  box count and what they found.  A tracer that wraps a kernel sees only
+  the calling process's share.
 """
 
 from __future__ import annotations
@@ -748,7 +750,7 @@ def _bnb(cond: Condition, lo: np.ndarray, hi: np.ndarray, delta: float, budget: 
     """
     if not delta > 0:   # NaN fails too
         raise ValueError("delta must be positive")
-    if budget < 1:
+    if not budget >= 1:   # NaN fails too
         raise ValueError("budget must be >= 1")
     # the stack is two (capacity, n) arrays whose first `top` rows are live,
     # row top-1 being the top; a chunk pops its rows top first
@@ -820,14 +822,16 @@ def bnb_verify(cond: Condition, X: Box, delta: float = 1e-3,
 
     On w = `shares.count` >= 2 cores, `_bnb` pauses once its stack holds
     half a chunk per share (smaller trees never fork) and deals the open
-    boxes to w shares (box i to share i mod w, `_dealt`), each proved by
-    `_bnb` from its boxes with the budget left, share 0 here and the
-    others in forked workers.  Each box's fate depends on that box alone,
-    so a certified tree holds the same boxes in any order: if every share
-    certifies and their boxes fit the budget, the count is the paused
-    run's plus theirs.  (Only a BLAS product, whose last bit can change
-    with the rows around it, could tip a box at the very edge of a
-    decision the other way; either way the enclosures are sound.)
+    boxes to w shares (box i to share i mod w, `_dealt`), share 0 here
+    and the others in forked workers.  Each runs `_bnb` from its boxes
+    with the budget left and returns its box count and whether it closed:
+    met no violating probe and no delta-box.  Each box's fate depends on
+    that box alone, so a certified tree holds the same boxes in any
+    order: if every share closed and their boxes fit the budget, the
+    search certifies with the paused run's count plus theirs.  (Only a
+    BLAS product, whose last bit can change with the rows around it,
+    could tip a box at the very edge of a decision the other way; either
+    way the enclosures are sound.)
     Otherwise the paused `_bnb` goes on from its own stack, so the
     outcome, witness, count and ``BudgetExhausted`` are those of one
     process.
@@ -837,9 +841,18 @@ def bnb_verify(cond: Condition, X: Box, delta: float = 1e-3,
     step = next(steps)
     if len(step) == 3:      # paused with half a chunk of open boxes per share
         done, lo, hi = step
-        n = _certified_in_shares(cond, lo, hi, delta, done, budget, w)
-        if n is not None:
-            return Certified(boxes_processed=done + n)
+
+        def group(glo, ghi, left):
+            n, probes, _, dlo, _ = next(_bnb(cond, glo, ghi, delta, left))
+            return n, not (len(probes) or len(dlo))
+
+        try:
+            found = _dealt(group, lo, hi, done, budget, w, w)
+            n = done + sum(n for n, _ in found)
+            if n <= budget and all(closed for _, closed in found):
+                return Certified(boxes_processed=n)
+        except Exception:   # the paused run below finds out what went wrong
+            pass
         step = next(steps)
     n, probes, margins, dlo, dhi = step
     if len(probes):
@@ -872,27 +885,6 @@ def _dealt(group, lo, hi, done, budget, k, w):
 
     found = shares.run(share, w)
     return [found[g % w][g // w] for g in range(k)]
-
-
-class _Open(Exception):
-    """A share of `bnb_verify`'s boxes met a violating probe or a delta-box."""
-
-
-def _certified_in_shares(cond, lo, hi, delta, done, budget, w):
-    """The boxes processed to certify the stack ``lo``, ``hi``, paused
-    after ``done`` boxes, in w interleaved shares, or None if a share does
-    not certify (or fails) or they process more than the budget left."""
-    def group(glo, ghi, left):
-        n, probes, _, dlo, _ = next(_bnb(cond, glo, ghi, delta, left))
-        if len(probes) or len(dlo):
-            raise _Open
-        return n, None
-
-    try:
-        n = sum(n for n, _ in _dealt(group, lo, hi, done, budget, w, w))
-    except Exception:       # the paused run finds out what went wrong
-        return None
-    return n if n <= budget - done else None
 
 
 @dataclass(frozen=True)

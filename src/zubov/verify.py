@@ -34,10 +34,11 @@ large, as the decrease search does, is dealt into a fixed number of
 groups that run on every usable core, with the same level and box count
 on any core count.  Fixed-level checks (`verify_local`, `verify_roa`)
 are fresh `iv.bnb_verify` proofs, which run a large tree on every usable
-core with the outcome and box count of one process.  Given the local
-certificate as a job, `find_max_level` and `verify_roa` run it in a
-forked worker beside the network work that does not read it
-(`shares.beside`).
+core with the outcome and box count of one process.  `find_max_level`
+and `verify_roa` take the local certificate finished or as a job that
+finds it, turn it into a job once (a finished one is checked at once)
+and run that job in a forked worker beside the network work that does
+not read it (`shares.beside`), on one path either way.
 """
 
 from __future__ import annotations
@@ -544,10 +545,14 @@ def _band_condition(cache: _NetBoxCache, sys: dyn.SystemDef, c1: float, c2: floa
     )
 
 
-def _check_local(local: LocalCertificate) -> LocalCertificate:
+def _local_job(local) -> Callable[[], LocalCertificate]:
+    """``local`` as a job that returns it Certified: a finished
+    LocalCertificate is checked here, a job's result when the job ends."""
+    if callable(local):
+        return lambda: _local_job(local())()
     if not local.certified:
         raise ValueError("local certificate must be Certified first")
-    return local
+    return lambda: local
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -577,10 +582,11 @@ def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate | Callable[[], L
     ellipsoid, via the decrease band, the domain-boundary exclusion check
     and the inclusion check.
 
-    ``local`` is the LocalCertificate, or a job that returns it: the job
-    then runs in a forked worker (`shares.beside`) while the decrease and
-    face proofs, which do not read it, run here, and the inclusion proof
-    follows here.  An error of the job wins over one of those proofs.
+    ``local`` is the LocalCertificate, checked at once, or a job that
+    returns it.  Either way it becomes a job that runs in a forked worker
+    (`shares.beside`) while the decrease and face proofs, which do not
+    read it, run here, and the inclusion proof follows here.  An error of
+    the job wins over one of those proofs.
     """
     _check_epsilon(epsilon)
     if not (0.0 < c1 < c2 < 1.0):
@@ -592,11 +598,7 @@ def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate | Callable[[], L
         return (_timed_bnb("decrease", band, sys.domain, delta, budget),
                 _boundary_reports(cache, sys, c2, delta, budget))
 
-    if callable(local):
-        (decrease, boundary), local = shares.beside(network, lambda: _check_local(local()))
-    else:
-        _check_local(local)
-        decrease, boundary = network()
+    (decrease, boundary), local = shares.beside(network, _local_job(local))
     inclusion = _inclusion_condition(cache, local, c1)
     return RoaCertificate(c1=c1, c2=c2, epsilon=epsilon, decrease=decrease,
                           inclusion=_timed_bnb("inclusion", inclusion, sys.domain, delta, budget),
@@ -622,14 +624,15 @@ def find_max_level(net, sys: dyn.SystemDef,
     would.  The rungs lie above their floors, 0 and c1, and c2 starts
     below 1, so 0 < c1 < c2 < 1.  Returns (c1, c2, RoaCertificate).
 
-    ``local`` is the LocalCertificate, or a job that returns it: the job
-    and the c1 search then run in a forked worker (`shares.beside`) while
-    the face searches, and then ``meanwhile()`` if given, run here.  An
-    error of the worker wins.  The face searches do not know c1 then, so
-    they stop at floor 0, not c1.  That gives the same output: a floor
-    only stops a face search whose level has already fallen to c1 or
-    below, and such a run ends in the same NoCertifiableLevel either way
-    (unless the longer search exhausts ``budget`` first).
+    ``local`` is the LocalCertificate, checked at once, or a job that
+    returns it.  Either way the job and the c1 search run in a forked
+    worker (`shares.beside`) while the face searches, and then
+    ``meanwhile()`` if given, run here.  An error of the worker wins.
+    The face searches do not know c1, so they stop at floor 0, not c1.
+    That gives the same output: a floor only stops a face search whose
+    level has already fallen to c1 or below, and such a run ends in the
+    same NoCertifiableLevel either way (unless the longer search
+    exhausts ``budget`` first).
     The decrease search follows here.  Its tree grows large, so
     `iv.bnb_minimize` deals it into a fixed number of groups that run on
     every usable core; the group count fixes the level it reaches, which
@@ -637,34 +640,30 @@ def find_max_level(net, sys: dyn.SystemDef,
     does not.
     """
     _check_epsilon(epsilon)
+    job = _local_job(local)
     search = functools.partial(_searched, box=sys.domain, delta=delta, budget=budget)
 
     def inclusion(local):
-        cond = functools.partial(_inclusion_condition, _NetBoxCache(net), _check_local(local))
+        cond = functools.partial(_inclusion_condition, _NetBoxCache(net), local)
         level, report = search("inclusion", cond, 1.0, floor=0.0)
         found = _prove_near(report, level, 0.0)
         if found is None:
             raise NoCertifiableLevel("no c1 level set fits inside the local ellipsoid")
         return local, *found
 
-    def boundary(floor):
+    def boundary():
         cache, fails = _NetBoxCache(net), iv.ExprFn(ex.Constant(1.0))
         c2, faces = float(np.nextafter(1.0, 0.0)), []
         for face_name, face in _face_boxes(sys.domain):
             c2, face_report = search(f"boundary {face_name}",
                                      lambda c: iv.Condition((NetValueFn(cache, c, +1),), fails),
-                                     c2, box=face, floor=floor)
+                                     c2, box=face, floor=0.0)
             faces.append(face_report)
         if meanwhile is not None:
             meanwhile()
         return c2, faces
 
-    if callable(local):
-        (c2, faces), (local, c1, inclusion_rep) = shares.beside(
-            lambda: boundary(0.0), lambda: inclusion(local()))
-    else:
-        local, c1, inclusion_rep = inclusion(local)
-        c2, faces = boundary(c1)
+    (c2, faces), (local, c1, inclusion_rep) = shares.beside(boundary, lambda: inclusion(job()))
     band_cache = _NetBoxCache(net, hessian=True)
     level, decrease = search("decrease",
                              lambda c: _band_condition(band_cache, sys, c1, c, epsilon),

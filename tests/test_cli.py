@@ -453,6 +453,19 @@ class TestBadInput:
                    "--out-dir", str(tmp_path)) == 0
         assert nn.load_mlp(tmp_path / "net.json")[0].layer_sizes == (1, 3, 1)
 
+    def test_whole_float_budget_is_a_count(self, tmp_path):
+        # a float budget reached `shares.count`, whose share count (3.0 on
+        # four cores) made `shares.run` raise TypeError, and the proof ran
+        # in one process
+        assert type(cli.resolve_config({"verify": {"budget": 1536.0}})["verify"]["budget"]) is int
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"system": "cubic1d", "grid": [5],
+                                   "verify": {"budget": 1536.0}}))
+        data = tmp_path / "d.csv"
+        assert run("gen-data", "--config", str(cfg), "--out", str(data)) == 0
+        text = (tmp_path / "d.csv.meta.json").read_text()
+        assert type(json.loads(text)["config"]["verify"]["budget"]) is int, text
+
 
 class TestNoLocalQuadratic:
     """x' = x2 - x1^3, y' = -x1 - x2^3: A = Df(0) is a rotation, so P A + A'P

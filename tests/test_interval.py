@@ -310,6 +310,22 @@ class TestBnb:
         with pytest.raises(ValueError):
             iv.bnb_verify(cond, iv.Box([0.0], [1.0]), budget=0)
 
+    def test_nan_budget_is_rejected(self):
+        # a NaN budget passed `budget < 1`, and both searches then ran with
+        # no budget: the band proof answered Unknown after 4,391 boxes, the
+        # level search returned after 443
+        band = _expr_cond(["x1^2 + x2^2 - 1"], "x1^2 + x2^2 - 1.000001", 2)
+        box = iv.Box.from_bounds([[-2, 2], [-2, 2]])
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            iv.bnb_verify(band, box, delta=1e-4, budget=float("nan"))
+
+        def make(u):
+            return iv.Condition((iv.ExprFn(ex.parse(f"x1^2 + x2^2 - {u!r}", 2)),),
+                                iv.ExprFn(ex.parse("x1 + x2 - 1", 2)))
+
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            iv.bnb_minimize(make, 10.0, box, budget=float("nan"))
+
 
 # every float64 but NaN, and the values the quotient is most delicate at
 _floats = st.one_of(

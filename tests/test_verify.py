@@ -1,4 +1,6 @@
 import functools
+import json
+import os
 import re
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from zubov import expr as ex
 from zubov import interval as iv
 from zubov import net as nn
 from zubov import ode
+from zubov import shares
 from zubov import verify as vf
 
 VDP = dyn.builtin("reversed_vdp")
@@ -427,7 +430,9 @@ class TestFindMaxLevel:
             vf.find_max_level(bench_net, VDP, bench_local)
 
     def test_raises_when_no_c2_rung_certifies(self, bench_net, bench_local, monkeypatch):
-        # the c1 search proves its rung; the band search proves none
+        # the c1 search proves its rung; the band search proves none.  The
+        # spy counts in this process, so the c1 search must run here too
+        monkeypatch.setattr(shares, "count", lambda units: 1)
         searches, levels = [], []
         proves = iv.LevelSearch.proves
 
@@ -458,6 +463,77 @@ class TestFindMaxLevel:
         net = constant_net(2, 0.0)
         with pytest.raises(vf.NoCertifiableLevel):
             vf.find_max_level(net, VDP, vdp_local)
+
+
+class TestLocalJob:
+    """`verify_roa` and `find_max_level` turn a finished LocalCertificate
+    into a job that returns it and run it as they run any job: beside the
+    network work in a forked worker when there are two cores, first here
+    when there is one.  The certificate must be the same either way."""
+
+    @staticmethod
+    def timeless(cert):
+        """The certificate's report without its timings."""
+        def drop(d):
+            if isinstance(d, dict):
+                return {k: drop(v) for k, v in d.items() if k != "seconds"}
+            return [drop(v) for v in d] if isinstance(d, list) else d
+        return drop(json.loads(vf.report_to_json(cert)))
+
+    def both(self, monkeypatch, tmp_path, prove):
+        """(timeless certificate, the c1 condition was built only in a
+        worker) of ``prove()`` with `shares.count` pinned to 1 and then 2."""
+        pids, condition = tmp_path / "pids", vf._inclusion_condition
+
+        def spied(*a):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return condition(*a)
+
+        monkeypatch.setattr(vf, "_inclusion_condition", spied)
+        got = []
+        for w in (1, 2):
+            monkeypatch.setattr(shares, "count", lambda units: min(units, w))
+            pids.write_text("")
+            cert = self.timeless(prove())
+            built = pids.read_text().split()
+            got.append((cert, bool(built) and str(os.getpid()) not in built))
+        return got
+
+    def test_verify_roa(self, bench_net, bench_local, monkeypatch, tmp_path):
+        one, two = self.both(monkeypatch, tmp_path,
+                             lambda: vf.verify_roa(bench_net, VDP, bench_local, 0.0224, 0.74))
+        assert one[0] == two[0] and one[0]["certified"]
+        assert one[0]["decrease"]["outcome"]["boxes"] == 12439
+        assert (one[1], two[1]) == (False, False)   # the inclusion proof runs here
+
+    def test_find_max_level(self, bench_net, bench_local, monkeypatch, tmp_path):
+        one, two = self.both(monkeypatch, tmp_path,
+                             lambda: vf.find_max_level(bench_net, VDP, bench_local)[2])
+        assert one[0] == two[0] and one[0]["certified"]
+        assert one[0]["c2"] == 0.7497061125944957
+        assert (one[1], two[1]) == (False, True)    # the c1 search runs in the worker
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_uncertified_certificate_is_refused_before_any_proof(self, bench_net, bench_local,
+                                                                 monkeypatch, w):
+        # a check left to the job would raise the same error, but only
+        # after the network work beside it had started here
+        proofs = []
+
+        def no_proof(*args, **kwargs):
+            proofs.append(args)
+            raise AssertionError("a proof ran")
+
+        bad = vf.LocalCertificate(**{**vars(bench_local), "outcome": iv.Unknown(VDP.domain, 1e-3)})
+        monkeypatch.setattr(shares, "count", lambda units: min(units, w))
+        monkeypatch.setattr(iv, "bnb_verify", no_proof)
+        monkeypatch.setattr(iv, "bnb_minimize", no_proof)
+        with pytest.raises(ValueError, match="must be Certified"):
+            vf.verify_roa(bench_net, VDP, bad, 0.0224, 0.74)
+        with pytest.raises(ValueError, match="must be Certified"):
+            vf.find_max_level(bench_net, VDP, bad)
+        assert proofs == []
 
 
 class TestVolumeFraction:
