@@ -59,9 +59,9 @@ _DEFAULT_CONFIG = {
     "system": "reversed_vdp",
     "grid": [300, 300],
     "integrator": asdict(ode.IntegratorConfig()),
-    # seed is top-level, and the hinge's local_P and c_local come from the local search
+    # seed is top-level, and the hinge's c_local comes from the local search
     "train": {**{k: v for k, v in asdict(nn.TrainConfig()).items()
-                 if k not in ("seed", "local_P", "c_local")}, **_CLI_TRAIN},
+                 if k not in ("seed", "c_local")}, **_CLI_TRAIN},
     "verify": {"r": 0.9999, "epsilon": 1e-4, "delta": 1e-3, "budget": 5_000_000},
     "seed": 0,
     "out_dir": ".",
@@ -125,7 +125,7 @@ def resolve_config(overrides: dict) -> dict:
     if not isinstance(cfg["out_dir"], str):
         raise ConfigError("out_dir must be a path")
     vr = cfg["verify"]
-    if not 0 < vr["r"] < 1:     # the commands' Q is I, and r must lie below lambda_min(Q)
+    if not 0 < vr["r"] < 1:     # the local certificate's Q is I: r < lambda_min(I)
         raise ConfigError(f"verify.r must lie in (0, 1), below lambda_min(I), got {vr['r']!r}")
     if not (vr["delta"] > 0 and vr["epsilon"] > 0 and vr["budget"] >= 1
             and vr["budget"] == int(vr["budget"])):
@@ -158,7 +158,7 @@ def _train_config(cfg: dict, local: "vf.LocalCertificate | None" = None) -> nn.T
     """The TrainConfig of ``cfg``, with the hinge of ``local`` if one is given."""
     kwargs = {k: v for k, v in cfg["train"].items() if k not in _CLI_TRAIN}
     if local is not None:
-        kwargs.update(local_P=local.P, c_local=local.c)
+        kwargs.update(c_local=local.c)
     return nn.TrainConfig(seed=cfg["seed"], **kwargs)
 
 
@@ -278,21 +278,18 @@ def _cmd_train(args) -> int:
 
 
 def _local_certificate(cfg: dict, sysdef: dyn.SystemDef, c=None) -> vf.LocalCertificate:
-    """The local certificate of P = ``sysdef.lyapunov_P`` and Q = I at level
-    ``c``, or at the largest level `vf.find_max_local_c` proves.  Raises
-    NoCertifiableC if the system has no such P or the search proves no level.
+    """The local certificate of ``sysdef.lyapunov_P`` at level ``c``, or at
+    the largest level `vf.find_max_local_c` proves.  Raises NoCertifiableC
+    (from `verify`) if the system has no local quadratic or the search
+    proves no level.
 
     `train` and `verify-roa` run the search as a job in a forked worker
     (`shares.beside`), beside the dataset read and the network proofs or
     searches that do not read it."""
-    P, vr = sysdef.lyapunov_P, cfg["verify"]
-    if P is None:
-        raise vf.NoCertifiableC("no local quadratic: P A + A'P = -I at the origin is singular "
-                                "or has no positive definite solution")
-    args = (sysdef, P, np.eye(sysdef.dim), vr["r"])
+    vr = cfg["verify"]
     if c is not None:
-        return vf.verify_local(*args, c, delta=vr["delta"], budget=vr["budget"])
-    return vf.find_max_local_c(*args, delta=vr["delta"], budget=vr["budget"])
+        return vf.verify_local(sysdef, vr["r"], c, delta=vr["delta"], budget=vr["budget"])
+    return vf.find_max_local_c(sysdef, vr["r"], delta=vr["delta"], budget=vr["budget"])
 
 
 def _cmd_verify_local(args) -> int:

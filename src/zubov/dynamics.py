@@ -1,12 +1,13 @@
 """Benchmark systems, linearization, and the continuous-time Lyapunov solve.
 
+Every system's equilibrium is the origin, which `SystemDef` checks.
 The local-stability route needs three ingredients: the Jacobian A of the
 field at the origin, the quadratic form P solving P A + A' P = -Q, and
 the nonlinear remainder g(x) = f(x) - A x together with its Jacobian
 Dg = Df - A (which vanishes at the origin by construction).  A system
 keeps its P for Q = I (`SystemDef.lyapunov_P`), the one quadratic that
 the integrator's tail, the training hinge and the local certificate
-share; it is None where the origin's stability is not visible in A.
+read; it is None where the origin's stability is not visible in A.
 """
 
 from __future__ import annotations
@@ -37,24 +38,22 @@ class SingularSystem(ArithmeticError):
 
 @dataclass(frozen=True)
 class SystemDef:
-    """An ODE system x' = f(x) with equilibrium at the origin."""
+    """An ODE system x' = f(x) whose equilibrium is the origin: f(0) = 0
+    within 1e-12, and 0 lies in the interior of the domain."""
 
     name: str
     dim: int
     field: ex.VectorField
-    equilibrium: np.ndarray
     domain: Box
     notes: str = ""
 
     def __post_init__(self):
-        eq = np.asarray(self.equilibrium, dtype=float)
-        object.__setattr__(self, "equilibrium", eq)
-        if self.field.dim != self.dim or eq.shape != (self.dim,) or self.domain.dim != self.dim:
-            raise ValueError("dimension mismatch between field, equilibrium, and domain")
-        if not np.max(np.abs(self.field.eval_many(eq[None, :]))) <= 1e-12:   # NaN fails too
-            raise ValueError("equilibrium does not satisfy f(x*) = 0 within 1e-12")
-        if not (np.all(self.domain.lo < eq) and np.all(eq < self.domain.hi)):
-            raise ValueError("equilibrium must lie in the interior of the domain")
+        if self.field.dim != self.dim or self.domain.dim != self.dim:
+            raise ValueError("dimension mismatch between field and domain")
+        if not np.max(np.abs(self.f_many(np.zeros((1, self.dim))))) <= 1e-12:   # NaN fails too
+            raise ValueError("the origin is no equilibrium: |f(0)| > 1e-12")
+        if not (np.all(self.domain.lo < 0) and np.all(0 < self.domain.hi)):
+            raise ValueError("the origin must lie in the interior of the domain")
 
     def f_many(self, X: np.ndarray) -> np.ndarray:
         return self.field.eval_many(X)
@@ -86,7 +85,6 @@ def make_system(name: str, dim: int, components: list, domain: list,
         name=name,
         dim=dim,
         field=ex.VectorField(dim, comps),
-        equilibrium=np.zeros(dim),
         domain=Box.from_bounds(domain),
         notes=notes,
     )

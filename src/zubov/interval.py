@@ -731,6 +731,13 @@ class BudgetExhausted(RuntimeError):
 _CHUNK = 512   # boxes per chunk: enough rows to amortize NumPy's call overhead
 
 
+def _check_limits(delta: float, budget: int) -> None:
+    if not delta > 0:   # NaN fails too
+        raise ValueError("delta must be positive")
+    if not budget >= 1:   # NaN fails too
+        raise ValueError("budget must be >= 1")
+
+
 def _bnb(cond: Condition, lo: np.ndarray, hi: np.ndarray, delta: float, budget: int,
          pause: int = 0):
     """The depth-first branch-and-bound loop, as a generator, from the
@@ -748,10 +755,7 @@ def _bnb(cond: Condition, lo: np.ndarray, hi: np.ndarray, delta: float, budget: 
     With ``pause`` > 0 it yields ``(processed, stack lo, stack hi)`` once,
     the first time its stack holds ``pause`` boxes, and then goes on.
     """
-    if not delta > 0:   # NaN fails too
-        raise ValueError("delta must be positive")
-    if not budget >= 1:   # NaN fails too
-        raise ValueError("budget must be >= 1")
+    _check_limits(delta, budget)
     # the stack is two (capacity, n) arrays whose first `top` rows are live,
     # row top-1 being the top; a chunk pops its rows top first
     top = len(lo)
@@ -997,6 +1001,7 @@ def bnb_minimize(make, level: float, X: Box, floor: float = 0.0, delta: float = 
     order.  If a share fails or the shares together pass the budget, the
     groups run again that way, which raises what one core raises.
     """
+    _check_limits(delta, budget)
     if level <= floor:
         none = np.empty((0, X.dim))
         return LevelSearch(make, level, 0, False, none, none)

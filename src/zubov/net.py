@@ -168,8 +168,8 @@ class TrainConfig:
     lambda_b: float = 1.0
     lambda_d: float = 1.0
     seed: int = 0
-    # quadratic-envelope hinge near the origin: active inside x'Px <= c_local
-    local_P: Optional[np.ndarray] = None
+    # quadratic-envelope hinge near the origin: active inside x'Px <= c_local,
+    # P the system's lyapunov_P
     c_local: Optional[float] = None
 
     def __post_init__(self):
@@ -341,11 +341,12 @@ def _residual_vjp(net: Mlp, X: np.ndarray, F: np.ndarray, lay, ybar: np.ndarray,
             np.dot(vbar.T, net.weights[l], lay[l - 1][5])
 
 
-def _hinge_targets(cfg: TrainConfig, X: np.ndarray, n2: Optional[np.ndarray] = None):
+def _hinge_targets(cfg: TrainConfig, P: np.ndarray, X: np.ndarray,
+                   n2: Optional[np.ndarray] = None):
     """Quadratic-rate envelopes beta(c1 |x|^2), beta(c2 |x|^2) and the
-    mask of points inside the local ellipsoid; ``n2`` is |x|^2 if given.
-    c1, c2 are local_P's extreme eigenvalues: c1 |x|^2 <= x'Px <= c2 |x|^2."""
-    P = cfg.local_P
+    mask of points inside the local ellipsoid {x'Px <= c_local}; ``n2`` is
+    |x|^2 if given.  c1, c2 are P's extreme eigenvalues:
+    c1 |x|^2 <= x'Px <= c2 |x|^2."""
     inside = np.einsum("ki,ij,kj->k", X, P, X) <= cfg.c_local
     n2 = np.add.reduce(np.multiply(X, X), axis=1) if n2 is None else n2
     c1, c2, b = dyn.lambda_min(P), float(np.linalg.eigvalsh(P)[-1]), cfg.beta()
@@ -368,8 +369,11 @@ class _Terms(NamedTuple):
 def _collocation_terms(sys: dyn.SystemDef, cfg: TrainConfig, Xc: np.ndarray) -> _Terms:
     # f first, while nothing else is live: its temporaries are the largest
     f, phi, hinge = sys.f_many(Xc), np.add.reduce(np.multiply(Xc, Xc), axis=1), None
-    if cfg.local_P is not None and cfg.c_local is not None:
-        hinge = _hinge_targets(cfg, Xc, phi)
+    if cfg.c_local is not None:
+        if sys.lyapunov_P is None:
+            raise ValueError(f"c_local needs a local quadratic, and {sys.name!r} has none "
+                             "(its lyapunov_P is None)")
+        hinge = _hinge_targets(cfg, sys.lyapunov_P, Xc, phi)
     return _Terms(f, phi, hinge)
 
 

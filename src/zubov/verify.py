@@ -1,8 +1,9 @@
 """Assembling and discharging the stability certification conditions.
 
-Local certificate: with P solving the Lyapunov equation for the
-linearization and r below the smallest eigenvalue of Q, the ellipsoid
-{x'Px <= c} is an invariant region of attraction once
+Local certificate: with P = `SystemDef.lyapunov_P`, which solves
+P A + A'P = -I for the linearization at the origin, and r below
+lambda_min(I) = 1, the ellipsoid {x'Px <= c} is an invariant region of
+attraction once
 
     x'Px <= c   =>   2 * sup_{0<=t<=1} |P Dg(tx)|  <=  r
 
@@ -36,7 +37,8 @@ on any core count.  Fixed-level checks (`verify_local`, `verify_roa`)
 are fresh `iv.bnb_verify` proofs, which run a large tree on every usable
 core with the outcome and box count of one process.  `find_max_level`
 and `verify_roa` take the local certificate finished or as a job that
-finds it, turn it into a job once (a finished one is checked at once)
+finds it, turn it into a job once (a finished one is checked at once,
+and a certificate whose P is not the system's is refused)
 and run that job in a forked worker beside the network work that does
 not read it (`shares.beside`), on one path either way.
 """
@@ -393,11 +395,9 @@ class ConditionReport:
 class LocalCertificate:
     system: str
     P: np.ndarray
-    Q: np.ndarray
     r: float
     c: float
     outcome: iv.VerifyOutcome
-    lambda_min_q: float
     seconds: float
 
     @property
@@ -427,32 +427,38 @@ def _timed_bnb(name, cond, box, delta, budget) -> ConditionReport:
     return ConditionReport(name=name, outcome=outcome, seconds=time.perf_counter() - t0)
 
 
-def _local_condition(sys: dyn.SystemDef, P: np.ndarray, Q: np.ndarray,
-                     r: float, c: float):
-    """The local condition at level c and lambda_min(Q), once r and c are
-    checked."""
+def _local_P(sys: dyn.SystemDef) -> np.ndarray:
+    """``sys.lyapunov_P``; raises NoCertifiableC if the system has none."""
+    if sys.lyapunov_P is None:
+        raise NoCertifiableC("no local quadratic: P A + A'P = -I at the origin is singular "
+                             "or has no positive definite solution")
+    return sys.lyapunov_P
+
+
+def _local_condition(sys: dyn.SystemDef, r: float, c: float) -> iv.Condition:
+    """The local condition of ``sys.lyapunov_P`` at level c, once the
+    quadratic, r and c are checked."""
+    P = _local_P(sys)
     if not (r > 0 and 0 < c < np.inf):   # NaN fails too
         raise ValueError(f"r must be positive and c positive and finite, got r = {r}, c = {c}")
-    lam = dyn.lambda_min(Q)
-    if not r < lam:
-        raise RNotBelowLambdaMin(f"need r < lambda_min(Q) = {lam}, got r = {r}")
-    cond = iv.Condition(
+    if not r < 1.0:
+        raise RNotBelowLambdaMin(f"need r < lambda_min(I) = 1, got r = {r}")
+    return iv.Condition(
         antecedents=(QuadFormFn(P, c),),
         consequent=SegmentNormFn(sys.linearization, P, r),
         name=f"local-ellipsoid c={c:g}",
     )
-    return cond, lam
 
 
-def verify_local(sys: dyn.SystemDef, P: np.ndarray, Q: np.ndarray,
-                 r: float, c: float, delta: float = 1e-3,
+def verify_local(sys: dyn.SystemDef, r: float, c: float, delta: float = 1e-3,
                  budget: int = 5_000_000) -> LocalCertificate:
-    """Certify the ellipsoid {x'Px <= c} as a local region of attraction."""
-    cond, lam = _local_condition(sys, P, Q, r, c)
+    """Certify the ellipsoid {x'Px <= c} of P = ``sys.lyapunov_P`` as a
+    local region of attraction.  Raises NoCertifiableC if the system has
+    no local quadratic, RNotBelowLambdaMin unless r < 1."""
+    cond = _local_condition(sys, r, c)
     t0 = time.perf_counter()
     outcome = iv.bnb_verify(cond, sys.domain, delta=delta, budget=budget)
-    return LocalCertificate(system=sys.name, P=np.asarray(P, float), Q=np.asarray(Q, float),
-                            r=r, c=c, outcome=outcome, lambda_min_q=lam,
+    return LocalCertificate(system=sys.name, P=sys.lyapunov_P, r=r, c=c, outcome=outcome,
                             seconds=time.perf_counter() - t0)
 
 
@@ -489,10 +495,11 @@ def _searched(name, make, level, box, floor, delta, budget):
     return search.level, report
 
 
-def find_max_local_c(sys: dyn.SystemDef, P: np.ndarray, Q: np.ndarray,
-                     r: float, delta: float = 1e-3,
+def find_max_local_c(sys: dyn.SystemDef, r: float, delta: float = 1e-3,
                      budget: int = 5_000_000) -> LocalCertificate:
-    """The local certificate at the largest c its level search proves.
+    """The local certificate of P = ``sys.lyapunov_P`` at the largest c
+    its level search proves.  Raises NoCertifiableC if the system has no
+    local quadratic or no level proves, RNotBelowLambdaMin unless r < 1.
 
     `iv.bnb_minimize` lowers c from the largest x'Px over the domain
     corners to where the condition first fails or stays undecided, and
@@ -501,16 +508,15 @@ def find_max_local_c(sys: dyn.SystemDef, P: np.ndarray, Q: np.ndarray,
     antecedent, so a fresh `verify_local` at the returned c builds
     another tree and may answer Unknown at the same delta.
     """
-    corners = sys.domain.corners()
-    c_hi = float(np.einsum("ki,ij,kj->k", corners, np.asarray(P, float), corners).max())
-    level, report = _searched("local", lambda c: _local_condition(sys, P, Q, r, c)[0],
+    corners, P = sys.domain.corners(), _local_P(sys)
+    c_hi = float(np.einsum("ki,ij,kj->k", corners, P, corners).max())
+    level, report = _searched("local", lambda c: _local_condition(sys, r, c),
                               c_hi, sys.domain, floor=0.0, delta=delta, budget=budget)
     found = _prove_near(report, level, 0.0)
     if found is None:
         raise NoCertifiableC(f"not certifiable at or a little below c = {level:g}")
     c, rep = found
-    return LocalCertificate(system=sys.name, P=np.asarray(P, float), Q=np.asarray(Q, float),
-                            r=r, c=c, outcome=rep.outcome, lambda_min_q=dyn.lambda_min(Q),
+    return LocalCertificate(system=sys.name, P=P, r=r, c=c, outcome=rep.outcome,
                             seconds=rep.seconds)
 
 
@@ -545,13 +551,16 @@ def _band_condition(cache: _NetBoxCache, sys: dyn.SystemDef, c1: float, c2: floa
     )
 
 
-def _local_job(local) -> Callable[[], LocalCertificate]:
-    """``local`` as a job that returns it Certified: a finished
-    LocalCertificate is checked here, a job's result when the job ends."""
+def _local_job(sys: dyn.SystemDef, local) -> Callable[[], LocalCertificate]:
+    """``local`` as a job that returns it Certified and with P equal, entry
+    for entry, to ``sys.lyapunov_P``: a finished LocalCertificate is
+    checked here, a job's result when the job ends."""
     if callable(local):
-        return lambda: _local_job(local())()
+        return lambda: _local_job(sys, local())()
     if not local.certified:
         raise ValueError("local certificate must be Certified first")
+    if not np.array_equal(local.P, sys.lyapunov_P):     # False for a None lyapunov_P
+        raise ValueError(f"local certificate's P is not the lyapunov_P of {sys.name!r}")
     return lambda: local
 
 
@@ -582,11 +591,11 @@ def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate | Callable[[], L
     ellipsoid, via the decrease band, the domain-boundary exclusion check
     and the inclusion check.
 
-    ``local`` is the LocalCertificate, checked at once, or a job that
-    returns it.  Either way it becomes a job that runs in a forked worker
-    (`shares.beside`) while the decrease and face proofs, which do not
-    read it, run here, and the inclusion proof follows here.  An error of
-    the job wins over one of those proofs.
+    ``local`` is the LocalCertificate of ``sys.lyapunov_P``, checked at
+    once, or a job that returns it.  Either way it becomes a job that
+    runs in a forked worker (`shares.beside`) while the decrease and face
+    proofs, which do not read it, run here, and the inclusion proof
+    follows here.  An error of the job wins over one of those proofs.
     """
     _check_epsilon(epsilon)
     if not (0.0 < c1 < c2 < 1.0):
@@ -598,7 +607,7 @@ def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate | Callable[[], L
         return (_timed_bnb("decrease", band, sys.domain, delta, budget),
                 _boundary_reports(cache, sys, c2, delta, budget))
 
-    (decrease, boundary), local = shares.beside(network, _local_job(local))
+    (decrease, boundary), local = shares.beside(network, _local_job(sys, local))
     inclusion = _inclusion_condition(cache, local, c1)
     return RoaCertificate(c1=c1, c2=c2, epsilon=epsilon, decrease=decrease,
                           inclusion=_timed_bnb("inclusion", inclusion, sys.domain, delta, budget),
@@ -624,10 +633,11 @@ def find_max_level(net, sys: dyn.SystemDef,
     would.  The rungs lie above their floors, 0 and c1, and c2 starts
     below 1, so 0 < c1 < c2 < 1.  Returns (c1, c2, RoaCertificate).
 
-    ``local`` is the LocalCertificate, checked at once, or a job that
-    returns it.  Either way the job and the c1 search run in a forked
-    worker (`shares.beside`) while the face searches, and then
-    ``meanwhile()`` if given, run here.  An error of the worker wins.
+    ``local`` is the LocalCertificate of ``sys.lyapunov_P``, checked at
+    once, or a job that returns it.  Either way the job and the c1
+    search run in a forked worker (`shares.beside`) while the face
+    searches, and then ``meanwhile()`` if given, run here.  An error of
+    the worker wins.
     The face searches do not know c1, so they stop at floor 0, not c1.
     That gives the same output: a floor only stops a face search whose
     level has already fallen to c1 or below, and such a run ends in the
@@ -640,7 +650,7 @@ def find_max_level(net, sys: dyn.SystemDef,
     does not.
     """
     _check_epsilon(epsilon)
-    job = _local_job(local)
+    job = _local_job(sys, local)
     search = functools.partial(_searched, box=sys.domain, delta=delta, budget=budget)
 
     def inclusion(local):
@@ -832,10 +842,8 @@ def report_to_json(obj) -> str:
             "kind": "local",
             "system": obj.system,
             "P": obj.P.tolist(),
-            "Q": obj.Q.tolist(),
             "r": obj.r,
             "c": obj.c,
-            "lambda_min_q": obj.lambda_min_q,
             "outcome": outcome_to_dict(obj.outcome),
             "seconds": obj.seconds,
         }

@@ -38,10 +38,9 @@ POLY = dyn.builtin("poly2d")
 
 def test_c1_closed_form_training_oracle():
     t0 = time.perf_counter()
-    P = dyn.solve_lyapunov(dyn.linearize(CUBIC).A, np.eye(1)).P
     cfg = nn.TrainConfig(alpha=2.0, psi_form="exp", batch=32, lr=1e-3,
                          max_epochs=400, loss_threshold=1e-7, seed=7,
-                         local_P=P, c_local=0.16)
+                         c_local=0.16)
     data = nn.Dataset(collocation=np.linspace(-0.95, 0.95, 501)[:, None],
                       exterior=np.empty((0, 1)),
                       pair_x=np.empty((0, 1)), pair_w=np.empty(0))
@@ -91,8 +90,7 @@ def test_c3_lyapunov_solves():
 
 def test_c4a_local_certificate_vdp():
     t0 = time.perf_counter()
-    P = dyn.solve_lyapunov(dyn.linearize(VDP).A, np.eye(2)).P
-    cert = vf.find_max_local_c(VDP, P, np.eye(2), 0.9999, delta=1e-3)
+    cert = vf.find_max_local_c(VDP, 0.9999, delta=1e-3)
     c = cert.c
     elapsed = time.perf_counter() - t0
     report("4a", cert.certified and c >= 0.2 and elapsed <= 120,
@@ -128,9 +126,9 @@ def test_c4b_local_certificate_poly2d():
     P = dyn.solve_lyapunov(dyn.linearize(POLY).A, np.eye(2)).P
     ceiling = math.sqrt(10) * r / 3
     floor = ceiling - 10 * delta
-    cert = vf.find_max_local_c(POLY, P, np.eye(2), r, delta=delta)
+    cert = vf.find_max_local_c(POLY, r, delta=delta)
     c = cert.c
-    at_two = vf.verify_local(POLY, P, np.eye(2), r, 2.0, delta=delta).outcome
+    at_two = vf.verify_local(POLY, r, 2.0, delta=delta).outcome
     elapsed = time.perf_counter() - t0
     genuine = False
     if isinstance(at_two, iv.Falsified):
@@ -164,13 +162,12 @@ def test_c5_value_data_fidelity():
 @pytest.fixture(scope="module")
 def vdp_run():
     t0 = time.perf_counter()
-    P = dyn.solve_lyapunov(dyn.linearize(VDP).A, np.eye(2)).P
-    local = vf.find_max_local_c(VDP, P, np.eye(2), 0.9999, delta=1e-3)
+    local = vf.find_max_local_c(VDP, 0.9999, delta=1e-3)
     t_data = time.perf_counter()
     samples = ode.gen_dataset(VDP, [150, 150], ode.IntegratorConfig(),
                               ode.BetaKind("tanh", 0.1))
     t_train = time.perf_counter()
-    cfg = nn.TrainConfig(seed=3, local_P=local.P, c_local=local.c)
+    cfg = nn.TrainConfig(seed=3, c_local=local.c)
     data = nn.assemble_dataset(samples, cfg, pair_fraction=0.01,
                                rng=np.random.default_rng(cfg.seed))
     net, record = nn.train(nn.init_mlp([2, 10, 10, 10, 1], cfg.seed), data, VDP, cfg)
@@ -235,8 +232,7 @@ def test_c7_soundness_suite():
             net_checks += 25
 
     # every Falsified witness re-verifies in plain point arithmetic
-    P = dyn.solve_lyapunov(dyn.linearize(POLY).A, np.eye(2)).P
-    falsified = [vf.verify_local(POLY, P, np.eye(2), 0.9999, c, delta=1e-3).outcome
+    falsified = [vf.verify_local(POLY, 0.9999, c, delta=1e-3).outcome
                  for c in (2.0, 2.4)]
     toy = iv.Condition(
         antecedents=(iv.ExprFn(ex.parse("x1^2 - 1", 1)),),

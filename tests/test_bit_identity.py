@@ -275,7 +275,7 @@ class TestIntegrator:
         # on_accept (net.value_batch, a matmul) their accepted rows: both
         # must decide as they do on the reference's row-major states
         P = dyn.solve_lyapunov(VDP.linearization.A, np.eye(2)).P
-        local = vf.LocalCertificate("reversed_vdp", P, np.eye(2), 0.9999, 0.3, None, 1.0, 0.0)
+        local = vf.LocalCertificate("reversed_vdp", P, 0.9999, 0.3, None, 0.0)
         net = nn.init_mlp([2, 8, 1], 3)
         values, value_batch = [], net.value_batch
 
@@ -383,9 +383,9 @@ def ref_loss_batch(net, sys, cfg, Xc, Xe, Xp, wp):
         ybar[B:o] = (2.0 * cfg.lambda_b / M) * d
     L_b += float(y[o] ** 2)
     ybar[o] = 2.0 * cfg.lambda_b * y[o]
-    if cfg.local_P is not None and cfg.c_local is not None:
+    if cfg.c_local is not None:
         # envelopes beta(c |x|^2) at the extreme eigenvalues c of P
-        P, b = cfg.local_P, cfg.beta()
+        P, b = sys.lyapunov_P, cfg.beta()
         inside = np.einsum("ki,ij,kj->k", Xc, P, Xc) <= cfg.c_local
         lo_t = ode.beta_transform(dyn.lambda_min(P) * phi, b)
         hi_t = ode.beta_transform(float(np.linalg.eigvalsh(P)[-1]) * phi, b)
@@ -467,14 +467,14 @@ class TestTrain:
     def test_matches_reference(self, vdp_data, psi_form):
         samples, P = vdp_data
         cfg = nn.TrainConfig(alpha=0.1, psi_form=psi_form, batch=32, max_epochs=2,
-                             loss_threshold=0.0, seed=4, local_P=P, c_local=1.5)
+                             loss_threshold=0.0, seed=4, c_local=1.5)
         if psi_form == "exp":
             samples = ode.ValueGrid(samples.X, samples.v, ode.beta_transform(samples.v, cfg.beta()),
                                     samples.converged)
         data = nn.assemble_dataset(samples, cfg, pair_fraction=0.1)
         N = data.collocation.shape[0]
         assert N % cfg.batch and 0 < data.pair_x.shape[0] < cfg.batch
-        inside = nn._hinge_targets(cfg, data.collocation)[0]
+        inside = nn._hinge_targets(cfg, P, data.collocation)[0]
         assert np.count_nonzero(inside) >= 5
         net0 = nn.init_mlp([2, 8, 8, 1], 11)
         got, record = nn.train(net0, data, VDP, cfg)
@@ -491,10 +491,10 @@ class TestTrain:
         # 8 steps gathered 3 at a time, the short one in a partial block
         if case == "small_blocks":
             monkeypatch.setattr(nn, "BLOCK_STEPS", 3)
-        samples, P = vdp_data
+        samples, _ = vdp_data
         batch = {"no_short_step": 25, "one_short_step": 300}.get(case, 32)
         cfg = nn.TrainConfig(alpha=0.1, batch=batch, max_epochs=2, loss_threshold=0.0,
-                             seed=5, local_P=None if case == "no_band" else P, c_local=1.5)
+                             seed=5, c_local=None if case == "no_band" else 1.5)
         data = nn.assemble_dataset(samples, cfg, pair_fraction=0.0 if case == "no_pairs" else 0.2)
         if case in ("few_exterior", "no_exterior"):
             data = nn.Dataset(data.collocation, data.exterior[:5 if case == "few_exterior" else 0],

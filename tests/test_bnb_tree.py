@@ -32,10 +32,6 @@ VDP = dyn.builtin("reversed_vdp")
 POLY = dyn.builtin("poly2d")
 
 
-def _lyap_P(sys):
-    return dyn.solve_lyapunov(sys.linearization.A, np.eye(sys.dim)).P
-
-
 def _expr_cond(g_texts, h_text, dim):
     ants = tuple(iv.ExprFn(ex.parse(t, dim)) for t in g_texts)
     return iv.Condition(antecedents=ants, consequent=iv.ExprFn(ex.parse(h_text, dim)))
@@ -50,17 +46,17 @@ def _net_band():
 
 class TestPinnedOutcomes:
     def test_certified_vdp_local(self):
-        out = vf.verify_local(VDP, _lyap_P(VDP), np.eye(2), 0.9999, 0.2).outcome
+        out = vf.verify_local(VDP, 0.9999, 0.2).outcome
         assert isinstance(out, iv.Certified)
         assert out.boxes_processed == 195
 
     def test_certified_poly_local(self):
-        out = vf.verify_local(POLY, _lyap_P(POLY), np.eye(2), 0.9999, 1.0).outcome
+        out = vf.verify_local(POLY, 0.9999, 1.0).outcome
         assert isinstance(out, iv.Certified)
         assert out.boxes_processed == 171
 
     def test_falsified_poly_local(self):
-        out = vf.verify_local(POLY, _lyap_P(POLY), np.eye(2), 0.9999, 2.4).outcome
+        out = vf.verify_local(POLY, 0.9999, 2.4).outcome
         assert isinstance(out, iv.Falsified)
         assert out.boxes_processed == 75
         assert out.witness.tolist() == [1.125, -0.75]
@@ -98,7 +94,7 @@ class TestPinnedSearches:
         # find_max_level proves c1 and c2 from the trees of its two level
         # searches on bench/net_vdp.json; their box counts are the cost
         net, _, _ = nn.load_mlp(Path(__file__).parents[1] / "bench" / "net_vdp.json")
-        local = vf.find_max_local_c(VDP, _lyap_P(VDP), np.eye(2), 0.9999)
+        local = vf.find_max_local_c(VDP, 0.9999)
         _, _, cert = vf.find_max_level(net, VDP, local)
         assert cert.certified
         assert cert.inclusion.outcome.boxes_processed == 3469

@@ -182,8 +182,7 @@ class TestCenteredLie:
 
     def test_only_the_band_cache_carries_the_hessian(self, monkeypatch):
         net, _, _ = nn.load_mlp(Path(__file__).parents[1] / "bench" / "net_vdp.json")
-        local = vf.verify_local(VDP, dyn.solve_lyapunov(VDP.linearization.A, np.eye(2)).P,
-                                np.eye(2), 0.9999, 0.2896)
+        local = vf.verify_local(VDP, 0.9999, 0.2896)
         current, calls = [None], []
         bnb_verify, net_interval_many = iv.bnb_verify, iv.net_interval_many
 

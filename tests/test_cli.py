@@ -113,7 +113,7 @@ class TestTrain:
 
     def test_band_off_runs_no_local_search(self, cubic_run, tmp_path, monkeypatch):
         # with "use_local_band": false the command searches no local level,
-        # and its network is the one nn.train gives without local_P.  The
+        # and its network is the one nn.train gives without c_local.  The
         # search may run in a forked worker, so the spy writes to a file
         d, cfgfile = cubic_run
         log, search = tmp_path / "searches", vf.find_max_local_c
@@ -482,7 +482,7 @@ class TestNoLocalQuadratic:
         data = tmp_path / "dataset.csv"
         assert run("gen-data", "--config", str(cfg)) == 0
         assert run("train", "--config", str(cfg), "--data", str(data)) == 0
-        # the network is the one nn.train gives without local_P
+        # the network is the one nn.train gives without c_local
         sysdef = dyn.make_system(**self.SYSTEM)
         assert sysdef.lyapunov_P is None
         tc = nn.TrainConfig(max_epochs=3, seed=5)
@@ -579,8 +579,8 @@ class TestLocalShare:
         assert records[0] == records[1] and "stop_reason,max_epochs" in records[0]
         # the network trained with the hinge of the searched local level
         sysdef = dyn.builtin("reversed_vdp")
-        local = vf.find_max_local_c(sysdef, sysdef.lyapunov_P, np.eye(2), 0.9999)
-        tc = nn.TrainConfig(max_epochs=2, seed=3, local_P=local.P, c_local=local.c)
+        local = vf.find_max_local_c(sysdef, 0.9999)
+        tc = nn.TrainConfig(max_epochs=2, seed=3, c_local=local.c)
         data = nn.assemble_dataset(ode.load_samples(lattice / "data.csv"), tc,
                                    pair_fraction=0.01, rng=np.random.default_rng(3))
         want, _ = nn.train(nn.init_mlp([2, 6, 6, 1], 3), data, sysdef, tc)

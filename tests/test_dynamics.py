@@ -27,14 +27,14 @@ class TestBuiltins:
 
     def test_cubic_equilibrium_and_domain(self):
         s = dyn.builtin("cubic1d")
-        assert np.allclose(s.equilibrium, [0.0])
+        assert np.allclose(s.f_many(np.zeros((1, 1))), [[0.0]])
         assert np.allclose(s.domain.lo, [-0.95])
         assert np.allclose(s.domain.hi, [0.95])
 
     def test_equilibrium_is_zero_of_field(self):
         for name in dyn.BUILTIN_NAMES:
             s = dyn.builtin(name)
-            assert np.max(np.abs(s.f_many(s.equilibrium[None, :]))) <= 1e-12
+            assert np.max(np.abs(s.f_many(np.zeros((1, s.dim))))) <= 1e-12
 
 
 class TestLinearize:
@@ -158,4 +158,11 @@ class TestSystemDef:
     def test_equilibrium_interior(self):
         with pytest.raises(ValueError):
             dyn.SystemDef("edge", 1, ex.VectorField(1, (ex.parse("-x1", 1),)),
-                          np.zeros(1), dyn.Box([0.0], [1.0]))
+                          dyn.Box([0.0], [1.0]))
+
+    def test_shifted_equilibrium_rejected(self):
+        # x' = -x1 - 1 rests at -1, not at the origin, which every
+        # certificate takes as the equilibrium
+        with pytest.raises(ValueError, match="no equilibrium"):
+            dyn.SystemDef("shifted", 1, ex.VectorField(1, (ex.parse("-x1 - 1", 1),)),
+                          dyn.Box([-3.0], [3.0]))

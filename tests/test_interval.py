@@ -326,6 +326,18 @@ class TestBnb:
         with pytest.raises(ValueError, match="budget must be >= 1"):
             iv.bnb_minimize(make, 10.0, box, budget=float("nan"))
 
+    @pytest.mark.parametrize("limit", ["delta", "budget"])
+    def test_nan_limits_are_rejected_at_the_floor(self, limit):
+        # a search that starts at or below its floor returned an empty,
+        # incomplete LevelSearch without looking at delta or budget
+        def make(u):
+            return iv.Condition((iv.ExprFn(ex.parse(f"x1^2 + x2^2 - {u!r}", 2)),),
+                                iv.ExprFn(ex.parse("x1 + x2 - 1", 2)))
+
+        box = iv.Box.from_bounds([[-2, 2], [-2, 2]])
+        with pytest.raises(ValueError, match=limit):
+            iv.bnb_minimize(make, 0.0, box, **{limit: float("nan")})
+
 
 # every float64 but NaN, and the values the quotient is most delicate at
 _floats = st.one_of(

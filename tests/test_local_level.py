@@ -93,18 +93,18 @@ class TestTreeProvedLevelIsSound:
         sys, G, domain = case
         P = lyap_P(sys)
         try:
-            cert = vf.find_max_local_c(sys, P, np.eye(2), R)
+            cert = vf.find_max_local_c(sys, R)
         except vf.NoCertifiableC:
             return
         assert cert.certified
-        fresh = vf.verify_local(sys, P, np.eye(2), R, cert.c)
+        fresh = vf.verify_local(sys, R, cert.c)
         assert not isinstance(fresh.outcome, iv.Falsified)
         worst = worst_segment_norm(lambda X: cubic_dg(G, X), P, cert.c, domain, seed)
         assert worst <= R * (1.0 + 1e-12)
 
     def test_vdp(self):
         P = lyap_P(VDP)
-        cert = vf.find_max_local_c(VDP, P, np.eye(2), R)
+        cert = vf.find_max_local_c(VDP, R)
 
         def dg(X):     # g = (0, x1^2 x2)
             zero = np.zeros(len(X))
@@ -123,14 +123,14 @@ class TestLocalLevels:
         P = lyap_P(VDP)
         corners = VDP.domain.corners()
         c_hi = float(np.einsum("ki,ij,kj->k", corners, P, corners).max())
-        searched = iv.bnb_minimize(lambda c: vf._local_condition(VDP, P, np.eye(2), R, c)[0],
+        searched = iv.bnb_minimize(lambda c: vf._local_condition(VDP, R, c),
                                    c_hi, VDP.domain).level
-        cert = vf.find_max_local_c(VDP, P, np.eye(2), R)
+        cert = vf.find_max_local_c(VDP, R)
         assert cert.c == searched
         assert cert.c >= 0.29517693357774916
         assert cert.outcome == iv.Certified(2471)
 
     def test_poly2d_level(self):
-        cert = vf.find_max_local_c(POLY, lyap_P(POLY), np.eye(2), R)
+        cert = vf.find_max_local_c(POLY, R)
         assert cert.certified
         assert 1.0521328300237642 <= cert.c <= math.sqrt(10.0) * R / 3.0

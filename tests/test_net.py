@@ -171,11 +171,11 @@ class TestLoss:
 
     def test_hinge_active_inside_ellipsoid(self):
         P = dyn.solve_lyapunov(dyn.linearize(VDP).A, np.eye(2)).P
-        cfg = nn.TrainConfig(local_P=P, c_local=0.28)
+        cfg = nn.TrainConfig(c_local=0.28)
         # the envelopes' rates are the extreme eigenvalues of P
         c1, c2 = dyn.lambda_min(P), float(np.linalg.eigvalsh(P)[-1])
         X = np.array([[0.1, 0.1], [2.0, 2.0]])
-        inside, lo, hi = nn._hinge_targets(cfg, X)
+        inside, lo, hi = nn._hinge_targets(cfg, P, X)
         assert inside.tolist() == [True, False]
         assert same_bits(lo, ode.beta_transform(c1 * np.sum(X * X, axis=1), cfg.beta()))
         assert same_bits(hi, ode.beta_transform(c2 * np.sum(X * X, axis=1), cfg.beta()))
@@ -202,7 +202,7 @@ class TestParameterGradient:
             net = nn.init_mlp([2, 5, 4, 1], rng)
             cfg = nn.TrainConfig(alpha=0.1, psi_form=psi_form,
                                  lambda_r=lambda_r, lambda_b=0.8, lambda_d=1.2,
-                                 local_P=P, c_local=0.28)
+                                 c_local=0.28)
             Xc = rng.uniform(-2, 2, size=(6, 2))
             Xe = rng.uniform(-2, 2, size=(n_e, 2))
             Xp = rng.uniform(-2, 2, size=(n_p, 2))
@@ -211,7 +211,7 @@ class TestParameterGradient:
                 # rows near the origin; the two such cases land under the
                 # lower and over the upper envelope
                 Xc[:n_in] = rng.uniform(-0.3, 0.3, size=(n_in, 2))
-                inside = nn._hinge_targets(cfg, Xc)[0]
+                inside = nn._hinge_targets(cfg, P, Xc)[0]
                 assert 0 < np.count_nonzero(inside) < Xc.shape[0]
             parts, grad = nn._loss_batch(net, VDP, cfg, Xc, Xe, Xp, wp, want_grad=True)
 
@@ -262,9 +262,20 @@ class TestWorkspace:
 
 
 class TestTrain:
+    def test_hinge_needs_a_local_quadratic(self):
+        # a rotation at the origin: P A + A'P = -I is singular, so there is
+        # no ellipsoid for c_local to bound
+        sys = dyn.make_system("rotation", 2, ["x2 - x1^3", "-x1 - x2^3"], [[-1, 1], [-1, 1]])
+        assert sys.lyapunov_P is None
+        data = nn.Dataset(collocation=np.array([[0.1, 0.2], [0.5, -0.5]]),
+                          exterior=np.empty((0, 2)), pair_x=np.empty((0, 2)),
+                          pair_w=np.empty(0))
+        with pytest.raises(ValueError, match="local quadratic"):
+            nn.train(nn.init_mlp([2, 4, 1], 0), data, sys,
+                     nn.TrainConfig(max_epochs=1, c_local=0.2))
+
     def _band_cfg(self, **kw):
-        P = dyn.solve_lyapunov(dyn.linearize(CUBIC).A, np.eye(1)).P
-        base = dict(alpha=2.0, psi_form="exp", seed=7, local_P=P, c_local=0.2)
+        base = dict(alpha=2.0, psi_form="exp", seed=7, c_local=0.2)
         base.update(kw)
         return nn.TrainConfig(**base)
 
@@ -319,9 +330,8 @@ class TestTrain:
         # run of another batch size (another workspace shape) each give the
         # bits of the reference loop; each epoch ends in a one-row step
         samples = ode.gen_dataset(VDP, [9, 9], ode.IntegratorConfig(), ode.BetaKind("tanh", 0.1))
-        P = dyn.solve_lyapunov(VDP.linearization.A, np.eye(2)).P
         cfg = nn.TrainConfig(alpha=0.1, batch=16, max_epochs=2, loss_threshold=0.0, seed=2,
-                             local_P=P, c_local=1.5)
+                             c_local=1.5)
         data = nn.assemble_dataset(samples, cfg, pair_fraction=0.2)
         assert data.collocation.shape[0] % cfg.batch == 1 and data.exterior.shape[0] > 0
         net0 = nn.init_mlp([2, 5, 4, 1], 9)

@@ -19,6 +19,10 @@ VDP = dyn.builtin("reversed_vdp")
 POLY = dyn.builtin("poly2d")
 
 
+# the origin attracts through the cubic terms alone: P A + A'P = -I is singular
+ROTATION = dyn.make_system("rotation", 2, ["x2 - x1^3", "-x1 - x2^3"], [[-1, 1], [-1, 1]])
+
+
 def lyap_P(sys):
     return dyn.solve_lyapunov(dyn.linearize(sys).A, np.eye(sys.dim)).P
 
@@ -33,16 +37,16 @@ def constant_net(dim, value):
 
 class TestVerifyLocal:
     def test_vdp_certifies_at_point_two(self):
-        cert = vf.verify_local(VDP, lyap_P(VDP), np.eye(2), 0.9999, 0.2)
+        cert = vf.verify_local(VDP, 0.9999, 0.2)
         assert cert.certified
 
     def test_poly_certifies_at_one(self):
-        cert = vf.verify_local(POLY, lyap_P(POLY), np.eye(2), 0.9999, 1.0)
+        cert = vf.verify_local(POLY, 0.9999, 1.0)
         assert cert.certified
 
     def test_poly_falsifies_beyond_reach(self):
         # the exact ceiling for this condition is sqrt(10) r / 3 ~ 1.054
-        cert = vf.verify_local(POLY, lyap_P(POLY), np.eye(2), 0.9999, 2.4)
+        cert = vf.verify_local(POLY, 0.9999, 2.4)
         assert isinstance(cert.outcome, iv.Falsified)
         w = cert.outcome.witness
         # witness violates in plain point arithmetic
@@ -53,18 +57,21 @@ class TestVerifyLocal:
 
     def test_linear_system_certifies_any_c(self):
         s = dyn.make_system("lin", 2, ["-x1 + 0.5*x2", "-x2"], [[-4, 4], [-4, 4]])
-        P = lyap_P(s)
         for c in (0.1, 1.0, 1e6):
-            cert = vf.verify_local(s, P, np.eye(2), 0.9999, c)
+            cert = vf.verify_local(s, 0.9999, c)
             assert cert.certified
 
     def test_r_above_lambda_min_rejected(self):
         with pytest.raises(vf.RNotBelowLambdaMin):
-            vf.verify_local(VDP, lyap_P(VDP), np.eye(2), 1.5, 0.2)
+            vf.verify_local(VDP, 1.5, 0.2)
+
+    def test_no_local_quadratic(self):
+        with pytest.raises(vf.NoCertifiableC, match="no local quadratic"):
+            vf.verify_local(ROTATION, 0.9999, 0.1)
 
     def test_positive_parameters_required(self):
         with pytest.raises(ValueError):
-            vf.verify_local(VDP, lyap_P(VDP), np.eye(2), 0.9999, -1.0)
+            vf.verify_local(VDP, 0.9999, -1.0)
 
     @pytest.mark.parametrize("sys", [VDP, POLY], ids=["reversed_vdp", "poly2d"])
     @pytest.mark.parametrize("c", [np.inf, np.nan])
@@ -72,43 +79,47 @@ class TestVerifyLocal:
         # HC4 turns x'Px - inf into NaN rows that it discards, which read as
         # a proof; every finite level that large is falsified
         with pytest.raises(ValueError, match="finite"):
-            vf.verify_local(sys, lyap_P(sys), np.eye(2), 0.9999, c)
-        assert isinstance(vf.verify_local(sys, lyap_P(sys), np.eye(2), 0.9999, 1e300).outcome,
+            vf.verify_local(sys, 0.9999, c)
+        assert isinstance(vf.verify_local(sys, 0.9999, 1e300).outcome,
                           iv.Falsified)
 
 
 class TestFindMaxLocalC:
     def test_vdp_bracket(self):
-        c = vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999).c
+        c = vf.find_max_local_c(VDP, 0.9999).c
         assert 0.2 <= c <= 0.5
         # the search tree proves c at delta 1e-3; a fresh proof of the
         # same level needs a finer delta, as HC4 builds it another tree
-        again = vf.verify_local(VDP, lyap_P(VDP), np.eye(2), 0.9999, c, delta=2.5e-4)
+        again = vf.verify_local(VDP, 0.9999, c, delta=2.5e-4)
         assert again.certified
 
     def test_returns_the_certificate_proved_at_its_level(self):
-        found = vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999)
+        found = vf.find_max_local_c(VDP, 0.9999)
         # proved by the search's own tree: its box count, no second proof
         assert type(found.outcome) is iv.Certified
         assert found.outcome.boxes_processed == 2471
 
     def test_monotone_halving(self):
-        c = vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999).c
-        assert vf.verify_local(VDP, lyap_P(VDP), np.eye(2), 0.9999, c / 2).certified
+        c = vf.find_max_local_c(VDP, 0.9999).c
+        assert vf.verify_local(VDP, 0.9999, c / 2).certified
 
     def test_linear_reaches_corner_value(self):
         s = dyn.make_system("lin", 2, ["-x1", "-2*x2"], [[-1, 1], [-1, 1]])
         P = lyap_P(s)
         corners = s.domain.corners()
         c_hi = max(x @ P @ x for x in corners)
-        cert = vf.find_max_local_c(s, P, np.eye(2), 0.9999)
+        cert = vf.find_max_local_c(s, 0.9999)
         assert cert.certified
         assert cert.c == pytest.approx(c_hi)
+
+    def test_no_local_quadratic(self):
+        with pytest.raises(vf.NoCertifiableC, match="no local quadratic"):
+            vf.find_max_local_c(ROTATION, 0.9999)
 
     def test_no_certifiable_c(self):
         # r tiny makes even minuscule levels fail for a nonlinear system
         with pytest.raises(vf.NoCertifiableC):
-            vf.find_max_local_c(POLY, lyap_P(POLY), np.eye(2), 1e-12)
+            vf.find_max_local_c(POLY, 1e-12)
 
     def test_backs_off_below_the_searched_level(self, monkeypatch):
         # refuse the first two rungs: the third, 4 * 2^-16 below the
@@ -122,7 +133,7 @@ class TestFindMaxLocalC:
             return len(rungs) > 2 and proves(search, level)
 
         monkeypatch.setattr(iv.LevelSearch, "proves", refuse_two)
-        found = vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999)
+        found = vf.find_max_local_c(VDP, 0.9999)
         assert len(rungs) == 3 and len(set(searched)) == 1
         assert rungs[0] == searched[0]
         assert rungs[2] == searched[0] * (1.0 - 4.0 * 2.0 ** -16)
@@ -137,26 +148,26 @@ class TestFindMaxLocalC:
 
         monkeypatch.setattr(iv.LevelSearch, "proves", undecided)
         with pytest.raises(vf.NoCertifiableC):
-            vf.find_max_local_c(POLY, lyap_P(POLY), np.eye(2), 0.9999)
+            vf.find_max_local_c(POLY, 0.9999)
         # the searched level, then eight rungs down to three quarters of it
         assert len(levels) == 9
         assert levels[-1] == pytest.approx(0.75 * levels[0])
 
     def test_vdp_level_reaches_the_bisection_level(self):
         # 0.2896674 is what a 12-step bisection of [1e-3 c_hi, c_hi] found
-        assert vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999).c >= 0.2896674
+        assert vf.find_max_local_c(VDP, 0.9999).c >= 0.2896674
 
     def test_poly_level_near_ceiling(self):
         # the condition holds exactly up to sqrt(10) r / 3 (criterion 4b)
         r = 0.9999
-        cert = vf.find_max_local_c(POLY, lyap_P(POLY), np.eye(2), r)
+        cert = vf.find_max_local_c(POLY, r)
         assert cert.certified
         assert 1.05 <= cert.c <= np.sqrt(10) * r / 3
 
 
 @pytest.fixture(scope="module")
 def vdp_local():
-    return vf.verify_local(VDP, lyap_P(VDP), np.eye(2), 0.9999, 0.28)
+    return vf.verify_local(VDP, 0.9999, 0.28)
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +176,7 @@ def trained_vdp(vdp_local):
     samples = ode.gen_dataset(VDP, [100, 100], ode.IntegratorConfig(),
                               ode.BetaKind("tanh", 0.1))
     cfg = nn.TrainConfig(alpha=0.1, psi_form="tanh", seed=1, max_epochs=150,
-                         local_P=vdp_local.P, c_local=vdp_local.c)
+                         c_local=vdp_local.c)
     data = nn.assemble_dataset(samples, cfg, pair_fraction=0.02,
                                rng=np.random.default_rng(1))
     net0 = nn.init_mlp([2, 10, 10, 1], 1)
@@ -214,9 +225,9 @@ class TestVerifyRoa:
         assert lie > -10.0
 
     def test_local_must_be_certified(self, vdp_local):
-        bad = vf.LocalCertificate(system="x", P=np.eye(2), Q=np.eye(2), r=0.9,
+        bad = vf.LocalCertificate(system="x", P=np.eye(2), r=0.9,
                                   c=0.1, outcome=iv.Unknown(iv.Box([0], [0]), 1e-3),
-                                  lambda_min_q=1.0, seconds=0.0)
+                                  seconds=0.0)
         with pytest.raises(ValueError):
             vf.verify_roa(constant_net(2, 0.5), VDP, bad, 0.1, 0.5)
 
@@ -237,8 +248,15 @@ def bench_net():
 
 
 @pytest.fixture(scope="module")
+def poly_local():
+    local = vf.verify_local(POLY, 0.9999, 1.0)
+    assert local.certified
+    return local
+
+
+@pytest.fixture(scope="module")
 def bench_local():
-    return vf.find_max_local_c(VDP, lyap_P(VDP), np.eye(2), 0.9999)
+    return vf.find_max_local_c(VDP, 0.9999)
 
 
 def fresh_levels(net, local, epsilon=1e-4, delta=1e-3, budget=5_000_000):
@@ -534,6 +552,36 @@ class TestLocalJob:
         with pytest.raises(ValueError, match="must be Certified"):
             vf.find_max_level(bench_net, VDP, bad)
         assert proofs == []
+
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_foreign_certificate_is_refused_before_any_proof(self, bench_net, poly_local,
+                                                             monkeypatch, w):
+        # poly2d's ellipsoid, proved invariant for poly2d only: an inclusion
+        # proved into it certified a VdP network's sublevel set
+        proofs = []
+
+        def no_proof(*args, **kwargs):
+            proofs.append(args)
+            raise AssertionError("a proof ran")
+
+        monkeypatch.setattr(shares, "count", lambda units: min(units, w))
+        monkeypatch.setattr(iv, "bnb_verify", no_proof)
+        monkeypatch.setattr(iv, "bnb_minimize", no_proof)
+        with pytest.raises(ValueError, match="lyapunov_P"):
+            vf.verify_roa(bench_net, VDP, poly_local, 0.0224, 0.74)
+        with pytest.raises(ValueError, match="lyapunov_P"):
+            vf.find_max_level(bench_net, VDP, poly_local)
+        assert proofs == []
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_foreign_certificate_of_a_job_is_refused(self, bench_net, poly_local,
+                                                     monkeypatch, w):
+        monkeypatch.setattr(shares, "count", lambda units: min(units, w))
+        with pytest.raises(ValueError, match="lyapunov_P"):
+            vf.verify_roa(bench_net, VDP, lambda: poly_local, 0.0224, 0.74)
+        with pytest.raises(ValueError, match="lyapunov_P"):
+            vf.find_max_level(bench_net, VDP, lambda: poly_local)
 
 
 class TestVolumeFraction:
