@@ -6,7 +6,7 @@ its sublevel sets are then certified as regions of attraction with a
 sound interval branch-and-bound engine.
 """
 
-from .dynamics import SystemDef, builtin, linearize, solve_lyapunov, lambda_min
+from .dynamics import SystemDef, builtin, linearize, solve_lyapunov
 from .expr import VectorField, parse
 from .interval import Box, Certified, Falsified, Unknown, bnb_verify
 from .net import Mlp, TrainConfig, init_mlp, train

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import sys
@@ -184,6 +183,29 @@ def _parse_grid(text, dim: int):
     return counts
 
 
+def _load_data(path, sysdef: dyn.SystemDef) -> ode.ValueGrid:
+    """The dataset at ``path``; ConfigError unless its points have the
+    system's dimension."""
+    grid = ode.load_samples(path)
+    if grid.X.shape[1] != sysdef.dim:
+        raise ConfigError(f"dataset {path} has {grid.X.shape[1]}-dimensional points, "
+                          f"system {sysdef.name!r} has dimension {sysdef.dim}")
+    return grid
+
+
+def _keyed(doc, keys, where) -> dict:
+    """``doc`` if it is a JSON object with every one of ``keys``, else a
+    ValueError that names ``where``."""
+    if not (isinstance(doc, dict) and set(keys) <= doc.keys()):
+        raise ValueError(f"{where}: not a JSON object with the keys {', '.join(keys)}")
+    return doc
+
+
+def _certificate_doc(cert, cfg: dict, **extra) -> dict:
+    """``cert``'s JSON document with the run's configuration and seed, then ``extra``."""
+    return {**json.loads(vf.report_to_json(cert)), "config": cfg, "seed": cfg["seed"], **extra}
+
+
 def _write_json(path, doc: dict):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
@@ -242,7 +264,7 @@ def _cmd_train(args) -> int:
     tc = _train_config(cfg)
 
     def prepare():
-        data = nn.assemble_dataset(ode.load_samples(args.data), tc,
+        data = nn.assemble_dataset(_load_data(args.data, sysdef), tc,
                                    pair_fraction=cfg["train"]["pair_fraction"],
                                    rng=np.random.default_rng(cfg["seed"]))
         hidden = _counts(cfg["train"]["hidden"], "train.hidden", 1)
@@ -281,11 +303,10 @@ def _local_certificate(cfg: dict, sysdef: dyn.SystemDef, c=None) -> vf.LocalCert
     """The local certificate of ``sysdef.lyapunov_P`` at level ``c``, or at
     the largest level `vf.find_max_local_c` proves.  Raises NoCertifiableC
     (from `verify`) if the system has no local quadratic or the search
-    proves no level.
-
-    `train` and `verify-roa` run the search as a job in a forked worker
-    (`shares.beside`), beside the dataset read and the network proofs or
-    searches that do not read it."""
+    proves no level.  `verify-local` writes it, and `train` reads its c as
+    the hinge's level, searched in a forked worker (`shares.beside`)
+    beside the dataset read; `verify-roa` leaves the search to
+    `vf.verify_roa` and `vf.find_max_level`, which run it the same way."""
     vr = cfg["verify"]
     if c is not None:
         return vf.verify_local(sysdef, vr["r"], c, delta=vr["delta"], budget=vr["budget"])
@@ -298,9 +319,7 @@ def _cmd_verify_local(args) -> int:
     cert = _local_certificate(cfg, sysdef, args.c)
     out_dir = Path(args.out_dir or cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = json.loads(vf.report_to_json(cert))
-    doc["config"] = cfg
-    doc["seed"] = cfg["seed"]
+    doc = _certificate_doc(cert, cfg)
     _write_json(out_dir / "local_cert.json", doc)
     print(f"local region x'Px <= {cert.c:g}: {doc['outcome']['status']} "
           f"({cert.seconds:.1f}s, {doc['outcome']['boxes']} boxes)")
@@ -315,36 +334,27 @@ def _cmd_verify_roa(args) -> int:
     net, alpha, psi_form = nn.load_mlp(args.net)
     if net.dim != sysdef.dim:
         raise ConfigError("network input size does not match the system dimension")
-    local = functools.partial(_local_certificate, cfg, sysdef)
-    vr = cfg["verify"]
+    vr = cfg["verify"]      # r, epsilon, delta and budget, as the proofs take them
     reference = []  # the --data grid, or the error of its read, which waits for the search
 
     def read_reference():
         try:
-            reference.append(ode.load_samples(args.data))
+            reference.append(_load_data(args.data, sysdef))
         except (OSError, ValueError) as e:
             reference.append(e)
 
     t0 = time.perf_counter()
     if args.c1 is not None and args.c2 is not None:
-        cert = vf.verify_roa(net, sysdef, local, args.c1, args.c2,
-                             epsilon=vr["epsilon"], delta=vr["delta"],
-                             budget=vr["budget"])
+        cert = vf.verify_roa(net, sysdef, c1=args.c1, c2=args.c2, **vr)
     else:
         try:
-            _, _, cert = vf.find_max_level(net, sysdef, local,
-                                           epsilon=vr["epsilon"], delta=vr["delta"],
-                                           budget=vr["budget"],
+            _, _, cert = vf.find_max_level(net, sysdef, **vr,
                                            meanwhile=read_reference if args.data else None)
         except vf.NoCertifiableLevel as e:
             print(f"level search failed: {e}", file=sys.stderr)
             return EXIT_UNKNOWN
     seconds = time.perf_counter() - t0
-    doc = json.loads(vf.report_to_json(cert))
-    doc["config"] = cfg
-    doc["seed"] = cfg["seed"]
-    doc["seconds"] = seconds
-    doc["net"] = str(args.net)
+    doc = _certificate_doc(cert, cfg, seconds=seconds, net=str(args.net))
     if args.data:
         if not reference:
             read_reference()
@@ -372,11 +382,22 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"no net.json under {run_dir}")
     net, alpha, psi_form = nn.load_mlp(net_path)
 
-    def read(name):
-        return json.loads((run_dir / name).read_text()) if (run_dir / name).exists() else {}
+    def read(name, *keys):
+        """The object in ``name`` with every one of ``keys``, {} if there is no such file."""
+        path = run_dir / name
+        try:
+            return _keyed(json.loads(path.read_text()), keys, path) if path.exists() else {}
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: {e}") from None
 
-    data, roa, net_meta = read("dataset.csv.meta.json"), read("roa_cert.json"), \
-        read("net.json").get("meta", {})
+    data = read("dataset.csv.meta.json", "gen_seconds", "integrator")
+    roa = read("roa_cert.json", "seconds", "certified", "c2")
+    if data:    # the counts printed below
+        where = f"{run_dir / 'dataset.csv.meta.json'}, integrator"
+        counts = _keyed(data["integrator"], ("accepted_steps", "rejected_steps", "status"), where)
+        _keyed(counts["status"], (), f"{where} status")
+    net_meta = read("net.json").get("meta", {})     # {} for a net without one
+    _keyed(net_meta, ("config", "seed") if net_meta else (), f"{net_path}, meta")
     hidden = list(net.layer_sizes[1:-1])
     row = {
         "layers": len(hidden),

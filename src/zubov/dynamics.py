@@ -2,12 +2,13 @@
 
 Every system's equilibrium is the origin, which `SystemDef` checks.
 The local-stability route needs three ingredients: the Jacobian A of the
-field at the origin, the quadratic form P solving P A + A' P = -Q, and
-the nonlinear remainder g(x) = f(x) - A x together with its Jacobian
-Dg = Df - A (which vanishes at the origin by construction).  A system
-keeps its P for Q = I (`SystemDef.lyapunov_P`), the one quadratic that
-the integrator's tail, the training hinge and the local certificate
-read; it is None where the origin's stability is not visible in A.
+field at the origin, the quadratic form P solving P A + A' P = -I
+(`solve_lyapunov(A)`), and the nonlinear remainder g(x) = f(x) - A x
+together with its Jacobian Dg = Df - A (which vanishes at the origin by
+construction).  A system keeps its P (`SystemDef.lyapunov_P`), the one
+quadratic that the integrator's tail, the training hinge and the local
+certificate read; it is None where the origin's stability is not
+visible in A.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from . import expr as ex
 from .interval import Box
 
 __all__ = [
-    "SystemDef", "Linearization", "LyapunovSolution",
-    "UnknownSystem", "SingularSystem",
-    "builtin", "BUILTIN_NAMES", "make_system", "linearize",
-    "solve_lyapunov", "lambda_min",
+    "SystemDef", "Linearization", "UnknownSystem", "SingularSystem",
+    "builtin", "BUILTIN_NAMES", "make_system", "linearize", "solve_lyapunov",
 ]
 
 
@@ -71,10 +70,11 @@ class SystemDef:
         definite: then no local quadratic exists, as for an origin whose
         stability shows only in the nonlinear terms."""
         try:
-            sol = solve_lyapunov(self.linearization.A, np.eye(self.dim))
-        except (SingularSystem, ValueError):
+            P = solve_lyapunov(self.linearization.A)
+            np.linalg.cholesky(P)
+        except (SingularSystem, ValueError, np.linalg.LinAlgError):   # A not finite, P not > 0
             return None
-        return sol.P if sol.pos_def else None
+        return P
 
 
 def make_system(name: str, dim: int, components: list, domain: list,
@@ -167,51 +167,17 @@ def linearize(sys: SystemDef) -> Linearization:
     return Linearization(A=A, g=g, dg=dg)
 
 
-@dataclass(frozen=True)
-class LyapunovSolution:
-    P: np.ndarray
-    pos_def: bool       # Cholesky succeeded; with Q > 0 this certifies A Hurwitz
-    residual: float     # max-norm of P A + A' P + Q
-
-
-def solve_lyapunov(A: np.ndarray, Q: np.ndarray) -> LyapunovSolution:
-    """Solve P A + A' P = -Q by vectorization (dense LU on the Kronecker form)."""
+def solve_lyapunov(A: np.ndarray) -> np.ndarray:
+    """P with P A + A' P = -I, by vectorization (dense LU on the Kronecker
+    form), symmetrized exactly."""
     A = np.asarray(A, dtype=float)
-    Q = np.asarray(Q, dtype=float)
     n = A.shape[0]
-    if A.shape != (n, n) or Q.shape != (n, n):
-        raise ValueError("A and Q must be square of equal size")
-    if np.max(np.abs(Q - Q.T)) > 1e-12:
-        raise ValueError("Q must be symmetric")
-    try:
-        np.linalg.cholesky(Q)
-    except np.linalg.LinAlgError:
-        raise ValueError("Q must be positive definite") from None
+    if A.shape != (n, n):
+        raise ValueError("A must be square")
     # vec(PA) = (A' (x) I) vec(P), vec(A'P) = (I (x) A') vec(P), column-major vec
     K = np.kron(A.T, np.eye(n)) + np.kron(np.eye(n), A.T)
-    rhs = -Q.flatten(order="F")
-    try:
-        p = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
-        raise SingularSystem("Lyapunov operator is singular "
-                             "(A has an eigenvalue pair summing to zero)") from None
-    cond = np.linalg.cond(K)
+    cond = np.linalg.cond(K)    # inf where A has an eigenvalue pair summing to zero
     if not np.isfinite(cond) or cond > 1e14:
         raise SingularSystem(f"Lyapunov operator numerically singular (cond={cond:.2e})")
-    P = p.reshape((n, n), order="F")
-    P = 0.5 * (P + P.T)
-    residual = float(np.max(np.abs(P @ A + A.T @ P + Q)))
-    try:
-        np.linalg.cholesky(P)
-        pos_def = True
-    except np.linalg.LinAlgError:
-        pos_def = False
-    return LyapunovSolution(P=P, pos_def=pos_def, residual=residual)
-
-
-def lambda_min(Q: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
-    Q = np.asarray(Q, dtype=float)
-    if np.max(np.abs(Q - Q.T)) > 1e-12:
-        raise ValueError("matrix must be symmetric")
-    return float(np.linalg.eigvalsh(0.5 * (Q + Q.T))[0])
+    P = np.linalg.solve(K, -np.eye(n).flatten(order="F")).reshape((n, n), order="F")
+    return 0.5 * (P + P.T)

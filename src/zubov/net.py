@@ -349,7 +349,7 @@ def _hinge_targets(cfg: TrainConfig, P: np.ndarray, X: np.ndarray,
     c1 |x|^2 <= x'Px <= c2 |x|^2."""
     inside = np.einsum("ki,ij,kj->k", X, P, X) <= cfg.c_local
     n2 = np.add.reduce(np.multiply(X, X), axis=1) if n2 is None else n2
-    c1, c2, b = dyn.lambda_min(P), float(np.linalg.eigvalsh(P)[-1]), cfg.beta()
+    c1, c2, b = *np.linalg.eigvalsh(P)[[0, -1]], cfg.beta()
     return inside, beta_transform(c1 * n2, b), beta_transform(c2 * n2, b)
 
 

@@ -11,10 +11,8 @@ callers use it: `ode.estimate_V_batch` integrates lattice rows,
 `interval.bnb_minimize` lowers the level of its groups of them.
 
 `beside` runs two different jobs at once, the second in a worker: the
-local certificate of `verify.verify_roa`, `verify.find_max_level` and
-the `train` command beside the network work that does not read it.
-`verify` turns a finished certificate into a job too, so a library
-caller's level search forks as a command's does.
+local search of `verify.verify_roa`, `verify.find_max_level` and the
+`train` command beside the network work that does not read it.
 
 Every worker is joined before `run` returns or raises, one still running
 when a share fails (or on Ctrl-C) is terminated first, and an error in

@@ -36,11 +36,10 @@ groups that run on every usable core, with the same level and box count
 on any core count.  Fixed-level checks (`verify_local`, `verify_roa`)
 are fresh `iv.bnb_verify` proofs, which run a large tree on every usable
 core with the outcome and box count of one process.  `find_max_level`
-and `verify_roa` take the local certificate finished or as a job that
-finds it, turn it into a job once (a finished one is checked at once,
-and a certificate whose P is not the system's is refused)
-and run that job in a forked worker beside the network work that does
-not read it (`shares.beside`), on one path either way.
+and `verify_roa` take r, not a local certificate: each runs
+`find_max_local_c` in a forked worker beside the network work that does
+not read it (`shares.beside`), so the ellipsoid they prove into is
+always the system's own and certified.
 """
 
 from __future__ import annotations
@@ -455,11 +454,9 @@ def verify_local(sys: dyn.SystemDef, r: float, c: float, delta: float = 1e-3,
     """Certify the ellipsoid {x'Px <= c} of P = ``sys.lyapunov_P`` as a
     local region of attraction.  Raises NoCertifiableC if the system has
     no local quadratic, RNotBelowLambdaMin unless r < 1."""
-    cond = _local_condition(sys, r, c)
-    t0 = time.perf_counter()
-    outcome = iv.bnb_verify(cond, sys.domain, delta=delta, budget=budget)
-    return LocalCertificate(system=sys.name, P=sys.lyapunov_P, r=r, c=c, outcome=outcome,
-                            seconds=time.perf_counter() - t0)
+    rep = _timed_bnb("local", _local_condition(sys, r, c), sys.domain, delta, budget)
+    return LocalCertificate(system=sys.name, P=sys.lyapunov_P, r=r, c=c, outcome=rep.outcome,
+                            seconds=rep.seconds)
 
 
 def _prove_near(prove, level: float, floor: float):
@@ -551,19 +548,6 @@ def _band_condition(cache: _NetBoxCache, sys: dyn.SystemDef, c1: float, c2: floa
     )
 
 
-def _local_job(sys: dyn.SystemDef, local) -> Callable[[], LocalCertificate]:
-    """``local`` as a job that returns it Certified and with P equal, entry
-    for entry, to ``sys.lyapunov_P``: a finished LocalCertificate is
-    checked here, a job's result when the job ends."""
-    if callable(local):
-        return lambda: _local_job(sys, local())()
-    if not local.certified:
-        raise ValueError("local certificate must be Certified first")
-    if not np.array_equal(local.P, sys.lyapunov_P):     # False for a None lyapunov_P
-        raise ValueError(f"local certificate's P is not the lyapunov_P of {sys.name!r}")
-    return lambda: local
-
-
 def _check_epsilon(epsilon: float) -> None:
     if not epsilon > 0:     # NaN fails too
         raise ValueError("epsilon must be positive")
@@ -583,19 +567,18 @@ def _boundary_reports(cache: _NetBoxCache, sys: dyn.SystemDef, c2: float,
     return reports
 
 
-def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate | Callable[[], LocalCertificate],
-               c1: float, c2: float,
+def verify_roa(net, sys: dyn.SystemDef, r: float, c1: float, c2: float,
                epsilon: float = 1e-4, delta: float = 1e-3,
                budget: int = 5_000_000) -> RoaCertificate:
     """Certify {W_N <= c2} as a region of attraction feeding the local
     ellipsoid, via the decrease band, the domain-boundary exclusion check
     and the inclusion check.
 
-    ``local`` is the LocalCertificate of ``sys.lyapunov_P``, checked at
-    once, or a job that returns it.  Either way it becomes a job that
-    runs in a forked worker (`shares.beside`) while the decrease and face
-    proofs, which do not read it, run here, and the inclusion proof
-    follows here.  An error of the job wins over one of those proofs.
+    The ellipsoid is ``find_max_local_c(sys, r)``'s, searched in a forked
+    worker (`shares.beside`) while the decrease and face proofs, which do
+    not read it, run here; the inclusion proof follows here.  An error of
+    the search (RNotBelowLambdaMin, NoCertifiableC) wins over one of
+    those proofs.
     """
     _check_epsilon(epsilon)
     if not (0.0 < c1 < c2 < 1.0):
@@ -607,15 +590,15 @@ def verify_roa(net, sys: dyn.SystemDef, local: LocalCertificate | Callable[[], L
         return (_timed_bnb("decrease", band, sys.domain, delta, budget),
                 _boundary_reports(cache, sys, c2, delta, budget))
 
-    (decrease, boundary), local = shares.beside(network, _local_job(sys, local))
+    (decrease, boundary), local = shares.beside(
+        network, functools.partial(find_max_local_c, sys, r, delta=delta, budget=budget))
     inclusion = _inclusion_condition(cache, local, c1)
     return RoaCertificate(c1=c1, c2=c2, epsilon=epsilon, decrease=decrease,
                           inclusion=_timed_bnb("inclusion", inclusion, sys.domain, delta, budget),
                           boundary=boundary, local=local)
 
 
-def find_max_level(net, sys: dyn.SystemDef,
-                   local: LocalCertificate | Callable[[], LocalCertificate],
+def find_max_level(net, sys: dyn.SystemDef, r: float,
                    epsilon: float = 1e-4, delta: float = 1e-3, budget: int = 5_000_000,
                    meanwhile: Optional[Callable[[], None]] = None):
     """The largest (c1, c2) that `verify_roa` proves, and its certificate.
@@ -633,11 +616,11 @@ def find_max_level(net, sys: dyn.SystemDef,
     would.  The rungs lie above their floors, 0 and c1, and c2 starts
     below 1, so 0 < c1 < c2 < 1.  Returns (c1, c2, RoaCertificate).
 
-    ``local`` is the LocalCertificate of ``sys.lyapunov_P``, checked at
-    once, or a job that returns it.  Either way the job and the c1
-    search run in a forked worker (`shares.beside`) while the face
-    searches, and then ``meanwhile()`` if given, run here.  An error of
-    the worker wins.
+    The local certificate is ``find_max_local_c(sys, r)``'s.  Its search
+    and the c1 search run in a forked worker (`shares.beside`) while the
+    face searches, and then ``meanwhile()`` if given, run here.  An error
+    of the worker (RNotBelowLambdaMin, NoCertifiableC, a c1 that no rung
+    proves) wins.
     The face searches do not know c1, so they stop at floor 0, not c1.
     That gives the same output: a floor only stops a face search whose
     level has already fallen to c1 or below, and such a run ends in the
@@ -650,10 +633,10 @@ def find_max_level(net, sys: dyn.SystemDef,
     does not.
     """
     _check_epsilon(epsilon)
-    job = _local_job(sys, local)
     search = functools.partial(_searched, box=sys.domain, delta=delta, budget=budget)
 
-    def inclusion(local):
+    def inclusion():
+        local = find_max_local_c(sys, r, delta=delta, budget=budget)
         cond = functools.partial(_inclusion_condition, _NetBoxCache(net), local)
         level, report = search("inclusion", cond, 1.0, floor=0.0)
         found = _prove_near(report, level, 0.0)
@@ -673,7 +656,7 @@ def find_max_level(net, sys: dyn.SystemDef,
             meanwhile()
         return c2, faces
 
-    (c2, faces), (local, c1, inclusion_rep) = shares.beside(boundary, lambda: inclusion(job()))
+    (c2, faces), (local, c1, inclusion_rep) = shares.beside(boundary, inclusion)
     band_cache = _NetBoxCache(net, hessian=True)
     level, decrease = search("decrease",
                              lambda c: _band_condition(band_cache, sys, c1, c, epsilon),

@@ -80,9 +80,9 @@ def ref_advance(rhs, Y0, cfg, classify, on_accept=None, stats=None):
 def ref_estimate_V_batch(sys, X, cfg, stats=None):
     n = sys.dim
     try:    # the tail quadratic, solved here rather than read from the system
-        sol = dyn.solve_lyapunov(sys.linearization.A, np.eye(n))
-        tail_P = sol.P if sol.pos_def else None
-    except (dyn.SingularSystem, ValueError):
+        tail_P = dyn.solve_lyapunov(sys.linearization.A)
+        np.linalg.cholesky(tail_P)
+    except (dyn.SingularSystem, ValueError, np.linalg.LinAlgError):
         tail_P = None
     Y0 = np.concatenate([X, np.zeros((X.shape[0], 1))], axis=1)
 
@@ -274,7 +274,7 @@ class TestIntegrator:
         # classify (an einsum) reads the pool's Fortran-ordered states and
         # on_accept (net.value_batch, a matmul) their accepted rows: both
         # must decide as they do on the reference's row-major states
-        P = dyn.solve_lyapunov(VDP.linearization.A, np.eye(2)).P
+        P = dyn.solve_lyapunov(VDP.linearization.A)
         local = vf.LocalCertificate("reversed_vdp", P, 0.9999, 0.3, None, 0.0)
         net = nn.init_mlp([2, 8, 1], 3)
         values, value_batch = [], net.value_batch
@@ -387,7 +387,7 @@ def ref_loss_batch(net, sys, cfg, Xc, Xe, Xp, wp):
         # envelopes beta(c |x|^2) at the extreme eigenvalues c of P
         P, b = sys.lyapunov_P, cfg.beta()
         inside = np.einsum("ki,ij,kj->k", Xc, P, Xc) <= cfg.c_local
-        lo_t = ode.beta_transform(dyn.lambda_min(P) * phi, b)
+        lo_t = ode.beta_transform(float(np.linalg.eigvalsh(P)[0]) * phi, b)
         hi_t = ode.beta_transform(float(np.linalg.eigvalsh(P)[-1]) * phi, b)
         if np.any(inside):
             wi = yc[inside]
@@ -458,7 +458,7 @@ def ref_train(net, data, sys, cfg):
 def vdp_data():
     samples = ode.gen_dataset(VDP, [15, 15], ode.IntegratorConfig(),
                               ode.BetaKind("tanh", 0.1))
-    P = dyn.solve_lyapunov(VDP.linearization.A, np.eye(2)).P
+    P = dyn.solve_lyapunov(VDP.linearization.A)
     return samples, P
 
 

@@ -94,8 +94,7 @@ class TestPinnedSearches:
         # find_max_level proves c1 and c2 from the trees of its two level
         # searches on bench/net_vdp.json; their box counts are the cost
         net, _, _ = nn.load_mlp(Path(__file__).parents[1] / "bench" / "net_vdp.json")
-        local = vf.find_max_local_c(VDP, 0.9999)
-        _, _, cert = vf.find_max_level(net, VDP, local)
+        _, _, cert = vf.find_max_level(net, VDP, 0.9999)
         assert cert.certified
         assert cert.inclusion.outcome.boxes_processed == 3469
         # 201,693 with the natural enclosure of grad W_N . f; its centered

@@ -182,7 +182,6 @@ class TestCenteredLie:
 
     def test_only_the_band_cache_carries_the_hessian(self, monkeypatch):
         net, _, _ = nn.load_mlp(Path(__file__).parents[1] / "bench" / "net_vdp.json")
-        local = vf.verify_local(VDP, 0.9999, 0.2896)
         current, calls = [None], []
         bnb_verify, net_interval_many = iv.bnb_verify, iv.net_interval_many
 
@@ -196,7 +195,7 @@ class TestCenteredLie:
 
         monkeypatch.setattr(iv, "bnb_verify", traced_bnb)
         monkeypatch.setattr(iv, "net_interval_many", traced_net)
-        assert vf.verify_roa(net, VDP, local, 0.0224, 0.74).certified
+        assert vf.verify_roa(net, VDP, 0.9999, 0.0224, 0.74).certified
         with_hess = {name for name, h in calls if h}
         without = {name for name, h in calls if not h}
         assert with_hess == {"decrease band [0.0224, 0.74]"}

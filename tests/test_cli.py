@@ -263,6 +263,34 @@ class TestBadInput:
         assert run("verify-roa", "--system", "cubic1d", "--net", str(d / "net.json"),
                    *level) == 1
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_dataset_of_another_dimension_is_a_config_error(self, cubic_run, tmp_path, capsys,
+                                                            dim):
+        # a 1-D dataset raised an IndexError in the field's evaluation, a
+        # 3-D one ended in exit 2 with a numpy broadcast message
+        data = cubic_run[0] / "dataset.csv"
+        if dim == 3:
+            data = tmp_path / "d3.csv"
+            data.write_text("x1,x2,x3,v_hat,w_hat,converged\n" + "".join(
+                f"0.{i},0.1,0.2,0.3,0.1,true\n" for i in range(1, 4)))
+        assert run("train", "--system", "reversed_vdp", "--data", str(data),
+                   "--out-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: dataset {data} has {dim}-dimensional points")
+        assert "dimension 2" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_verify_roa_data_of_another_dimension_is_a_config_error(self, cubic_run, tmp_path,
+                                                                    capsys):
+        # this ended in exit 2 with a matmul message, once the proofs were done
+        net = Path(__file__).parents[1] / "bench" / "net_vdp.json"
+        assert run("verify-roa", "--system", "reversed_vdp", "--net", str(net),
+                   "--c1", "0.0224", "--c2", "0.74", "--data", str(cubic_run[0] / "dataset.csv"),
+                   "--out-dir", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dataset ") and "1-dimensional" in err
+        assert not (tmp_path / "roa_cert.json").exists()
+
     def test_empty_dataset_is_a_runtime_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -599,7 +627,9 @@ class TestLocalShare:
          "error: no local quadratic"),
         (DECAY, [], 4, "level search failed: no c2 in (0.1893, 1)"),
         (DECAY, ["--data", "bad.csv"], 4, "level search failed: no c2 in (0.1893, 1)"),
+        (DECAY, ["--data", "line.csv"], 4, "level search failed: no c2 in (0.1893, 1)"),
         ("reversed_vdp", ["--data", "bad.csv"], 2, "error: "),
+        ("reversed_vdp", ["--data", "line.csv"], 1, "config error: dataset "),
         # the local search stops at the budget; the decrease proof is falsified
         ("reversed_vdp", ["--c1", "0.0224", "--c2", "0.8", "--budget", "1000"], 4,
          "verification budget exhausted: branch-and-bound budget exhausted after 879 "),
@@ -613,11 +643,13 @@ class TestLocalShare:
         ("reversed_vdp", ["--budget", "10000"], 4, "verification budget exhausted: "
          "branch-and-bound budget exhausted after 9961 boxes (1222 still pending)"),
     ], ids=["no quadratic, search", "no quadratic, fixed", "faces below c1",
-            "faces below c1, bad data", "bad data", "budget, fixed", "budget, search",
+            "faces below c1, bad data", "faces below c1, 1-D data", "bad data", "1-D data",
+            "budget, fixed", "budget, search",
             "budget, first group", "budget, second group"])
     def test_same_error(self, monkeypatch, capsys, tmp_path, system, argv, code, err):
         (tmp_path / "bad.csv").write_text("x1,x2\n")
-        argv = [str(tmp_path / a) if a == "bad.csv" else a for a in argv]
+        (tmp_path / "line.csv").write_text("x1,v_hat,w_hat,converged\n0.1,0.2,0.1,true\n")
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"system": system}))
         one, two = self.both(monkeypatch, capsys, tmp_path, "verify-roa", "--config", str(cfg),
@@ -695,3 +727,28 @@ class TestReport:
 
     def test_missing_net_is_config_error(self, tmp_path):
         assert run("report", str(tmp_path)) == 1
+
+    @pytest.mark.parametrize("name, doc", [
+        ("roa_cert.json", {"certified": True}), ("roa_cert.json", [1, 2]),
+        ("roa_cert.json", "{"), ("dataset.csv.meta.json", []),
+        ("dataset.csv.meta.json", {"gen_seconds": 1.0}),
+        ("dataset.csv.meta.json", {"gen_seconds": 1.0, "integrator": {"status": {}}}),
+        ("dataset.csv.meta.json", {"gen_seconds": 1.0, "integrator": {
+            "accepted_steps": 1, "rejected_steps": 0, "status": []}}),
+        ("net.json", 5), ("net.json", {"seed": 1}),
+    ], ids=["roa without c2", "roa list", "roa not json", "meta list", "meta without integrator",
+            "integrator without counts", "status list", "net meta int",
+            "net meta without config"])
+    def test_malformed_artifact_is_a_runtime_error(self, cubic_run, tmp_path, capsys, name, doc):
+        # the first two raised a KeyError and an AttributeError; `report`
+        # read the others as missing values
+        for f in ("net.json", "dataset.csv.meta.json", "train_record.csv"):
+            (tmp_path / f).write_bytes((cubic_run[0] / f).read_bytes())
+        path = tmp_path / name
+        if name == "net.json":      # the net's own `meta`
+            doc = {**json.loads(path.read_text()), "meta": doc}
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        assert run("report", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err, err
+        assert not (tmp_path / "report.json").exists()

@@ -391,7 +391,7 @@ class TestSegmentNorm:
         rng = np.random.default_rng(13)
         n = sys.dim
         for trial in range(5):
-            P = random_P(rng, n) if trial else dyn.solve_lyapunov(sys.linearization.A, np.eye(n)).P
+            P = random_P(rng, n) if trial else dyn.solve_lyapunov(sys.linearization.A)
             fn = vf.SegmentNormFn(sys.linearization, P, 0.5)
             lo, hi = random_boxes(rng, n, 30)
             got = fn.eval_boxes(lo, hi)

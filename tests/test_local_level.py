@@ -27,7 +27,7 @@ MONOMIALS = [(2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
 
 
 def lyap_P(sys):
-    return dyn.solve_lyapunov(sys.linearization.A, np.eye(sys.dim)).P
+    return dyn.solve_lyapunov(sys.linearization.A)
 
 
 def _term(coef, p, q):

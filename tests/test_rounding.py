@@ -228,7 +228,7 @@ class TestCertificateGaps:
 
     def test_segment_norm_fn_rounds_outward(self):
         vdp = dyn.builtin("reversed_vdp")
-        P = dyn.solve_lyapunov(vdp.linearization.A, np.eye(2)).P
+        P = dyn.solve_lyapunov(vdp.linearization.A)
         r = 0.1
         fn = vf.SegmentNormFn(vdp.linearization, P, r)
         lo = np.array([[0.3, -0.2]])
