@@ -385,10 +385,13 @@ def _cmd_report(args) -> int:
     def read(name, *keys):
         """The object in ``name`` with every one of ``keys``, {} if there is no such file."""
         path = run_dir / name
+        if not path.exists():
+            return {}
         try:
-            return _keyed(json.loads(path.read_text()), keys, path) if path.exists() else {}
-        except json.JSONDecodeError as e:
+            doc = json.loads(path.read_text())
+        except ValueError as e:     # not UTF-8, or not JSON
             raise ValueError(f"{path}: {e}") from None
+        return _keyed(doc, keys, path)
 
     data = read("dataset.csv.meta.json", "gen_seconds", "integrator")
     roa = read("roa_cert.json", "seconds", "certified", "c2")
@@ -416,12 +419,18 @@ def _cmd_report(args) -> int:
     }
     record = run_dir / "train_record.csv"
     if record.exists():
-        with open(record, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r]
-        body = [r for r in rows[1:] if r[0].isdigit()]
-        if body:
-            row["epochs"], row["final_loss"] = int(body[-1][0]), float(body[-1][1])
-        row["train_seconds"] = next((float(r[1]) for r in rows if r[0] == "wall_time_s"), None)
+        try:
+            with open(record, newline="") as fh:
+                rows = [r for r in csv.reader(fh) if r]
+            body = [r for r in rows[1:] if r[0].isdigit()]
+            if body:
+                row["epochs"], row["final_loss"] = int(body[-1][0]), float(body[-1][1])
+            row["train_seconds"] = next((float(r[1]) for r in rows if r[0] == "wall_time_s"),
+                                        None)
+        except IndexError:
+            raise ValueError(f"{record}: a row is missing a cell") from None
+        except ValueError as e:     # not UTF-8, or a cell that is not a number
+            raise ValueError(f"{record}: {e}") from None
     _write_json(run_dir / "report.json", {"kind": "report", "row": row,
                                           "config": net_meta.get("config"),
                                           "seed": net_meta.get("seed")})

@@ -24,15 +24,12 @@ Two layers live here:
   `bnb_minimize` lowers the level of such an implication to about the
   least one at which it fails, keeping the tree's open leaves so that
   the same search proves the implication a little below that level.
-  `bnb_verify` deals the open boxes of a large tree to one share per
-  usable core (`zubov.shares`) and gives what one process gives.
-  `bnb_minimize` deals a large tree into a fixed number of groups, since
-  the level it reaches depends on the order in which it meets the
-  boxes, and runs the groups on every usable core: the group count, not
-  the core count, fixes its level, box count and delta-boxes.  Both deal
-  a paused tree through one helper, `_dealt`, whose groups return their
-  box count and what they found.  A tracer that wraps a kernel sees only
-  the calling process's share.
+  `bnb_verify` runs its tree in the calling process.  `bnb_minimize`
+  deals a large tree into a fixed number of groups, since the level it
+  reaches depends on the order in which it meets the boxes, and runs the
+  groups on every usable core (`zubov.shares`): the group count, not the
+  core count, fixes its level, box count and delta-boxes.  A tracer that
+  wraps a kernel sees only the calling process's groups.
 """
 
 from __future__ import annotations
@@ -752,8 +749,8 @@ def _bnb(cond: Condition, lo: np.ndarray, hi: np.ndarray, delta: float, budget: 
     dhi)`` and resumes with the condition sent back, dropping those
     delta-boxes and bisecting the other survivors.  An empty stack yields
     the box count alone.  Raises ``BudgetExhausted`` past ``budget`` boxes.
-    With ``pause`` > 0 it yields ``(processed, stack lo, stack hi)`` once,
-    the first time its stack holds ``pause`` boxes, and then goes on.
+    With ``pause`` > 0 it yields ``(processed, stack lo, stack hi)`` the
+    first time its stack holds ``pause`` boxes and ends there.
     """
     _check_limits(delta, budget)
     # the stack is two (capacity, n) arrays whose first `top` rows are live,
@@ -765,8 +762,8 @@ def _bnb(cond: Condition, lo: np.ndarray, hi: np.ndarray, delta: float, budget: 
     processed = 0
     while top:
         if top >= pause > 0:
-            pause = 0
             yield processed, slo[:top], shi[:top]
+            return
         take = min(_CHUNK, top)
         if processed + take > budget:
             raise BudgetExhausted(processed, top)
@@ -823,72 +820,17 @@ def bnb_verify(cond: Condition, X: Box, delta: float = 1e-3,
 
     ``Falsified`` at the first violating probe of `_bnb`, else ``Unknown``
     at its first delta-box; ``Certified`` when every box is discarded.
-
-    On w = `shares.count` >= 2 cores, `_bnb` pauses once its stack holds
-    half a chunk per share (smaller trees never fork) and deals the open
-    boxes to w shares (box i to share i mod w, `_dealt`), share 0 here
-    and the others in forked workers.  Each runs `_bnb` from its boxes
-    with the budget left and returns its box count and whether it closed:
-    met no violating probe and no delta-box.  Each box's fate depends on
-    that box alone, so a certified tree holds the same boxes in any
-    order: if every share closed and their boxes fit the budget, the
-    search certifies with the paused run's count plus theirs.  (Only a
-    BLAS product, whose last bit can change with the rows around it,
-    could tip a box at the very edge of a decision the other way; either
-    way the enclosures are sound.)
-    Otherwise the paused `_bnb` goes on from its own stack, so the
-    outcome, witness, count and ``BudgetExhausted`` are those of one
-    process.
+    The proof runs in the calling process, one tree from start to end, so
+    its outcome, witness, box count and ``BudgetExhausted`` are those of
+    one process by construction.  A caller that has other proofs to run
+    runs them beside it (`verify.verify_roa`).
     """
-    w = shares.count(budget // _CHUNK)
-    steps = _bnb(cond, X.lo[None], X.hi[None], delta, budget, w * _CHUNK // 2 if w > 1 else 0)
-    step = next(steps)
-    if len(step) == 3:      # paused with half a chunk of open boxes per share
-        done, lo, hi = step
-
-        def group(glo, ghi, left):
-            n, probes, _, dlo, _ = next(_bnb(cond, glo, ghi, delta, left))
-            return n, not (len(probes) or len(dlo))
-
-        try:
-            found = _dealt(group, lo, hi, done, budget, w, w)
-            n = done + sum(n for n, _ in found)
-            if n <= budget and all(closed for _, closed in found):
-                return Certified(boxes_processed=n)
-        except Exception:   # the paused run below finds out what went wrong
-            pass
-        step = next(steps)
-    n, probes, margins, dlo, dhi = step
+    n, probes, margins, dlo, dhi = next(_bnb(cond, X.lo[None], X.hi[None], delta, budget))
     if len(probes):
         return Falsified(witness=probes[0].copy(), margin=float(margins[0]), boxes_processed=n)
     if len(dlo):
         return Unknown(box=Box(dlo[0], dhi[0]), delta=delta, boxes_processed=n)
     return Certified(boxes_processed=n)
-
-
-def _dealt(group, lo, hi, done, budget, k, w):
-    """Deal the stack ``lo``, ``hi`` of a `_bnb` paused after ``done``
-    boxes into k groups, box i to group i mod k, and run them in w shares
-    (`shares.run`): share j runs groups j, j + w, ... one after another,
-    each by ``group(its lo, its hi, budget left)``, which returns (boxes
-    processed, result).  A share's first group gets ``budget - done`` and
-    each later one what its share's earlier groups left.  Returns the k
-    pairs in group order.  A group's ``BudgetExhausted`` is raised with
-    the whole count, ``done`` and the share's earlier groups included,
-    and with its share's later groups pending."""
-    def share(j):
-        left, found = budget - done, []
-        for g in range(j, k, w):
-            try:
-                found.append(group(lo[g::k], hi[g::k], left))
-            except BudgetExhausted as e:
-                later = sum(len(lo[h::k]) for h in range(g + w, k, w))
-                raise BudgetExhausted(budget - left + e.processed, e.pending + later) from None
-            left -= found[-1][0]
-        return found
-
-    found = shares.run(share, w)
-    return [found[g % w][g // w] for g in range(k)]
 
 
 @dataclass(frozen=True)
@@ -937,6 +879,32 @@ class LevelSearch:
 
 
 _GROUPS = 2   # groups a paused level search is dealt into; fixes its tree on any core count
+
+
+def _dealt(group, lo, hi, done, budget, w):
+    """Deal the stack ``lo``, ``hi`` of a `_bnb` paused after ``done``
+    boxes into `_GROUPS` groups, box i to group i mod `_GROUPS`, and run
+    them in w shares (`shares.run`): share j runs groups j, j + w, ... one
+    after another, each by ``group(its lo, its hi, budget left)``, which
+    returns (boxes processed, result).  A share's first group gets
+    ``budget - done`` and each later one what its share's earlier groups
+    left.  Returns the `_GROUPS` pairs in group order.  A group's
+    ``BudgetExhausted`` is raised with the whole count, ``done`` and the
+    share's earlier groups included, and with its share's later groups
+    pending."""
+    def share(j):
+        left, found = budget - done, []
+        for g in range(j, _GROUPS, w):
+            try:
+                found.append(group(lo[g::_GROUPS], hi[g::_GROUPS], left))
+            except BudgetExhausted as e:
+                later = sum(len(lo[h::_GROUPS]) for h in range(g + w, _GROUPS, w))
+                raise BudgetExhausted(budget - left + e.processed, e.pending + later) from None
+            left -= found[-1][0]
+        return found
+
+    found = shares.run(share, w)
+    return [found[g % w][g // w] for g in range(_GROUPS)]
 
 
 def _lower(make, level, floor, cond, steps):
@@ -1022,11 +990,11 @@ def bnb_minimize(make, level: float, X: Box, floor: float = 0.0, delta: float = 
     w, found = shares.count(_GROUPS), None
     if w > 1:
         try:
-            found = _dealt(group, lo, hi, done, budget, _GROUPS, w)
+            found = _dealt(group, lo, hi, done, budget, w)
         except Exception:   # one core's run below finds out what went wrong
             pass
     if found is None or done + sum(n for n, _ in found) > budget:
-        found = _dealt(group, lo, hi, done, budget, _GROUPS, 1)
+        found = _dealt(group, lo, hi, done, budget, 1)
     groups = [paused] + [s for _, s in found]
     return LevelSearch(make, min(s.level for s in groups), sum(s.boxes_processed for s in groups),
                        all(s.complete for s in groups[1:]),

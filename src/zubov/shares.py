@@ -5,14 +5,15 @@ process, the others in workers forked with
 ``multiprocessing.get_context("fork")``, each sending its result back
 through a pipe.  A caller deals its work so that share j holds items j,
 j + w, j + 2w, ...; `count` picks ``w`` from the job's size in work
-units, so each caller keeps its own threshold of work per process.  Three
-callers use it: `ode.estimate_V_batch` integrates lattice rows,
-`interval.bnb_verify` proves the open boxes of a search tree and
-`interval.bnb_minimize` lowers the level of its groups of them.
+units, so each caller keeps its own threshold of work per process.  Two
+callers use it: `ode.estimate_V_batch` integrates lattice rows and
+`interval.bnb_minimize` lowers the level of the groups of a paused
+search tree.
 
 `beside` runs two different jobs at once, the second in a worker: the
-local search of `verify.verify_roa`, `verify.find_max_level` and the
-`train` command beside the network work that does not read it.
+local search of `verify.find_max_level` and the `train` command beside
+the network work that does not read it, and the local search, face and
+inclusion proofs of `verify.verify_roa` beside its decrease band.
 
 Every worker is joined before `run` returns or raises, one still running
 when a share fails (or on Ctrl-C) is terminated first, and an error in

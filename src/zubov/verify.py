@@ -34,12 +34,13 @@ that start c2, (c) in `find_max_level`.  A search whose tree grows
 large, as the decrease search does, is dealt into a fixed number of
 groups that run on every usable core, with the same level and box count
 on any core count.  Fixed-level checks (`verify_local`, `verify_roa`)
-are fresh `iv.bnb_verify` proofs, which run a large tree on every usable
-core with the outcome and box count of one process.  `find_max_level`
-and `verify_roa` take r, not a local certificate: each runs
-`find_max_local_c` in a forked worker beside the network work that does
-not read it (`shares.beside`), so the ellipsoid they prove into is
-always the system's own and certified.
+are fresh `iv.bnb_verify` proofs, each run whole in one process.
+`find_max_level` and `verify_roa` take r, not a local certificate: each
+runs `find_max_local_c` in a forked worker beside the network work that
+does not read it (`shares.beside`), so the ellipsoid they prove into is
+always the system's own and certified.  `verify_roa` proves the
+decrease band here and the face and inclusion proofs after the search
+in the worker.
 """
 
 from __future__ import annotations
@@ -574,28 +575,32 @@ def verify_roa(net, sys: dyn.SystemDef, r: float, c1: float, c2: float,
     ellipsoid, via the decrease band, the domain-boundary exclusion check
     and the inclusion check.
 
-    The ellipsoid is ``find_max_local_c(sys, r)``'s, searched in a forked
-    worker (`shares.beside`) while the decrease and face proofs, which do
-    not read it, run here; the inclusion proof follows here.  An error of
-    the search (RNotBelowLambdaMin, NoCertifiableC) wins over one of
-    those proofs.
+    The decrease band, the largest proof, runs here.  Beside it, in a
+    forked worker (`shares.beside`), run the rest in order: the search of
+    the ellipsoid, ``find_max_local_c(sys, r)``, the four face proofs and
+    the inclusion proof.  On one core the rest runs first, then the band.
+    Each proof runs in one process, so the certificate is that of one
+    process on any core count.  An error of the search
+    (RNotBelowLambdaMin, NoCertifiableC) wins, then one of a face proof,
+    then one of the inclusion proof, then one of the band.
     """
     _check_epsilon(epsilon)
     if not (0.0 < c1 < c2 < 1.0):
         raise ValueError("need 0 < c1 < c2 < 1")
-    cache = _NetBoxCache(net)
 
-    def network():
-        band = _band_condition(_NetBoxCache(net, hessian=True), sys, c1, c2, epsilon)
-        return (_timed_bnb("decrease", band, sys.domain, delta, budget),
-                _boundary_reports(cache, sys, c2, delta, budget))
+    def band():
+        cond = _band_condition(_NetBoxCache(net, hessian=True), sys, c1, c2, epsilon)
+        return _timed_bnb("decrease", cond, sys.domain, delta, budget)
 
-    (decrease, boundary), local = shares.beside(
-        network, functools.partial(find_max_local_c, sys, r, delta=delta, budget=budget))
-    inclusion = _inclusion_condition(cache, local, c1)
+    def rest():
+        local, cache = find_max_local_c(sys, r, delta=delta, budget=budget), _NetBoxCache(net)
+        return (local, _boundary_reports(cache, sys, c2, delta, budget),
+                _timed_bnb("inclusion", _inclusion_condition(cache, local, c1), sys.domain,
+                           delta, budget))
+
+    decrease, (local, boundary, inclusion) = shares.beside(band, rest)
     return RoaCertificate(c1=c1, c2=c2, epsilon=epsilon, decrease=decrease,
-                          inclusion=_timed_bnb("inclusion", inclusion, sys.domain, delta, budget),
-                          boundary=boundary, local=local)
+                          inclusion=inclusion, boundary=boundary, local=local)
 
 
 def find_max_level(net, sys: dyn.SystemDef, r: float,

@@ -4,7 +4,8 @@
 once.  Its pop and push order must be the one of a plain depth-first
 list stack, so the outcome, the witness or Unknown box, the number of
 boxes processed and the pending count of a budget stop stay what they
-were.  The pinned figures were recorded with the list-stack engine.
+were, and it never forks, whatever the share count.  The pinned
+figures were recorded with the list-stack engine.
 The box counts of the two level searches of `find_max_level` on the
 benchmark network are pinned too: they are that search's whole cost, so
 a change to the search order or the pruning shows up here.  A level
@@ -13,7 +14,6 @@ count and delta-boxes on one core and on two.
 """
 
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -202,9 +202,8 @@ def test_array_stack_matches_list_stack(case, chunk, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Forked shares: `bnb_verify` deals the open boxes of a paused tree to w
-# shares, and a tree that one share does not certify is finished by the
-# paused run itself.  Either way the outcome must be that of one process.
+# `bnb_verify` runs its tree in the calling process whatever `shares.count`
+# says: it never forks, and its outcome is that of one process.
 # ---------------------------------------------------------------------------
 
 class _Spy:
@@ -233,23 +232,8 @@ def test_shares_match_list_stack(case, chunk, w, monkeypatch):
     got = _run(iv.bnb_verify, make(), box, delta, budget)
     want = _run(_list_stack_bnb, make(), box, delta, budget, chunk)
     assert _same(got, want), (got, want)
-    assert spy.runs in ([], [w])
+    assert spy.runs == []
     assert no_children()
-
-
-def test_shares_ran_on_every_kind_of_outcome(monkeypatch):
-    # the cases above split their trees into shares for each outcome the
-    # paused run may have to reproduce: certified, falsified, unknown and
-    # a budget stop
-    monkeypatch.setattr(iv, "_CHUNK", 3)
-    spy = _Spy(monkeypatch, 2)
-    kinds = set()
-    for make, box, delta, budget in _CASES:
-        before = len(spy.runs)
-        got = _run(iv.bnb_verify, make(), box, delta, budget)
-        if len(spy.runs) > before:
-            kinds.add(got[0] if isinstance(got, tuple) else type(got).__name__)
-    assert kinds == {"Certified", "Falsified", "Unknown", "budget"}
 
 
 def _circle_band():
@@ -261,7 +245,7 @@ def _circle_band():
 
 def _bench_band():
     """(condition, box, delta): check-vdp's decrease band on the benchmark
-    network, the proof that the shares speed up."""
+    network, its largest fixed-level proof."""
     net, _, _ = nn.load_mlp(Path(__file__).parents[1] / "bench" / "net_vdp.json")
     band = vf._band_condition(vf._NetBoxCache(net, hessian=True), VDP, 0.0224, 0.74, 1e-4)
     return band, VDP.domain, 1e-3
@@ -274,54 +258,7 @@ def test_certified_count_is_the_same_for_any_share_count(make, boxes, monkeypatc
         spy = _Spy(monkeypatch, w)
         out = iv.bnb_verify(*make())
         assert isinstance(out, iv.Certified) and out.boxes_processed == boxes, (w, out)
-        assert spy.runs == ([] if w == 1 else [w])
-    assert no_children()
-
-
-class _Raising(iv.ScalarFn):
-    """``inner``, but its interval evaluation raises DomainError on a
-    chunk that holds a box narrower than 5e-4, in the processes that
-    ``where`` names: "worker" (the forked ones) or "everywhere".  The
-    circle's tree has no such box before the pause, and each share has
-    some."""
-
-    def __init__(self, inner, where):
-        self.inner, self.where, self.caller = inner, where, os.getpid()
-
-    def eval_points(self, X):
-        return self.inner.eval_points(X)
-
-    def eval_boxes(self, lo, hi):
-        if (self.where == "everywhere" or os.getpid() != self.caller) \
-                and np.any(hi[:, 0] - lo[:, 0] < 5e-4):
-            raise ex.DomainError("ln over an interval reaching <= 0")
-        return self.inner.eval_boxes(lo, hi)
-
-
-@pytest.mark.parametrize("where", ["worker", "everywhere"])
-def test_a_share_that_raises_gives_the_one_process_outcome(where, monkeypatch):
-    # raised in the workers only, the error must not reach the caller: the
-    # paused run certifies as one process does.  Raised everywhere, one
-    # process raises it, and so must the shares
-    def verify(w):
-        spy = _Spy(monkeypatch, w)
-        cond, box, delta = _circle_band()
-        cond = iv.Condition(cond.antecedents, _Raising(cond.consequent, where))
-        try:
-            out = iv.bnb_verify(cond, box, delta)
-        except ex.DomainError as e:
-            out = str(e)
-        assert spy.runs == ([] if w == 1 else [w])
-        return out
-
-    want = verify(1)
-    if where == "everywhere":
-        assert want == "ln over an interval reaching <= 0"
-    else:
-        assert isinstance(want, iv.Certified) and want.boxes_processed == 17_767
-    for w in (2, 3):
-        got = verify(w)
-        assert got == want if isinstance(want, str) else _same(got, want), (w, got)
+        assert spy.runs == []
     assert no_children()
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from zubov import dynamics as dyn
 from zubov import interval as iv
 from zubov import net as nn
+from zubov import shares
 from zubov import verify as vf
 
 VDP = dyn.builtin("reversed_vdp")
@@ -195,6 +196,8 @@ class TestCenteredLie:
 
         monkeypatch.setattr(iv, "bnb_verify", traced_bnb)
         monkeypatch.setattr(iv, "net_interval_many", traced_net)
+        # one core, so every proof runs here, where the spies are
+        monkeypatch.setattr(shares, "count", lambda units: 1)
         assert vf.verify_roa(net, VDP, 0.9999, 0.0224, 0.74).certified
         with_hess = {name for name, h in calls if h}
         without = {name for name, h in calls if not h}

@@ -736,18 +736,28 @@ class TestReport:
         ("dataset.csv.meta.json", {"gen_seconds": 1.0, "integrator": {
             "accepted_steps": 1, "rejected_steps": 0, "status": []}}),
         ("net.json", 5), ("net.json", {"seed": 1}),
+        ("train_record.csv", b"epoch,total\n1,0.5\n\nstop_reason,epochs\nwall_time_s\n"),
+        ("train_record.csv", b"epoch,total,residual,boundary,data\n1,abc,0,0,0\n"),
+        ("train_record.csv", b"epoch,total\n1,0.5\xff\n"),
+        ("roa_cert.json", b'{"seconds": 1.0, "certified": true, "c2": 0.5}\xff'),
     ], ids=["roa without c2", "roa list", "roa not json", "meta list", "meta without integrator",
             "integrator without counts", "status list", "net meta int",
-            "net meta without config"])
+            "net meta without config", "wall time without a value", "loss not a number",
+            "record not utf-8", "roa not utf-8"])
     def test_malformed_artifact_is_a_runtime_error(self, cubic_run, tmp_path, capsys, name, doc):
-        # the first two raised a KeyError and an AttributeError; `report`
-        # read the others as missing values
+        # the first two raised a KeyError and an AttributeError, and the
+        # wall time without a value an IndexError; `report` read the next
+        # seven as missing values, and the last three exited 2 with an
+        # error that did not name the file
         for f in ("net.json", "dataset.csv.meta.json", "train_record.csv"):
             (tmp_path / f).write_bytes((cubic_run[0] / f).read_bytes())
         path = tmp_path / name
         if name == "net.json":      # the net's own `meta`
             doc = {**json.loads(path.read_text()), "meta": doc}
-        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         assert run("report", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err, err

@@ -487,32 +487,48 @@ class TestLocalJob:
         return drop(json.loads(vf.report_to_json(cert)))
 
     def both(self, monkeypatch, tmp_path, prove):
-        """(timeless certificate, the c1 condition was built only in a
-        worker) of ``prove()`` with `shares.count` pinned to 1 and then 2."""
-        pids, condition = tmp_path / "pids", vf._inclusion_condition
+        """(timeless certificate, where the c1 condition was built, where
+        the band condition was built) of ``prove()`` with `shares.count`
+        pinned to 1 and then 2; a place is a sorted list of "here" and
+        "worker"."""
+        pids = tmp_path / "pids"
 
-        def spied(*a):
-            with open(pids, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return condition(*a)
+        def spy(name):
+            build = getattr(vf, name)
 
-        monkeypatch.setattr(vf, "_inclusion_condition", spied)
+            def spied(*a):
+                with open(pids, "a") as fh:
+                    fh.write(f"{name} {os.getpid()}\n")
+                return build(*a)
+
+            monkeypatch.setattr(vf, name, spied)
+
+        def where(name):
+            return sorted({"here" if pid == str(os.getpid()) else "worker"
+                           for n, pid in map(str.split, pids.read_text().splitlines())
+                           if n == name})
+
+        spy("_inclusion_condition")
+        spy("_band_condition")
         got = []
         for w in (1, 2):
             monkeypatch.setattr(shares, "count", lambda units: min(units, w))
             pids.write_text("")
             cert = self.timeless(prove())
-            built = pids.read_text().split()
-            got.append((cert, bool(built) and str(os.getpid()) not in built))
+            got.append((cert, where("_inclusion_condition"), where("_band_condition")))
         return got
 
     def test_verify_roa(self, bench_net, bench_local, monkeypatch, tmp_path):
+        # the band runs here; the local search, the faces and the inclusion
+        # proof run in the worker when there are two cores
         one, two = self.both(monkeypatch, tmp_path,
                              lambda: vf.verify_roa(bench_net, VDP, 0.9999, 0.0224, 0.74))
         assert one[0] == two[0] and one[0]["certified"]
         assert one[0]["decrease"]["outcome"]["boxes"] == 12439
+        assert one[0]["inclusion"]["outcome"]["boxes"] == 1923
+        assert [b["outcome"]["boxes"] for b in one[0]["boundary"]] == [27, 31, 21, 25]
         assert one[0]["local"] == self.timeless(bench_local)
-        assert (one[1], two[1]) == (False, False)   # the inclusion proof runs here
+        assert (one[1:], two[1:]) == ((["here"], ["here"]), (["worker"], ["here"]))
 
     def test_find_max_level(self, bench_net, bench_local, monkeypatch, tmp_path):
         one, two = self.both(monkeypatch, tmp_path,
@@ -520,7 +536,9 @@ class TestLocalJob:
         assert one[0] == two[0] and one[0]["certified"]
         assert one[0]["c2"] == 0.7497061125944957
         assert one[0]["local"] == self.timeless(bench_local)
-        assert (one[1], two[1]) == (False, True)    # the c1 search runs in the worker
+        # the c1 search runs in the worker; the decrease search runs here,
+        # and its second group lowers the band's level in a worker
+        assert (one[1:], two[1:]) == ((["here"], ["here"]), (["worker"], ["here", "worker"]))
 
     @pytest.mark.parametrize("w", [1, 2])
     @pytest.mark.parametrize("sys, r, error", [(VDP, 1.0, vf.RNotBelowLambdaMin),
