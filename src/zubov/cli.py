@@ -35,7 +35,6 @@ from . import dynamics as dyn
 from . import interval as iv
 from . import net as nn
 from . import ode
-from . import shares
 from . import verify as vf
 
 __all__ = ["main", "run", "ConfigError", "load_config", "resolve_config"]
@@ -261,26 +260,19 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _gather_config(args)
     sysdef = _system_from_config(cfg)
-    tc = _train_config(cfg)
-
-    def prepare():
-        data = nn.assemble_dataset(_load_data(args.data, sysdef), tc,
-                                   pair_fraction=cfg["train"]["pair_fraction"],
-                                   rng=np.random.default_rng(cfg["seed"]))
-        hidden = _counts(cfg["train"]["hidden"], "train.hidden", 1)
-        return data, nn.init_mlp([sysdef.dim, *hidden, 1], cfg["seed"])
-
-    def hinge():    # the local certificate, or None to train without the hinge
-        try:
-            return _local_certificate(cfg, sysdef)
-        except vf.NoCertifiableC:
-            return None
-
+    local = None    # without a local certificate, train without the hinge
     if cfg["train"]["use_local_band"]:
-        (data, net0), local = shares.beside(prepare, hinge)
-    else:
-        (data, net0), local = prepare(), None
-    net, record = nn.train(net0, data, sysdef, _train_config(cfg, local))
+        try:
+            local = _local_certificate(cfg, sysdef)
+        except vf.NoCertifiableC:
+            pass
+    tc = _train_config(cfg, local)
+    data = nn.assemble_dataset(_load_data(args.data, sysdef), tc,
+                               pair_fraction=cfg["train"]["pair_fraction"],
+                               rng=np.random.default_rng(cfg["seed"]))
+    hidden = _counts(cfg["train"]["hidden"], "train.hidden", 1)
+    net, record = nn.train(nn.init_mlp([sysdef.dim, *hidden, 1], cfg["seed"]), data,
+                           sysdef, tc)
     out_dir = Path(args.out_dir or cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     nn.save_mlp(net, out_dir / "net.json", alpha=tc.alpha, psi_form=tc.psi_form,
@@ -304,9 +296,10 @@ def _local_certificate(cfg: dict, sysdef: dyn.SystemDef, c=None) -> vf.LocalCert
     the largest level `vf.find_max_local_c` proves.  Raises NoCertifiableC
     (from `verify`) if the system has no local quadratic or the search
     proves no level.  `verify-local` writes it, and `train` reads its c as
-    the hinge's level, searched in a forked worker (`shares.beside`)
-    beside the dataset read; `verify-roa` leaves the search to
-    `vf.verify_roa` and `vf.find_max_level`, which run it the same way."""
+    the hinge's level, searched in this process before the dataset read;
+    `verify-roa` leaves the search to `vf.verify_roa` and
+    `vf.find_max_level`, which run it in a forked worker beside the
+    network work."""
     vr = cfg["verify"]
     if c is not None:
         return vf.verify_local(sysdef, vr["r"], c, delta=vr["delta"], budget=vr["budget"])

@@ -10,10 +10,11 @@ callers use it: `ode.estimate_V_batch` integrates lattice rows and
 `interval.bnb_minimize` lowers the level of the groups of a paused
 search tree.
 
-`beside` runs two different jobs at once, the second in a worker: the
-local search of `verify.find_max_level` and the `train` command beside
-the network work that does not read it, and the local search, face and
-inclusion proofs of `verify.verify_roa` beside its decrease band.
+`beside` runs two different jobs at once, the second in a worker.  It
+has two callers, each kept because a benchmark workload pays for it:
+`verify.verify_roa` runs its local search, face and inclusion proofs
+beside its decrease band (`check-vdp`), and `verify.find_max_level` its
+local and c1 searches beside its face searches (`certify-vdp`).
 
 Every worker is joined before `run` returns or raises, one still running
 when a share fails (or on Ctrl-C) is terminated first, and an error in
@@ -101,7 +102,10 @@ def beside(job: Callable[[], object], side: Callable[[], object]) -> tuple:
     """``(job(), side())``: ``side`` in a forked worker while ``job`` runs
     here if there are two usable cores (`count`), else ``side()`` and then
     ``job()`` here.  Either way an error of ``side`` wins, and one of
-    ``job`` is raised once ``side`` has finished."""
+    ``job`` is raised once ``side`` has finished.  The fork pays
+    only where ``side`` is a sizeable share of the work; its callers are
+    `verify.verify_roa` (`check-vdp`) and `verify.find_max_level`
+    (`certify-vdp`)."""
     if count(2) < 2:
         done = side()
         return job(), done

@@ -113,14 +113,12 @@ class TestTrain:
 
     def test_band_off_runs_no_local_search(self, cubic_run, tmp_path, monkeypatch):
         # with "use_local_band": false the command searches no local level,
-        # and its network is the one nn.train gives without c_local.  The
-        # search may run in a forked worker, so the spy writes to a file
+        # and its network is the one nn.train gives without c_local
         d, cfgfile = cubic_run
-        log, search = tmp_path / "searches", vf.find_max_local_c
+        searches, search = [], vf.find_max_local_c
 
         def spied(*a, **k):
-            with open(log, "a") as fh:
-                fh.write("search\n")
+            searches.append(a)
             return search(*a, **k)
 
         monkeypatch.setattr(vf, "find_max_local_c", spied)
@@ -131,7 +129,7 @@ class TestTrain:
             (tmp_path / "run.json").write_text(json.dumps(doc))
             assert run("train", "--config", str(tmp_path / "run.json"), "--data",
                        str(d / "dataset.csv"), "--out-dir", str(tmp_path / str(band))) == 0
-        assert log.read_text() == "search\n"      # the run with the band on
+        assert len(searches) == 1      # the run with the band on
         cfg = nn.TrainConfig(alpha=2.0, psi_form="exp", max_epochs=3, seed=7)
         data = nn.assemble_dataset(ode.load_samples(d / "dataset.csv"), cfg, pair_fraction=0.05,
                                    rng=np.random.default_rng(7))
@@ -533,10 +531,11 @@ class TestNoLocalQuadratic:
 
 
 class TestLocalShare:
-    """`train` and `verify-roa` run the local search in a forked worker
-    beside the network work when there are two cores, and first in this
-    process when there is one: the files, exit codes and error lines must
-    be the same either way."""
+    """`verify-roa` runs the local search in a forked worker beside the
+    network work when there are two cores, and first in this process when
+    there is one: the files, exit codes and error lines must be the same
+    either way.  `train` runs it here, before it reads the data, on any
+    core count."""
 
     NET = str(Path(__file__).resolve().parents[1] / "bench" / "net_vdp.json")
     VDP = ["--system", "reversed_vdp"]
@@ -600,7 +599,7 @@ class TestLocalShare:
         one, two = self.both(monkeypatch, capsys, tmp_path, "train",
                              "--config", str(lattice / "run.json"),
                              "--data", str(lattice / "data.csv"))
-        assert one[0] == two[0] == 0 and (one[3], two[3]) == (False, True)
+        assert one[0] == two[0] == 0 and (one[3], two[3]) == (False, False)
         assert (one[2] / "net.json").read_bytes() == (two[2] / "net.json").read_bytes()
         records = [(d / "train_record.csv").read_text().split("wall_time_s")[0]
                    for d in (one[2], two[2])]
@@ -615,6 +614,18 @@ class TestLocalShare:
         got = nn.load_mlp(two[2] / "net.json")[0]
         assert all(a.tobytes() == b.tobytes() for a, b in
                    zip(got.weights + got.biases, want.weights + want.biases))
+
+    def test_train_searches_before_it_reads_the_data(self, monkeypatch, capsys, tmp_path,
+                                                     lattice):
+        # a one-box budget stops the local search before the malformed
+        # dataset is read, on any core count
+        (tmp_path / "bad.csv").write_text("x1,x2\n")
+        for code, err, out, worker in self.both(
+                monkeypatch, capsys, tmp_path, "train", "--config", str(lattice / "run.json"),
+                "--data", str(tmp_path / "bad.csv"), "--budget", "1"):
+            assert code == 4 and not worker, (code, err)
+            assert err.startswith("verification budget exhausted: ") and err.count("\n") == 1
+            assert not (out / "net.json").exists()
 
     # decay: x' = -x, whose ellipsoid covers the domain, so c1 = 0.1893 lies
     # above the network's least value on the faces, 0.0875
