@@ -3,8 +3,8 @@
 Every system's equilibrium is the origin, which `SystemDef` checks.
 The local-stability route needs three ingredients: the Jacobian A of the
 field at the origin, the quadratic form P solving P A + A' P = -I
-(`solve_lyapunov(A)`), and the nonlinear remainder g(x) = f(x) - A x
-together with its Jacobian Dg = Df - A (which vanishes at the origin by
+(`solve_lyapunov(A)`), and the Jacobian Dg = Df - A of the nonlinear
+remainder g(x) = f(x) - A x (which vanishes at the origin by
 construction).  A system keeps its P (`SystemDef.lyapunov_P`), the one
 quadratic that the integrator's tail, the training hinge and the local
 certificate read; it is None where the origin's stability is not
@@ -133,10 +133,10 @@ def builtin(name: str) -> SystemDef:
 
 @dataclass(frozen=True)
 class Linearization:
-    """A = Df(0), plus the remainder g = f - Ax and its Jacobian exprs."""
+    """A = Df(0) and the Jacobian exprs of the remainder g = f - Ax, the
+    one part of g that the local certificate reads."""
 
     A: np.ndarray
-    g: ex.VectorField
     dg: list = dc_field(repr=False, default_factory=list)  # dg[i][j] = d g_i / d x_j
     # the dg entries compiled row-major: output i*n + j is dg[i][j]
     dg_tape: ex.Tape = dc_field(init=False, repr=False, compare=False)
@@ -162,9 +162,8 @@ def linearize(sys: SystemDef) -> Linearization:
             lin = term if lin is None else ex.Add(lin, term)
         g_comps.append(sys.field.components[i] if lin is None
                        else ex.Sub(sys.field.components[i], lin))
-    g = ex.VectorField(n, tuple(g_comps))
-    dg = g.jacobian_exprs()
-    return Linearization(A=A, g=g, dg=dg)
+    dg = [[ex.fold(ex.diff(c, j)) for j in range(n)] for c in g_comps]
+    return Linearization(A=A, dg=dg)
 
 
 def solve_lyapunov(A: np.ndarray) -> np.ndarray:

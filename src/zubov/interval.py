@@ -248,16 +248,16 @@ def kaffine(W: np.ndarray, b: Optional[np.ndarray], alo, ahi):
     """Interval image of x -> W x + b for a point matrix W (out, in).
 
     ``alo, ahi``: (..., in) -> returns (..., out).  Points given as one
-    array (``alo is ahi``) make one product pair: addition commutes.
+    array for both bounds get equal bounds: the two product pairs are
+    the same products, added in the same order.
     """
     Wp = np.maximum(W, 0.0)
     Wn = np.minimum(W, 0.0)
     lo = alo @ Wp.T + ahi @ Wn.T
-    hi = lo if alo is ahi else ahi @ Wp.T + alo @ Wn.T
+    hi = ahi @ Wp.T + alo @ Wn.T
     if b is not None:
-        lo = lo + b
-        hi = lo if alo is ahi else hi + b
-    absmax = np.abs(alo) if alo is ahi else np.maximum(np.abs(alo), np.abs(ahi))
+        lo, hi = lo + b, hi + b
+    absmax = np.maximum(np.abs(alo), np.abs(ahi))
     err = _dot_err(absmax @ np.abs(W).T + (np.abs(b) if b is not None else 0.0), W.shape[1])
     return lo - err, hi + err
 

@@ -98,7 +98,8 @@ class _NetBoxCache:
 
     A cache built with ``hessian`` (the one a `NetLieFn` needs) also
     carries the midpoint gradient and the Hessian enclosure in that one
-    pass; value-only conditions get their own cache and do not pay for it.
+    pass, and its probes carry the exact gradient; value-only conditions
+    get their own cache, whose probes are `nn.forward_batch` values alone.
 
     The cache keys on the array objects themselves and keeps references
     to them, so an address reused by a later allocation can never alias.
@@ -121,8 +122,10 @@ class _NetBoxCache:
         return self._box_val
 
     def points(self, X):
+        """(W_N(X), its gradient) with ``hessian``, else (W_N(X), None)."""
         if self._pt_key is not X:
-            self._pt_val = nn.input_grad_batch(self.net, X)
+            self._pt_val = (nn.input_grad_batch(self.net, X) if self.hessian
+                            else (nn.forward_batch(self.net, X), None))
             self._pt_key = X
         return self._pt_val
 
@@ -226,20 +229,18 @@ class NetValueFn(iv.ScalarFn):
 class NetLieFn(iv.ScalarFn):
     """h(x) = grad W_N(x) . f(x) + offset (so h <= 0 means decrease).
 
-    Over a box B the enclosure is the meet of two sound ones (Moore,
+    Over a box B the enclosure is the centered form
+    h(m) + sum_p d_p h(B) (B_p - m_p)  at the midpoint m (Moore,
     *Interval Analysis*; Neumaier, *Interval Methods for Systems of
-    Equations*, ch. 2):
-
-    * the natural product of the enclosures of grad W_N and f;
-    * the centered form  h(m) + sum_p d_p h(B) (B_p - m_p)  at the
-      midpoint m, with grad h = H_W f + J_f' grad W_N.  H_W comes from
-      the cache's second-order stream, J_f from the compiled tape of
-      the field's Jacobian, h(m) from the cache's degenerate-box pass at
-      m, and B - m is rounded outward (`iv.center_offsets`).
-
-    The natural form suffers the dependency problem even on small boxes;
-    the centered one shrinks with the square of the box width.  ``cache``
-    must be built with ``hessian=True``.
+    Equations*, ch. 2), with grad h = H_W f + J_f' grad W_N.  H_W comes
+    from the cache's second-order stream, J_f from the compiled tape of
+    the field's Jacobian, h(m) from the natural product (`_natural`) of
+    the cache's gradient at m and f at m, and B - m is rounded outward
+    (`iv.center_offsets`).  It shrinks with the square of the box width.
+    The natural product over B suffers the dependency problem even on
+    small boxes: on `bench/net_vdp.json` it decided none of the boxes
+    that the centered form left open.  ``cache`` must be built with
+    ``hessian=True``.
     """
 
     def __init__(self, cache: _NetBoxCache, sys: dyn.SystemDef, offset: float):
@@ -285,7 +286,7 @@ class NetLieFn(iv.ScalarFn):
                 slo, shi = iv.kadd(slo, shi, *iv.kmul(hlo[:, tri[i, p]], hhi[:, tri[i, p]], *F[i]))
                 slo, shi = iv.kadd(slo, shi, *iv.kmul(*J[i * n + p], glo[:, i], ghi[:, i]))
             clo, chi = iv.kadd(clo, chi, *iv.kmul(slo, shi, dlo[:, p], dhi[:, p]))
-        return iv.kintersect(*self._natural(glo, ghi, F), clo, chi)
+        return clo, chi
 
     def to_expr(self):
         w = _net_to_expr(self.cache.net)

@@ -171,7 +171,9 @@ class TestPrintedLinearization:
         n = sys.dim
         X = np.random.default_rng(44).uniform(-3.0, 3.0, size=(50, n))
         X[0] = 0.0
-        for e in list(lin.g.components) + [e for row in lin.dg for e in row]:
+        # g's constants, the entries of A, reach Dg as the derivatives of
+        # its linear terms
+        for e in (e for row in lin.dg for e in row):
             text = ex.to_str(e)
             assert "np." not in text
             back = values(ex.parse(text, n), X)

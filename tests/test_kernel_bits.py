@@ -306,8 +306,9 @@ class TestNetIntervalMany:
     @pytest.mark.parametrize("n, hidden", NETS)
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_degenerate_boxes_one_array_and_copies(self, n, hidden, order):
-        """The midpoint pass gives one array for both bounds; equal copies
-        take `kaffine`'s general path.  Both match the reference."""
+        """The midpoint pass gives one array for both bounds, equal copies
+        give two; `kaffine` runs one path for both.  Both match the
+        reference."""
         rng = np.random.default_rng(7 * n + len(hidden) + 100 * order)
         net = random_net(rng, n, hidden)
         x = rng.uniform(-3.0, 3.0, size=(9, n))

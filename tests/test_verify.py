@@ -595,9 +595,28 @@ class TestNetBoxCache:
             b[:] = rng.normal(size=b.shape)
         for K in (1, 3, 512):
             X = rng.uniform(-3.0, 3.0, size=(K, 2))
-            w, g = vf._NetBoxCache(net).points(X)
+            w, none = vf._NetBoxCache(net).points(X)
+            assert np.array_equal(w, nn.forward_batch(net, X)) and none is None
+            w, g = vf._NetBoxCache(net, hessian=True).points(X)
             assert np.array_equal(w, nn.forward_batch(net, X))
             assert np.array_equal(g, net.grad_batch(X))
+
+    def test_value_only_points_skip_the_gradient(self, monkeypatch):
+        # only a NetLieFn reads the probes' gradient, and only a hessian
+        # cache feeds one
+        net, calls = nn.init_mlp([2, 10, 10, 1], 5), []
+        input_grad_batch = nn.input_grad_batch
+
+        def traced(*args):
+            calls.append(len(args[1]))
+            return input_grad_batch(*args)
+
+        monkeypatch.setattr(nn, "input_grad_batch", traced)
+        X = np.random.default_rng(3).uniform(-3.0, 3.0, size=(7, 2))
+        vf._NetBoxCache(net).points(X)
+        assert calls == []
+        vf._NetBoxCache(net, hessian=True).points(X)
+        assert calls == [7]
 
 
 class TestExportSmt2:
